@@ -8,7 +8,10 @@ log-pseudo-likelihood.
 Generators are pure functions of their :class:`ModelSpec`, seed included:
 the same spec always yields the same dataset.  Each objective is built on
 the autodiff tape and exposes a ``restricted`` hook so active-set refits
-run on the column submatrix rather than the full design.
+run on the column submatrix rather than the full design.  Only the full
+oracle runs the construction probe: restricted oracles are built once per
+refit from these fixed programs, where a probe would only cost one more
+tape evaluation.
 """
 
 from __future__ import annotations
@@ -287,7 +290,8 @@ def objective_linear(dataset):
         def program(theta):
             return 0.5 * sqnorm(y - Xm @ theta)
 
-        return build_objective(program, Xm.shape[1], scale="rss", restrict=restrict)
+        return build_objective(program, Xm.shape[1], scale="rss", restrict=restrict,
+                               probe=restrict is not None)
 
     return make(X, lambda coords: make(X[:, coords], None))
 
@@ -301,7 +305,8 @@ def objective_logistic(dataset):
             t = Xm @ theta
             return vsum(log1pexp(t)) - dot(y, t)
 
-        return build_objective(program, Xm.shape[1], scale="nll", restrict=restrict)
+        return build_objective(program, Xm.shape[1], scale="nll", restrict=restrict,
+                               probe=restrict is not None)
 
     return make(X, lambda coords: make(X[:, coords], None))
 
@@ -321,7 +326,7 @@ def objective_trend(dataset):
         def sub(theta):
             return 0.5 * sqnorm(data - C @ theta)
 
-        return build_objective(sub, len(coords), scale="rss")
+        return build_objective(sub, len(coords), scale="rss", probe=False)
 
     return build_objective(program, n, scale="rss", restrict=restrict)
 
@@ -352,7 +357,8 @@ def objective_ising(dataset):
         def program(theta):
             return vsum(log1pexp((-2.0 * zfac) * (Cm @ theta)))
 
-        return build_objective(program, Cm.shape[1], scale="nll", restrict=restrict)
+        return build_objective(program, Cm.shape[1], scale="nll", restrict=restrict,
+                               probe=restrict is not None)
 
     return make(C, lambda coords: make(C[:, coords], None))
 

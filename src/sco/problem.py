@@ -205,7 +205,12 @@ class RestrictedResult:
 
     ``objective`` is the value produced by the (possibly restricted)
     evaluation path; ``last_step`` is the most recently accepted
-    line-search step, None when no step was taken.
+    line-search step, None when no step was taken.  ``converged`` is
+    exactly ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
+    stopped: ``"converged"``, ``"floor"`` (f could no longer resolve a
+    decrease), ``"max_iter"``, ``"line_search"`` (every trial of the last
+    search left the objective's domain) or ``"no_descent"`` (the search
+    direction's slope vanished at working precision).
     """
 
     params: np.ndarray
@@ -214,6 +219,7 @@ class RestrictedResult:
     iterations: int
     converged: bool
     last_step: Optional[float]
+    reason: str
 
 
 def top_units(scores, k):
@@ -249,15 +255,16 @@ _DEFAULT_CONFIG = SolverConfig()
 
 
 class _LbfgsState:
-    __slots__ = ("x", "f", "grad_inf", "iters", "converged", "last_step")
+    __slots__ = ("x", "f", "grad_inf", "iters", "converged", "last_step", "reason")
 
-    def __init__(self, x, f, grad_inf, iters, converged, last_step):
+    def __init__(self, x, f, grad_inf, iters, converged, last_step, reason):
         self.x = x
         self.f = f
         self.grad_inf = grad_inf
         self.iters = iters
         self.converged = converged
         self.last_step = last_step
+        self.reason = reason
 
 
 def _lbfgs_direction(g, S, Y, R):
@@ -276,21 +283,29 @@ def _lbfgs_direction(g, S, Y, R):
     return -q
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max_halvings=50):
     """Limited-memory secant updates with Armijo halving line search.
 
+    A trial is accepted on Armijo sufficient decrease together with a
+    strict decrease of f, or, within the precision floor (see
+    :func:`restricted_minimize`), on a smaller gradient infinity norm.
     Trial points whose evaluation leaves the objective's domain count as
-    rejected trials; the search only ever accepts finite decreasing steps,
-    so the returned iterate is the best one seen.
+    rejected trials.  Floor steps may raise f by rounding noise, so a
+    final value above the start's returns the start instead.
     """
     from .autodiff import EvaluationError
 
-    x = np.array(x0, dtype=float)
+    x = x_start = np.array(x0, dtype=float)
     f, g = value_and_grad(x)
-    grad_inf = float(np.max(np.abs(g))) if len(g) else 0.0
+    f_start = f
+    grad_inf = grad_start = float(np.max(np.abs(g))) if len(g) else 0.0
     S, Y, R = [], [], []
     last_step = None
     converged = grad_inf <= tol
+    reason = "max_iter"
     it = 0
     while not converged and it < max_iter:
         it += 1
@@ -300,25 +315,42 @@ def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max
             d = -g
             gtd = -float(g @ g)
         if -gtd <= 1e-18 * (1.0 + abs(f)):
-            break  # no meaningful descent left at this precision
+            reason = "no_descent"
+            break
         if S:
             alpha = 1.0
         else:
             alpha = min(1.0, 1.0 / max(np.sqrt(-gtd), 1e-12))
-        accepted = False
+        floor = 4.0 * _EPS * max(1.0, abs(f))
+        step = None
         for _ in range(max_halvings + 1):
+            x_new = x + alpha * d
             try:
-                ft = value(x + alpha * d)
+                ft = value(x_new)
             except EvaluationError:
                 ft = np.inf
-            if ft <= f + armijo * alpha * gtd:
-                accepted = True
+            if ft < f and ft <= f + armijo * alpha * gtd:
+                step = value_and_grad(x_new)
                 break
+            if abs(ft - f) <= floor:
+                # f cannot resolve this step: keep it if the gradient shrank
+                try:
+                    ft, gt = value_and_grad(x_new)
+                except EvaluationError:
+                    break
+                if float(np.max(np.abs(gt))) < grad_inf:
+                    step = ft, gt
+                break
+            if np.isfinite(ft) and alpha * -gtd <= floor:
+                break  # smaller steps promise decreases f cannot show
             alpha *= 0.5
-        if not accepted:
-            break  # line-search failure: report the best iterate so far
-        x_new = x + alpha * d
-        f_new, g_new = value_and_grad(x_new)
+        else:
+            reason = "line_search"
+            break
+        if step is None:
+            reason = "floor"
+            break
+        f_new, g_new = step
         s = x_new - x
         y = g_new - g
         sy = float(s @ y)
@@ -334,7 +366,14 @@ def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max
         last_step = alpha
         grad_inf = float(np.max(np.abs(g)))
         converged = grad_inf <= tol
-    return _LbfgsState(x, f, grad_inf, it, converged, last_step)
+    if f > f_start:  # gradient-judged steps wiggled f up at the floor
+        if converged:
+            reason = "floor"
+        x, f, grad_inf = x_start, f_start, grad_start
+        converged = grad_inf <= tol
+    if converged:
+        reason = "converged"
+    return _LbfgsState(x, f, grad_inf, it, converged, last_step, reason)
 
 
 def restricted_minimize(problem, support, init=None, config=None):
@@ -345,6 +384,12 @@ def restricted_minimize(problem, support, init=None, config=None):
     search (sufficient-decrease constant 1e-4, halving steps), stopping
     when the infinity norm of the gradient over the free coordinates drops
     to ``config.inner_tol`` or after ``config.inner_max_iter`` iterations.
+    It also stops at the precision floor ``4 eps max(1, |f|)``: a trial
+    whose value lies within the floor of the current value is kept only
+    if it lowers the gradient's infinity norm, and halving ends once the
+    predicted decrease falls below the floor (trials outside the
+    objective's domain keep halving, at most 50 times).  The result's
+    ``reason`` records which rule ended the search.
 
     ``init`` must be zero off the free coordinates; the search never
     increases the objective relative to it.  Returns a
@@ -363,7 +408,7 @@ def restricted_minimize(problem, support, init=None, config=None):
             raise ValueError("init must be zero off support and preselected coordinates")
     if len(free) == 0:
         x = np.zeros(problem.p)
-        return RestrictedResult(x, problem.oracle.value(x), 0.0, 0, True, None)
+        return RestrictedResult(x, problem.oracle.value(x), 0.0, 0, True, None, "converged")
     sub = problem.oracle.restricted(free)
     if sub is not None:
         value, vag = sub.value, sub.value_and_grad
@@ -387,7 +432,8 @@ def restricted_minimize(problem, support, init=None, config=None):
     state = _lbfgs(value, vag, x0, cfg.inner_tol, cfg.inner_max_iter)
     params = np.zeros(problem.p)
     params[free] = state.x
-    return RestrictedResult(params, state.f, state.grad_inf, state.iters, state.converged, state.last_step)
+    return RestrictedResult(params, state.f, state.grad_inf, state.iters, state.converged,
+                            state.last_step, state.reason)
 
 
 def validate_solution(problem, solution, tol=1e-12):

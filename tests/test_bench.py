@@ -1,6 +1,7 @@
 """Metrics, the exhaustive oracle, suite runs at tiny scale, CSV round
 trips, and the demo artifacts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -82,6 +83,23 @@ def test_exhaustive_never_beaten():
         for kind in SolverKind:
             sol = solve(kind, prob)
             assert sol.objective >= best.objective - 1e-9, (seed, kind)
+
+
+def test_exhaustive_matches_least_squares_enumeration():
+    """The certified optimum does not rest on the refit alone: enumerate
+    every support with a least-squares solve and compare."""
+    for seed in range(10):
+        ds = models.generate(models.ModelSpec("linear", 40, 10, 3, 5.0, seed=seed))
+        prob = models.build_problem(ds, s=3)
+        best = exhaustive_oracle(prob)
+        rss = {}
+        for cand in itertools.combinations(range(10), 3):
+            X = ds.X[:, cand]
+            coef = np.linalg.lstsq(X, ds.y, rcond=None)[0]
+            rss[cand] = 0.5 * float(np.sum(np.square(ds.y - X @ coef)))
+        support = min(rss, key=rss.get)
+        assert np.array_equal(best.support, support), seed
+        assert best.objective == pytest.approx(rss[support], rel=1e-10, abs=0.0), seed
 
 
 def test_exhaustive_combination_bound():

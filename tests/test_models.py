@@ -4,7 +4,7 @@ checks against finite differences, and the dataset CSV round trip."""
 import numpy as np
 import pytest
 
-from sco import models
+from sco import autodiff, models
 from sco.autodiff import fd_gradient
 
 SMALL = {
@@ -103,13 +103,22 @@ def test_gradient_matches_fd(kind):
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
-def test_restricted_oracle_agrees(kind):
+def test_restricted_oracle_agrees(kind, monkeypatch):
     ds = models.generate(SMALL[kind])
     oracle = models.objective(ds)
     rng = np.random.default_rng(23)
     coords = np.sort(rng.choice(ds.p, size=4, replace=False))
+    tapes = []
+    tape_eval = autodiff._tape_eval
+
+    def counting_tape_eval(*args):
+        tapes.append(args)
+        return tape_eval(*args)
+
+    monkeypatch.setattr(autodiff, "_tape_eval", counting_tape_eval)
     sub = oracle.restricted(coords)
     assert sub is not None and sub.dim == 4
+    assert tapes == []  # restricted oracles skip the construction probe
     z = rng.standard_normal(4) * 0.3
     full = np.zeros(ds.p)
     full[coords] = z

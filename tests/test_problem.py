@@ -193,3 +193,102 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(step_size=-1.0)
+
+
+def _logistic_refit_at_floor():
+    # the first trial of the last iteration rises by more than the floor
+    # while its predicted decrease is already below it
+    ds = models.generate(models.ModelSpec("logistic", 100, 10, 3, 3.0, seed=3))
+    return models.build_problem(ds, s=5), [0, 1, 2, 4, 9], None
+
+
+def _logistic_one_iteration():
+    ds = models.generate(models.ModelSpec("logistic", 100, 10, 3, 1.0, seed=0))
+    return models.build_problem(ds, s=3), [0, 1, 2], SolverConfig(inner_max_iter=1)
+
+
+def _finite_only_at_start():
+    # log(1 - 1e300 |theta|^2) is finite at 0 and nowhere a halved trial lands
+    oracle = build_objective(lambda th: sco.vsum(th) + sco.log(1.0 - 1e300 * sco.sqnorm(th)), 2)
+    return ScoProblem(p=2, s=2, oracle=oracle), [0, 1], None
+
+
+def _orthonormal_ols():
+    Q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((20, 10)))
+    return _ols_problem(Q, np.random.default_rng(5).standard_normal(20), 3), [1, 4, 7], None
+
+
+@pytest.mark.parametrize("make, reason", [
+    (_orthonormal_ols, "converged"),
+    (_logistic_one_iteration, "max_iter"),
+    (_finite_only_at_start, "line_search"),
+    (_logistic_refit_at_floor, "floor"),
+])
+def test_restricted_minimize_reason(make, reason):
+    prob, support, config = make()
+    res = restricted_minimize(prob, support, None, config)
+    assert res.reason == reason
+    tol = (config or SolverConfig()).inner_tol
+    assert res.converged == (res.grad_inf <= tol)
+    assert res.objective <= prob.oracle.value(np.zeros(prob.p))
+
+
+def test_refit_value_calls_stay_low():
+    """Refits near the precision floor must not pay for decreases f cannot
+    resolve; each halving costs one ``value`` call."""
+    ds = models.generate(models.ModelSpec("logistic", 300, 40, 3, 0.5, seed=7))
+    base = models.build_problem(ds)
+    counts = {"value": 0, "restrict": 0}
+
+    def counting(oracle, restrict):
+        def value(theta):
+            counts["value"] += 1
+            return oracle.value(theta)
+
+        return sco.ObjectiveOracle(oracle.dim, value, oracle.value_and_grad,
+                                   scale=oracle.scale, restrict=restrict)
+
+    def restrict(coords):
+        counts["restrict"] += 1
+        return counting(base.oracle.restricted(coords), None)
+
+    prob = ScoProblem(p=base.p, s=base.s, oracle=counting(base.oracle, restrict), n=base.n)
+    truth = ds.support_true
+    supports = [truth, truth[:2], truth[1:]]
+    supports += [np.sort(np.append(truth, j)) for j in range(0, 40, 4) if j not in truth]
+    for support in supports:
+        restricted_minimize(prob, support)
+    assert counts["restrict"] == len(supports)
+    assert counts["value"] / len(supports) <= 15.0
+
+
+def _newton_logistic(X, y, steps=50):
+    b = np.zeros(X.shape[1])
+    for _ in range(steps):
+        prob = 1.0 / (1.0 + np.exp(-(X @ b)))
+        hess = X.T @ (X * (prob * (1.0 - prob))[:, None])
+        b -= np.linalg.solve(hess, X.T @ (prob - y))
+    return b
+
+
+@pytest.mark.parametrize("spec, sizes, reference", [
+    (lambda seed: models.ModelSpec("linear", 100, 60, 4, 5.0, seed), (1, 3, 5, 8),
+     lambda X, y: np.linalg.lstsq(X, y, rcond=None)[0]),
+    (lambda seed: models.ModelSpec("logistic", 300, 40, 3, 0.5, seed), (1, 3, 5),
+     _newton_logistic),
+], ids=["linear", "logistic"])
+def test_refit_matches_closed_form(spec, sizes, reference):
+    """Refit coefficients agree with an independent solver to 1e-8,
+    measured as |error| / (1 + |coefficient|)."""
+    worst = 0.0
+    for seed in range(40):
+        ds = models.generate(spec(seed))
+        prob = models.build_problem(ds)
+        rng = np.random.default_rng(seed)
+        for k in sizes:
+            support = np.sort(rng.choice(ds.p, size=k, replace=False))
+            res = restricted_minimize(prob, support)
+            ref = reference(ds.X[:, support], ds.y)
+            err = np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))
+            worst = max(worst, float(np.max(err)))
+    assert worst <= 1e-8

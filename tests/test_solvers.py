@@ -2,6 +2,9 @@
 compressive-sensing instance, feasibility/monotonicity/termination
 invariants, warm starts, and permutation equivariance."""
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -182,6 +185,29 @@ def test_scope_and_foba_match_exhaustive_smoke():
                 hits[kind] += 1
     assert hits[SolverKind.SCOPE] >= 8
     assert hits[SolverKind.FOBA] >= 8
+
+
+def test_shared_problem_solves_concurrently():
+    """A shared problem can be solved from several threads at once, with
+    results bit-identical to serial solves."""
+    ds = models.generate(models.ModelSpec("linear", 60, 30, 3, 5.0, seed=4))
+    prob = models.build_problem(ds)
+    kinds = ALL_KINDS * 2
+    serial = [solve(kind, prob) for kind in kinds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(solve, kind, prob) for kind in kinds]
+            threaded = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for kind, a, b in zip(kinds, serial, threaded):
+        assert np.array_equal(a.support, b.support), kind
+        assert np.array_equal(a.params, b.params), kind
+        assert a.objective == b.objective, kind
+        assert a.iterations == b.iterations and a.converged == b.converged, kind
+        assert a.trace == b.trace, kind
 
 
 def test_solve_rejects_bad_input():
