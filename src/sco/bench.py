@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -213,7 +213,7 @@ def _run_one(kind, dataset, problem, criterion):
         elapsed = time.perf_counter() - t0
         sol = result.chosen
         s_used = result.chosen_s
-    validate_solution(problem if criterion is None else _with_s(problem, s_used), sol)
+    validate_solution(problem if criterion is None else replace(problem, s=s_used), sol)
     m = support_metrics(dataset.support_true, sol.support, spec.p)
     return BenchRecord(
         solver=SolverKind(kind).value,
@@ -230,12 +230,6 @@ def _run_one(kind, dataset, problem, criterion):
         runtime_s=elapsed,
         objective=sol.objective,
     )
-
-
-def _with_s(problem, s):
-    from dataclasses import replace
-
-    return replace(problem, s=s)
 
 
 def write_records(records, path):

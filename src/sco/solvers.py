@@ -16,6 +16,12 @@ All routines are pure functions of (problem, config): a shared immutable
 problem can be solved concurrently.  Every solver ends with a restricted
 refit of its final support and returns the best refit iterate it visited,
 so the reported objective is always attained by the reported parameters.
+
+Points known to be sparse are evaluated on their support through the
+oracle's ``restricted`` hook (the full oracle when there is none):
+line-search trials of iht and htp, and refit iterates, whose objective the
+refit already holds.  Only start points, warm starts and the returned
+parameters are evaluated at full dimension.
 """
 
 from __future__ import annotations
@@ -73,9 +79,8 @@ def _refit(problem, units, init, config):
 class _Run:
     """Per-solve bookkeeping: wall clock, iteration trace, best refit seen."""
 
-    def __init__(self, problem, config):
+    def __init__(self, problem):
         self.problem = problem
-        self.config = config
         self.t0 = time.perf_counter()
         self.trace = []
         self.best = None  # (objective, params, units)
@@ -95,17 +100,19 @@ class _Run:
         self.trace.append(TraceEntry(iteration, f, change))
         self.prev_units = np.asarray(units, dtype=int)
 
-    def accept(self, iteration, x, units):
-        f = self.offer(self.full_value(x), x, units)
+    def accept(self, iteration, res, units):
+        """Offer and trace a refit result at the objective it computed."""
+        f = self.offer(res.objective, res.params, units)
         self.note(iteration, f, units)
         return f
 
     def solution(self, iterations, converged):
-        f, x, units = self.best
+        _, x, units = self.best
+        params = np.array(x, dtype=float)
         return ScoSolution(
-            params=np.array(x, dtype=float),
+            params=params,
             support=self.problem.view.coords_of(units),
-            objective=f,
+            objective=self.full_value(params),
             iterations=iterations,
             converged=converged,
             runtime=time.perf_counter() - self.t0,
@@ -175,7 +182,7 @@ def solve_forward(problem, config=None):
     """Exact greedy forward selection: s rounds, each adding the inactive
     unit whose refit lowers the objective the most."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     _offer_warm(run, problem, cfg)
     theta = _start_point(problem, cfg)
     base = restricted_minimize(problem, _EMPTY, _mask_to(problem, theta, _EMPTY), cfg)
@@ -186,7 +193,7 @@ def solve_forward(problem, config=None):
         u, res = _greedy_add(problem, theta, active, cfg)
         active[u] = True
         theta = res.params
-        run.accept(r, theta, np.flatnonzero(active))
+        run.accept(r, res, np.flatnonzero(active))
     return run.solution(iterations=rounds, converged=rounds == problem.s)
 
 
@@ -194,7 +201,7 @@ def solve_omp(problem, config=None):
     """Orthogonal matching pursuit: add the inactive unit with the largest
     gradient norm, then re-minimize over the enlarged support."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     _offer_warm(run, problem, cfg)
     theta = _start_point(problem, cfg)
     active = np.zeros(problem.view.n_units, dtype=bool)
@@ -208,7 +215,7 @@ def solve_omp(problem, config=None):
         units = np.flatnonzero(active)
         res = _refit(problem, units, _mask_to(problem, theta, units), cfg)
         theta = res.params
-        run.accept(r, theta, units)
+        run.accept(r, res, units)
     return run.solution(iterations=rounds, converged=rounds == problem.s)
 
 
@@ -217,17 +224,18 @@ def _backtrack_threshold(problem, theta, f, g, cfg):
 
     Halves the step until the hard-thresholded point satisfies an Armijo
     decrease measured by the gradient restricted to the new support, or
-    gives up after 50 halvings.
+    gives up after 50 halvings.  Each trial is evaluated on its support.
     """
     eta = cfg.step_size if cfg.step_size is not None else 1.0
-    view = problem.view
+    view, oracle = problem.view, problem.oracle
     for _ in range(51):
         trial = theta - eta * g
         units = hard_threshold(trial, problem.s, view)
         keep = np.union1d(view.coords_of(units), problem.preselect)
         point = np.zeros(problem.p)
         point[keep] = trial[keep]
-        f_trial = problem.oracle.value(point)
+        sub = oracle.restricted(keep)
+        f_trial = sub.value(trial[keep]) if sub is not None else oracle.value(point)
         g_restricted = g[keep]
         if f_trial <= f - 1e-4 * eta * float(g_restricted @ g_restricted):
             return eta, units, point, f_trial
@@ -239,14 +247,14 @@ def solve_iht(problem, config=None):
     """Iterative hard thresholding: project the backtracked gradient step
     onto the budget; stop once the objective improvement falls below tol."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     theta = _start_point(problem, cfg)
     if cfg.warm_start is not None:
         theta = project_feasible(theta, problem)
-        units = problem.view.units_with_support(theta)
-        run.offer(run.full_value(theta), theta, units)
     f = run.full_value(theta)
     units = problem.view.units_with_support(theta)
+    if cfg.warm_start is not None:
+        run.offer(f, theta, units)
     converged = False
     it = 0
     while it < cfg.max_iter:
@@ -264,7 +272,7 @@ def solve_iht(problem, config=None):
             break
     run.offer(f, theta, units)
     res = _refit(problem, units, theta, cfg)
-    run.offer(run.full_value(res.params), res.params, units)
+    run.offer(res.objective, res.params, units)
     return run.solution(iterations=it, converged=converged)
 
 
@@ -273,13 +281,14 @@ def solve_htp(problem, config=None):
     gradient step, parameters from a full refit; stops when the support
     stabilizes (revisiting an older support counts as a failed cycle)."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     theta = _start_point(problem, cfg)
     if cfg.warm_start is not None:
         theta = project_feasible(theta, problem)
-        run.offer(run.full_value(theta), theta, problem.view.units_with_support(theta))
     f = run.full_value(theta)
     units = problem.view.units_with_support(theta)
+    if cfg.warm_start is not None:
+        run.offer(f, theta, units)
     visited = {units.tobytes()}
     converged = False
     it = 0
@@ -299,11 +308,11 @@ def solve_htp(problem, config=None):
         visited.add(key)
         res = _refit(problem, units_new, point, cfg)
         theta = res.params
-        f = run.accept(it, theta, units_new)
+        f = run.accept(it, res, units_new)
         units = units_new
     if run.best is None:  # never left the start: report its refit
         res = _refit(problem, units, theta, cfg)
-        run.offer(run.full_value(res.params), res.params, units)
+        run.offer(res.objective, res.params, units)
     return run.solution(iterations=it, converged=converged)
 
 
@@ -311,7 +320,7 @@ def solve_grasp(problem, config=None):
     """Gradient support pursuit: merge the top-2s gradient units with the
     current support, refit, prune back to s units, then debias."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     view = problem.view
     theta = _start_point(problem, cfg)
     if cfg.warm_start is not None:
@@ -329,7 +338,7 @@ def solve_grasp(problem, config=None):
         units_new = hard_threshold(res_merged.params, problem.s, view)
         res = _refit(problem, units_new, _mask_to(problem, res_merged.params, units_new), cfg)
         theta = res.params
-        run.accept(it, theta, units_new)
+        run.accept(it, res, units_new)
         if np.array_equal(units_new, units):
             converged = True
             break
@@ -342,7 +351,7 @@ def solve_pdas(problem, config=None):
     unit (actives by coefficient norm, inactives by the last accepted
     line-search step times their gradient norm) and keep the top s."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     _offer_warm(run, problem, cfg)
     view = problem.view
     units = _initial_units(problem, cfg)
@@ -357,7 +366,7 @@ def solve_pdas(problem, config=None):
         theta = res.params
         if res.last_step is not None:
             eta = res.last_step
-        run.accept(it, theta, units)
+        run.accept(it, res, units)
         g = problem.oracle.gradient(theta)
         active = np.zeros(view.n_units, dtype=bool)
         active[units] = True
@@ -380,13 +389,12 @@ def solve_foba(problem, config=None):
     below ``foba_backward_ratio`` times the last forward gain.  The trace
     records one entry per forward round, net of its backward deletions."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     _offer_warm(run, problem, cfg)
     theta = _start_point(problem, cfg)
     base = restricted_minimize(problem, _EMPTY, _mask_to(problem, theta, _EMPTY), cfg)
     theta = base.params
-    f_cur = run.full_value(theta)
-    run.offer(f_cur, theta, _EMPTY)
+    f_cur = run.offer(base.objective, theta, _EMPTY)
     active = np.zeros(problem.view.n_units, dtype=bool)
     delta_last = None
     rounds = 0
@@ -395,7 +403,7 @@ def solve_foba(problem, config=None):
         u, res = _greedy_add(problem, theta, active, cfg)
         active[u] = True
         theta = res.params
-        f_new = run.offer(run.full_value(theta), theta, np.flatnonzero(active))
+        f_new = run.offer(res.objective, theta, np.flatnonzero(active))
         delta_last = f_cur - f_new
         f_cur = f_new
         # backward sweep: drop the cheapest active unit while cheap enough
@@ -412,7 +420,7 @@ def solve_foba(problem, config=None):
                 break
             active[best_u] = False
             theta = best_res.params
-            f_cur = run.offer(run.full_value(theta), theta, np.flatnonzero(active))
+            f_cur = run.offer(best_res.objective, theta, np.flatnonzero(active))
         run.note(rounds, f_cur, np.flatnonzero(active))
     done = int(active.sum()) == problem.s or not (~active).any()
     return run.solution(iterations=rounds, converged=done)
@@ -425,14 +433,14 @@ def solve_scope(problem, config=None):
     down from s, accepting the first swap that beats the current objective
     by more than tol; stop when no swap size helps."""
     cfg = config if config is not None else SolverConfig()
-    run = _Run(problem, cfg)
+    run = _Run(problem)
     _offer_warm(run, problem, cfg)
     view = problem.view
     units = _initial_units(problem, cfg)
     init = _mask_to(problem, _start_point(problem, cfg), units)
     res = _refit(problem, units, init, cfg)
     theta = res.params
-    f_cur = run.accept(0, theta, units)
+    f_cur = run.accept(0, res, units)
     converged = False
     it = 0
     while it < cfg.max_iter:
@@ -451,7 +459,7 @@ def solve_scope(problem, config=None):
             if res.objective < f_cur - cfg.tol:
                 units = cand
                 theta = res.params
-                f_cur = run.accept(it, theta, units)
+                f_cur = run.accept(it, res, units)
                 improved = True
                 break
         if not improved:

@@ -3,6 +3,8 @@ checks against finite differences, and the dataset CSV round trip."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sco import autodiff, models
 from sco.autodiff import fd_gradient
@@ -123,6 +125,31 @@ def test_restricted_oracle_agrees(kind, monkeypatch):
     full = np.zeros(ds.p)
     full[coords] = z
     assert sub.value(z) == pytest.approx(oracle.value(full), rel=1e-12)
+    gsub = sub.gradient(z)
+    gfull = oracle.gradient(full)[coords]
+    assert np.max(np.abs(gsub - gfull)) <= 1e-9 * (1.0 + np.max(np.abs(gfull)))
+
+
+_ORACLES = {kind: models.objective(models.generate(spec)) for kind, spec in SMALL.items()}
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_restricted_oracle_agrees_on_random_sparse_points(kind, data):
+    # magnitudes up to 1e3 saturate the logistic and Ising terms
+    oracle = _ORACLES[kind]
+    p = oracle.dim
+    coords = np.sort(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
+                                        unique=True), label="coords"))
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0, 1e3]), label="scale")
+    z = scale * np.asarray(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=len(coords),
+                                              max_size=len(coords)), label="z"))
+    full = np.zeros(p)
+    full[coords] = z
+    sub = oracle.restricted(coords)
+    f = oracle.value(full)
+    assert abs(sub.value(z) - f) <= 1e-12 * abs(f)
     gsub = sub.gradient(z)
     gfull = oracle.gradient(full)[coords]
     assert np.max(np.abs(gsub - gfull)) <= 1e-9 * (1.0 + np.max(np.abs(gfull)))

@@ -10,9 +10,10 @@ import pytest
 
 import sco
 from sco import models
-from sco.autodiff import build_objective
+from sco.autodiff import ObjectiveOracle, build_objective
 from sco.problem import ScoProblem, SolverConfig, restricted_minimize, validate_solution
 from sco.solvers import SolverKind, solve
+from test_models import SMALL
 
 ALL_KINDS = list(SolverKind)
 MONOTONE = [SolverKind.FORWARD, SolverKind.OMP, SolverKind.FOBA, SolverKind.SCOPE,
@@ -208,6 +209,67 @@ def test_shared_problem_solves_concurrently():
         assert a.objective == b.objective, kind
         assert a.iterations == b.iterations and a.converged == b.converged, kind
         assert a.trace == b.trace, kind
+
+
+def _counting_oracle(oracle, restrict=True):
+    """The same objective through the public constructor; counts full-p
+    ``value`` calls.  ``restrict=False`` drops the restrict hook."""
+    calls = []
+
+    def value(theta):
+        calls.append(1)
+        return oracle.value(theta)
+
+    hook = oracle.restricted if restrict else None
+    return ObjectiveOracle(oracle.dim, value, oracle.value_and_grad, scale=oracle.scale,
+                           restrict=hook), calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sparse_points_skip_full_value(seed):
+    """Line-search trials and refit iterates are evaluated on their
+    support: only the start point, an empty-support refit and the returned
+    parameters cost a full-p ``value`` call."""
+    ds = models.generate(models.ModelSpec("linear", 200, 400, 5, 5.0, seed=seed))
+    oracle, calls = _counting_oracle(models.objective(ds))
+    prob = ScoProblem(p=ds.p, s=5, oracle=oracle, n=ds.n)
+    for kind in ALL_KINDS:
+        calls.clear()
+        solve(kind, prob)
+        assert len(calls) <= 4, (kind, len(calls))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("model", ["linear", "logistic"])
+def test_restrict_hook_changes_no_decision(model, seed):
+    """Solving with and without the restrict hook takes the same path.
+
+    The logistic data are not separable, so every refit has a finite
+    minimizer; on separable data refits run along a diverging ray and
+    their end points differ by rounding between any two evaluation orders.
+    """
+    ds = models.generate(models.ModelSpec(model, 200, 30, 4, 1.0, seed=seed))
+    hooked = models.build_problem(ds)
+    stripped, _ = _counting_oracle(hooked.oracle, restrict=False)
+    plain = ScoProblem(p=ds.p, s=hooked.s, oracle=stripped, n=ds.n)
+    for kind in ALL_KINDS:
+        a, b = solve(kind, hooked), solve(kind, plain)
+        assert np.array_equal(a.support, b.support), kind
+        assert a.iterations == b.iterations and a.converged == b.converged, kind
+        assert abs(a.objective - b.objective) <= 1e-12 * (1.0 + abs(b.objective)), kind
+
+
+@pytest.mark.parametrize("model", models.KINDS)
+def test_objective_is_a_fresh_evaluation(model):
+    """The stored objective is the full oracle's value at the returned
+    parameters, bit for bit, with and without a warm start."""
+    ds = models.generate(SMALL[model])
+    prob = models.build_problem(ds)
+    for kind in ALL_KINDS:
+        sol = solve(kind, prob)
+        assert sol.objective == prob.oracle.value(sol.params), kind
+        warm = solve(kind, prob, SolverConfig(warm_start=0.5 * sol.params))
+        assert warm.objective == prob.oracle.value(warm.params), kind
 
 
 def test_solve_rejects_bad_input():
