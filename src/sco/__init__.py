@@ -22,7 +22,6 @@ from .autodiff import (
     log1pexp,
     logistic,
     norm,
-    oracle_from_functions,
     sqnorm,
     sqrt,
     vsum,
@@ -47,7 +46,6 @@ from .selection import (
     PathAborted,
     PathResult,
     cross_validate,
-    cross_validation,
     information_criterion,
     select_by_ic,
     solve_path,
@@ -59,13 +57,13 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EvaluationError", "ObjectiveOracle", "ProgramError", "Tape", "Var",
-    "build_objective", "oracle_from_functions", "fd_gradient",
+    "build_objective", "fd_gradient",
     "exp", "log", "sqrt", "logistic", "log1pexp", "dot", "sqnorm", "norm",
     "vsum", "cumsum",
     "GroupView", "RestrictedResult", "ScoProblem", "ScoSolution", "SolverConfig",
     "hard_threshold", "project_feasible", "restricted_minimize", "validate_solution",
     "SolverKind", "TraceEntry", "solve",
-    "Criterion", "AIC", "BIC", "GIC", "SIC", "cross_validation",
+    "Criterion", "AIC", "BIC", "GIC", "SIC",
     "PathResult", "PathAborted", "solve_path", "information_criterion",
     "select_by_ic", "cross_validate",
     "bench", "models",

@@ -27,7 +27,6 @@ __all__ = [
     "Var",
     "ObjectiveOracle",
     "build_objective",
-    "oracle_from_functions",
     "fd_gradient",
     "exp",
     "log",
@@ -518,18 +517,6 @@ def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, p
         except EvaluationError:
             pass  # domain trouble at the probe point is a runtime concern, not a construction one
     return oracle
-
-
-def oracle_from_functions(value_fn, gradient_fn, dim, *, scale=None, restrict=None):
-    """Oracle from a user-supplied analytic (value, gradient) pair; no tape."""
-
-    def _value(theta):
-        return float(value_fn(theta))
-
-    def _vag(theta):
-        return float(value_fn(theta)), np.asarray(gradient_fn(theta), dtype=float)
-
-    return ObjectiveOracle(dim, _value, _vag, scale=scale, restrict=restrict)
 
 
 def fd_gradient(oracle, theta, step=None):

@@ -349,7 +349,7 @@ def demo_trend_filter(out_dir, n=500, s=10, seed=0):
     rng = np.random.default_rng(seed)
     data = np.cumsum(rng.standard_normal(n))
     spec = models.ModelSpec("trend", n, n, max(s, 1), 5.0, seed)
-    dataset = models.Dataset(spec, None, data, np.zeros(n), np.asarray([0]))
+    dataset = models.Dataset(spec, models.trend_design(n), data, np.zeros(n), np.asarray([0]))
     problem = models.build_problem(dataset, s=s)
     sol = solve(SolverKind.SCOPE, problem)
     fitted = np.cumsum(sol.params)

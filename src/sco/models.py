@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ObjectiveOracle, build_objective, cumsum, dot, log1pexp, sqnorm, vsum
+from .autodiff import build_objective, dot, log1pexp, sqnorm, vsum
 from .problem import ScoProblem
 
 __all__ = [
@@ -33,12 +33,9 @@ __all__ = [
     "gen_linear",
     "gen_logistic",
     "gen_trend",
+    "trend_design",
     "gen_ising",
     "objective",
-    "objective_linear",
-    "objective_logistic",
-    "objective_trend",
-    "objective_ising",
     "build_problem",
     "ising_spin_count",
     "ising_edge_count",
@@ -95,10 +92,16 @@ class ModelSpec:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Generated instance: design/observations plus the planted truth."""
+    """Generated instance: design/observations plus the planted truth.
+
+    ``X`` is the n x p design; for trend it is the n x n cumulative-indicator
+    design (entry (t, j) is 1 iff j <= t), so the series is X @ increments;
+    for ising it holds the n x q spins.  ``n`` is read from the rows of X,
+    so a row subset keeps the spec of the full dataset.
+    """
 
     spec: ModelSpec
-    X: Optional[np.ndarray]  # n x p design, n x q spins for ising, None for trend
+    X: np.ndarray
     y: Optional[np.ndarray]  # responses; the observed series for trend; None for ising
     theta_true: np.ndarray
     support_true: np.ndarray
@@ -109,7 +112,7 @@ class Dataset:
 
     @property
     def n(self):
-        return self.spec.n
+        return self.X.shape[0]
 
     @property
     def p(self):
@@ -118,15 +121,8 @@ class Dataset:
     def subset(self, rows):
         """Same dataset restricted to the given sample rows (for CV folds)."""
         rows = np.asarray(rows, dtype=int)
-        spec = ModelSpec(self.spec.kind, len(rows), self.spec.p, self.spec.s_true,
-                         self.spec.signal, self.spec.seed)
-        if self.kind == "trend":
-            # trend rows are ordered in time; a subset is only meaningful
-            # for contiguous windows, which is the caller's responsibility
-            return Dataset(spec, None, self.y[rows], self.theta_true, self.support_true)
-        X = self.X[rows]
         y = None if self.y is None else self.y[rows]
-        return Dataset(spec, X, y, self.theta_true, self.support_true)
+        return Dataset(self.spec, self.X[rows], y, self.theta_true, self.support_true)
 
     def to_csv(self, path):
         """Column-ordered CSV: x0..x{p-1} then y (columns present per kind).
@@ -224,6 +220,11 @@ def _spaced_positions(rng, n, s, gap):
     raise ValueError(f"cannot place {s} jumps with separation {gap} in a series of length {n}")
 
 
+def trend_design(n):
+    """n x n cumulative-indicator design: (trend_design(n) @ d)[t] = d[0] + ... + d[t]."""
+    return np.tril(np.ones((n, n)))
+
+
 def gen_trend(spec):
     """Random walk with standard-normal increments plus planted level
     shifts: s_true jumps of magnitude signal * U[1,2] at positions >= 1
@@ -237,7 +238,7 @@ def gen_trend(spec):
     theta = np.zeros(spec.n)
     theta[support] = _draw_values(rng, spec.s_true, spec.signal)
     data = walk + np.cumsum(theta)
-    return Dataset(spec, None, data, theta, support)
+    return Dataset(spec, trend_design(spec.n), data, theta, support)
 
 
 def _gibbs_sample(J, n, sweeps, rng):
@@ -282,95 +283,54 @@ def generate(spec):
 # -- objectives --------------------------------------------------------------
 
 
-def objective_linear(dataset):
-    """f(theta) = 0.5 ||y - X theta||^2 (RSS scale)."""
-    X, y = dataset.X, dataset.y
-
-    def make(Xm, restrict):
-        def program(theta):
-            return 0.5 * sqnorm(y - Xm @ theta)
-
-        return build_objective(program, Xm.shape[1], scale="rss", restrict=restrict,
-                               probe=restrict is not None)
-
-    return make(X, lambda coords: make(X[:, coords], None))
-
-
-def objective_logistic(dataset):
-    """Bernoulli negative log-likelihood sum_i log1pexp(x_i' theta) - y_i x_i' theta."""
-    X, y = dataset.X, dataset.y
-
-    def make(Xm, restrict):
-        def program(theta):
-            t = Xm @ theta
-            return vsum(log1pexp(t)) - dot(y, t)
-
-        return build_objective(program, Xm.shape[1], scale="nll", restrict=restrict,
-                               probe=restrict is not None)
-
-    return make(X, lambda coords: make(X[:, coords], None))
-
-
-def objective_trend(dataset):
-    """f(theta) = 0.5 ||data - cumsum(theta)||^2 over the increments."""
-    data = dataset.y
-    n = dataset.n
-
-    def program(theta):
-        return 0.5 * sqnorm(data - cumsum(theta))
+def _linear_predictor(A, loss, scale):
+    """f(theta) = loss(A @ theta); ``restricted(coords)`` builds the same
+    loss on the columns ``A[:, coords]``.  The hook is not recursive: a
+    self-referencing closure would form a reference cycle that keeps the
+    captured arrays alive until a full garbage collection."""
 
     def restrict(coords):
-        # cumulative indicator columns: entry (t, j) = 1 iff coords[j] <= t
-        C = (np.arange(n)[:, None] >= coords[None, :]).astype(float)
+        sub = A[:, coords]
+        return build_objective(lambda theta: loss(sub @ theta), len(coords), scale=scale,
+                               probe=False)
 
-        def sub(theta):
-            return 0.5 * sqnorm(data - C @ theta)
-
-        return build_objective(sub, len(coords), scale="rss", probe=False)
-
-    return build_objective(program, n, scale="rss", restrict=restrict)
+    return build_objective(lambda theta: loss(A @ theta), A.shape[1], scale=scale,
+                           restrict=restrict)
 
 
-def objective_ising(dataset):
-    """Negative log-pseudo-likelihood of the edge weights.
-
-    For each sample i and spin a the conditional term is
-    -log sigmoid(2 z_ia sum_{b != a} theta_ab z_ib); at theta = 0 the
-    objective equals n q log 2.
-    """
-    Z = dataset.X
+def _ising_design(Z):
+    # stacked per-spin design: block a maps the edge weights to the field at spin a
     n, q = Z.shape
-    p = dataset.p
     rows, cols = np.triu_indices(q, k=1)
     edge_of = np.zeros((q, q), dtype=int)
-    edge_of[rows, cols] = np.arange(p)
-    edge_of[cols, rows] = np.arange(p)
-    # stacked per-spin design: block a maps theta to the field at spin a
-    C = np.zeros((n * q, p))
+    edge_of[rows, cols] = np.arange(len(rows))
+    edge_of[cols, rows] = np.arange(len(rows))
+    C = np.zeros((n * q, len(rows)))
     for a in range(q):
         for b in range(q):
             if b != a:
                 C[a * n:(a + 1) * n, edge_of[a, b]] = Z[:, b]
-    zfac = np.concatenate([Z[:, a] for a in range(q)])
-
-    def make(Cm, restrict):
-        def program(theta):
-            return vsum(log1pexp((-2.0 * zfac) * (Cm @ theta)))
-
-        return build_objective(program, Cm.shape[1], scale="nll", restrict=restrict,
-                               probe=restrict is not None)
-
-    return make(C, lambda coords: make(C[:, coords], None))
+    return C
 
 
 def objective(dataset):
-    """Oracle for a dataset's kind."""
-    return {
-        "linear": objective_linear,
-        "logistic": objective_logistic,
-        "trend": objective_trend,
-        "ising": objective_ising,
-    }[dataset.kind](dataset)
+    """Oracle ``loss(A @ theta)`` for a dataset's kind.
+
+    linear and trend: 0.5 ||y - A theta||^2 (RSS scale) with A = X, the
+    cumulative-indicator design for trend.  logistic: the Bernoulli
+    negative log-likelihood sum_i log1pexp(x_i' theta) - y_i x_i' theta.
+    ising: the negative log-pseudo-likelihood over the stacked per-spin
+    design, sum over samples i and spins a of
+    -log sigmoid(2 z_ia sum_{b != a} theta_ab z_ib); at theta = 0 it
+    equals n q log 2.
+    """
+    X, y = dataset.X, dataset.y
+    if dataset.kind == "logistic":
+        return _linear_predictor(X, lambda t: vsum(log1pexp(t)) - dot(y, t), "nll")
+    if dataset.kind == "ising":
+        weight = -2.0 * X.T.reshape(-1)  # z_ia stacked spin by spin
+        return _linear_predictor(_ising_design(X), lambda t: vsum(log1pexp(weight * t)), "nll")
+    return _linear_predictor(X, lambda t: 0.5 * sqnorm(y - t), "rss")
 
 
 def build_problem(dataset, s=None, groups=None, preselect=None):

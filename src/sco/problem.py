@@ -6,7 +6,7 @@ limited-memory quasi-Newton minimizer over a fixed support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -254,19 +254,6 @@ def project_feasible(v, problem):
 _DEFAULT_CONFIG = SolverConfig()
 
 
-class _LbfgsState:
-    __slots__ = ("x", "f", "grad_inf", "iters", "converged", "last_step", "reason")
-
-    def __init__(self, x, f, grad_inf, iters, converged, last_step, reason):
-        self.x = x
-        self.f = f
-        self.grad_inf = grad_inf
-        self.iters = iters
-        self.converged = converged
-        self.last_step = last_step
-        self.reason = reason
-
-
 def _lbfgs_direction(g, S, Y, R):
     if not S:
         return -g
@@ -294,7 +281,8 @@ def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max
     :func:`restricted_minimize`), on a smaller gradient infinity norm.
     Trial points whose evaluation leaves the objective's domain count as
     rejected trials.  Floor steps may raise f by rounding noise, so a
-    final value above the start's returns the start instead.
+    final value above the start's returns the start instead.  Returns a
+    :class:`RestrictedResult` over the coordinates of ``x0``.
     """
     from .autodiff import EvaluationError
 
@@ -373,7 +361,7 @@ def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max
         converged = grad_inf <= tol
     if converged:
         reason = "converged"
-    return _LbfgsState(x, f, grad_inf, it, converged, last_step, reason)
+    return RestrictedResult(x, f, grad_inf, it, converged, last_step, reason)
 
 
 def restricted_minimize(problem, support, init=None, config=None):
@@ -429,11 +417,10 @@ def restricted_minimize(problem, support, init=None, config=None):
             return f, g[free]
 
     x0 = init[free] if init is not None else np.zeros(len(free))
-    state = _lbfgs(value, vag, x0, cfg.inner_tol, cfg.inner_max_iter)
+    res = _lbfgs(value, vag, x0, cfg.inner_tol, cfg.inner_max_iter)
     params = np.zeros(problem.p)
-    params[free] = state.x
-    return RestrictedResult(params, state.f, state.grad_inf, state.iters, state.converged,
-                            state.last_step, state.reason)
+    params[free] = res.params
+    return replace(res, params=params)
 
 
 def validate_solution(problem, solution, tol=1e-12):

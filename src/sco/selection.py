@@ -22,7 +22,6 @@ __all__ = [
     "BIC",
     "GIC",
     "SIC",
-    "cross_validation",
     "PathResult",
     "PathAborted",
     "solve_path",
@@ -34,26 +33,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Criterion:
-    """A selection rule: one of the information criteria or K-fold CV."""
+    """An information criterion: aic, bic, gic or sic (K-fold CV is
+    :func:`cross_validate`)."""
 
     kind: str
-    folds: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("aic", "bic", "gic", "sic", "cv"):
+        if self.kind not in ("aic", "bic", "gic", "sic"):
             raise ValueError(f"unknown criterion {self.kind!r}")
-        if self.kind == "cv" and self.folds < 2:
-            raise ValueError("cross-validation needs at least 2 folds")
 
 
 AIC = Criterion("aic")
 BIC = Criterion("bic")
 GIC = Criterion("gic")
 SIC = Criterion("sic")
-
-
-def cross_validation(folds):
-    return Criterion("cv", int(folds))
 
 
 @dataclass
@@ -161,8 +154,6 @@ def information_criterion(criterion, objective_value, s, n, p, objective_scale="
 
 def select_by_ic(problem, grid, kind, config=None, criterion=BIC):
     """Pick the budget minimizing an information criterion along a warm path."""
-    if criterion.kind == "cv":
-        raise ValueError("use cross_validate for the cv criterion")
     if problem.n is None:
         raise ValueError("information criteria need the problem sample size n")
     grid = _validate_grid(grid, problem.view.n_units)

@@ -224,17 +224,20 @@ def _backtrack_threshold(problem, theta, f, g, cfg):
 
     Halves the step until the hard-thresholded point satisfies an Armijo
     decrease measured by the gradient restricted to the new support, or
-    gives up after 50 halvings.  Each trial is evaluated on its support.
+    gives up after 50 halvings.  Each trial is evaluated on its support;
+    consecutive trials on the same support share one restricted oracle.
     """
     eta = cfg.step_size if cfg.step_size is not None else 1.0
     view, oracle = problem.view, problem.oracle
+    keep_prev = None
     for _ in range(51):
         trial = theta - eta * g
         units = hard_threshold(trial, problem.s, view)
         keep = np.union1d(view.coords_of(units), problem.preselect)
         point = np.zeros(problem.p)
         point[keep] = trial[keep]
-        sub = oracle.restricted(keep)
+        if not np.array_equal(keep, keep_prev):
+            keep_prev, sub = keep, oracle.restricted(keep)
         f_trial = sub.value(trial[keep]) if sub is not None else oracle.value(point)
         g_restricted = g[keep]
         if f_trial <= f - 1e-4 * eta * float(g_restricted @ g_restricted):

@@ -160,11 +160,11 @@ def test_analytic_gradient_bypass():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((7, 3))
     y = rng.standard_normal(7)
-    oracle = sco.oracle_from_functions(
+    oracle = build_objective(
         lambda th: 0.5 * float(np.sum((y - X @ th) ** 2)),
-        lambda th: X.T @ (X @ th - y),
         3,
         scale="rss",
+        gradient=lambda th: X.T @ (X @ th - y),
     )
     theta = rng.standard_normal(3)
     fd = fd_gradient(oracle, theta)

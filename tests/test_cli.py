@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from sco import models
 from sco.cli import main
 
 
@@ -54,10 +55,19 @@ def test_select_subcommand(tmp_path):
 
 
 def test_select_cv_subcommand(tmp_path):
-    code = main(["select", "--model", "linear", "--n", "40", "--p", "10",
-                 "--s-true", "2", "--criterion", "cv", "--k-folds", "4",
-                 "--grid", "1..4", "--solver", "omp", "--seed", "3"])
-    assert code == 0
+    # --p is the series length for trend (p == n) and the spin count for ising
+    dims = {"linear": (40, 10, 10), "logistic": (40, 10, 10), "trend": (40, 40, 40),
+            "ising": (40, 5, 10)}
+    for kind in models.KINDS:
+        n, p, dim = dims[kind]
+        out = tmp_path / f"{kind}.json"
+        code = main(["select", "--model", kind, "--n", str(n), "--p", str(p),
+                     "--s-true", "2", "--criterion", "cv", "--k-folds", "4",
+                     "--grid", "1..4", "--solver", "omp", "--seed", "3", "--out", str(out)])
+        assert code == 0, kind
+        payload = json.loads(out.read_text())
+        assert payload["criterion"] == "cv4"
+        assert len(payload["solution"]["params"]) == dim, kind
 
 
 def test_usage_error_exits_2():

@@ -1,6 +1,8 @@
 """Generator determinism, objective values at reference points, gradient
 checks against finite differences, and the dataset CSV round trip."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,8 +23,7 @@ SMALL = {
 def test_generators_deterministic(kind):
     a = models.generate(SMALL[kind])
     b = models.generate(SMALL[kind])
-    if a.X is not None:
-        assert np.array_equal(a.X, b.X)
+    assert np.array_equal(a.X, b.X)
     if a.y is not None:
         assert np.array_equal(a.y, b.y)
     assert np.array_equal(a.theta_true, b.theta_true)
@@ -197,12 +198,44 @@ def test_ising_recovery_reference():
 
 
 def test_subset_rows():
-    ds = models.generate(SMALL["logistic"])
     rows = np.array([0, 3, 5, 7])
-    sub = ds.subset(rows)
-    assert sub.n == 4
-    assert np.array_equal(sub.X, ds.X[rows])
-    assert np.array_equal(sub.y, ds.y[rows])
+    for kind in models.KINDS:
+        ds = models.generate(SMALL[kind])
+        sub = ds.subset(rows)
+        assert sub.n == 4 and sub.p == ds.p, kind
+        assert np.array_equal(sub.X, ds.X[rows])
+        if ds.y is None:
+            assert sub.y is None
+        else:
+            assert np.array_equal(sub.y, ds.y[rows])
+        models.build_problem(sub)  # a fold problem keeps the full parameter space
+
+
+def test_trend_design_is_cumulative_indicator():
+    ds = models.generate(SMALL["trend"])
+    assert np.array_equal(ds.X, np.tril(np.ones((ds.n, ds.n))))
+    assert np.allclose(ds.X @ ds.theta_true, np.cumsum(ds.theta_true))
+
+
+@pytest.mark.parametrize("kind", models.KINDS)
+def test_dropped_problem_leaves_no_cyclic_garbage(kind):
+    # the restrict hook must not be a self-referencing closure: a cycle
+    # would keep the captured design alive until a full collection
+    datasets = {k: models.generate(spec) for k, spec in SMALL.items()}
+    for ds in datasets.values():
+        models.build_problem(ds)  # warm-up: first-call caches are not garbage
+    ds = datasets[kind]
+    gc.collect()
+    gc.disable()
+    try:
+        problem = models.build_problem(ds)
+        sub = problem.oracle.restricted(np.arange(3))
+        problem.oracle.value_and_grad(np.full(ds.p, 0.1))
+        sub.value_and_grad(np.full(3, 0.1))
+        del problem, sub
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_spec_validation():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sco
-from sco import models
+from sco import models, solvers
 from sco.autodiff import ObjectiveOracle, build_objective
 from sco.problem import ScoProblem, SolverConfig, restricted_minimize, validate_solution
 from sco.solvers import SolverKind, solve
@@ -237,6 +237,45 @@ def test_sparse_points_skip_full_value(seed):
         calls.clear()
         solve(kind, prob)
         assert len(calls) <= 4, (kind, len(calls))
+
+
+def test_backtracking_reuses_restricted_oracle(monkeypatch):
+    """iht/htp halvings that keep the previous trial's support evaluate it
+    on the same restricted oracle: one ``restricted()`` call per run of
+    equal consecutive supports."""
+    ds = models.generate(models.ModelSpec("linear", 100, 200, 5, 5.0, seed=0))
+    full = models.objective(ds)
+    restricts, supports = [], []
+
+    def restrict(coords):
+        restricts.append(coords)
+        return full.restricted(coords)
+
+    oracle = ObjectiveOracle(full.dim, full.value, full.value_and_grad, scale=full.scale,
+                             restrict=restrict)
+    prob = ScoProblem(p=ds.p, s=5, oracle=oracle, n=ds.n)
+    threshold = solvers.hard_threshold
+
+    def recording_threshold(v, s, view):
+        units = threshold(v, s, view)
+        supports.append(units)
+        return units
+
+    monkeypatch.setattr(solvers, "hard_threshold", recording_threshold)
+    theta = np.zeros(ds.p)
+    f = oracle.value(theta)
+    trials = rebuilt = 0
+    for _ in range(5):
+        restricts.clear()
+        supports.clear()
+        _, _, theta, f = solvers._backtrack_threshold(prob, theta, f, oracle.gradient(theta),
+                                                      SolverConfig())
+        runs = [b for a, b in zip([None] + supports, supports) if not np.array_equal(a, b)]
+        assert len(restricts) == len(runs)
+        assert all(np.array_equal(c, u) for c, u in zip(restricts, runs))
+        trials += len(supports)
+        rebuilt += len(restricts)
+    assert trials > rebuilt  # some halvings did keep their support
 
 
 @pytest.mark.parametrize("seed", range(3))
