@@ -302,10 +302,11 @@ def _ising_design(Z):
     # stacked per-spin design: block a maps the edge weights to the field at spin a
     n, q = Z.shape
     rows, cols = np.triu_indices(q, k=1)
+    p = len(rows)
     edge_of = np.zeros((q, q), dtype=int)
-    edge_of[rows, cols] = np.arange(len(rows))
-    edge_of[cols, rows] = np.arange(len(rows))
-    C = np.zeros((n * q, len(rows)))
+    edge_of[rows, cols] = np.arange(p)
+    edge_of[cols, rows] = np.arange(p)
+    C = np.zeros((n * q, p))
     for a in range(q):
         for b in range(q):
             if b != a:
