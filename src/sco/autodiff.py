@@ -3,8 +3,15 @@
 An objective is an ordinary Python callable written against the operation
 set exported here: arithmetic (``+ - * / **``, negation, ``abs``), ``exp``,
 ``log``, ``sqrt``, ``logistic``, ``log1pexp``, inner products (``@`` or
-:func:`dot`), matrix-vector products against constant matrices, squared and
+:func:`dot`), products of constant matrices with variables, squared and
 plain Euclidean norms, cumulative sums, sum reduction and indexing.
+
+Tape values are scalars, vectors or matrices.  Gathers (``theta[idx]`` with
+a 1-D or 2-D integer index), elementwise operations (with numpy
+broadcasting), :func:`vsum` and products ``C @ V`` of a constant matrix
+with a variable vector or matrix accept any of them; :func:`sqnorm`,
+:func:`norm`, :func:`cumsum`, ``V @ c`` with a constant ``c`` and boolean
+masks stay vector-only and raise :class:`ProgramError` on a matrix.
 
 Calling the program with a plain numpy array evaluates it directly.
 Calling it with a :class:`Var` records a tape; one reverse sweep over the
@@ -60,11 +67,6 @@ class ProgramError(TypeError):
     """The objective program is not expressible in the supported operation set."""
 
 
-def _scalarize(v):
-    # values are stored either as python floats or 1-D float arrays
-    return float(v) if np.ndim(v) == 0 else v
-
-
 class Tape:
     """Append-only record of one forward evaluation.
 
@@ -72,18 +74,24 @@ class Tape:
     operand nodes (-1 when absent; constants are folded into the stored
     partials) and ``pa``/``pb`` carry whatever the backward rule for
     ``kind`` needs (local partials, the constant matrix, index arrays...).
+    ``shapes[k]`` is ``np.shape`` of node k's value: ``()`` for a scalar,
+    ``(m,)`` for a vector, ``(m, r)`` for a matrix (the module docstring
+    lists the operations that stay vector-only).
     """
 
     __slots__ = ("nodes", "shapes")
 
     def __init__(self):
         self.nodes = []
-        self.shapes = []  # 0 for scalar nodes, else vector length
+        self.shapes = []
 
     def emit(self, kind, i, j, pa, pb, value):
-        value = _scalarize(value)
+        # values are stored as python floats or float arrays of any shape
+        shape = getattr(value, "shape", ())
+        if not shape:
+            value = float(value)
         self.nodes.append((kind, i, j, pa, pb))
-        self.shapes.append(0 if np.ndim(value) == 0 else len(value))
+        self.shapes.append(shape)
         return Var(self, len(self.nodes) - 1, value)
 
     def input(self, value):
@@ -107,7 +115,7 @@ def _const(x):
 
 
 class Var:
-    """Handle to one tape node; ``val`` is a float or a 1-D float array."""
+    """Handle to one tape node; ``val`` is a float, or a float vector or matrix."""
 
     __slots__ = ("tape", "idx", "val")
 
@@ -201,6 +209,8 @@ class Var:
                 raise ProgramError("@ between variables requires two vectors")
             return self.tape.emit("dot", self.idx, o.idx, o.val, self.val, float(np.dot(self.val, o.val)))
         c = _const(other)
+        if np.ndim(self.val) != 1:
+            raise ProgramError("@ with a constant operand on the right requires a vector variable")
         if np.ndim(c) == 1:
             return self.tape.emit("red", self.idx, -1, c, None, float(np.dot(self.val, c)))
         if np.ndim(c) == 2:
@@ -210,20 +220,27 @@ class Var:
 
     def __rmatmul__(self, other):
         c = _const(other)
-        if np.ndim(c) == 2:
+        ndim = np.ndim(self.val)
+        if np.ndim(c) == 2 and ndim:
+            # C @ V for a vector or matrix V; the adjoint is C.T @ A
             return self.tape.emit("mv", self.idx, -1, c, None, c @ self.val)
-        if np.ndim(c) == 1:
+        if np.ndim(c) == 1 and ndim == 1:
             return self.tape.emit("red", self.idx, -1, c, None, float(np.dot(c, self.val)))
-        raise ProgramError("@ expects a vector or matrix operand")
+        raise ProgramError("@ expects a constant matrix times a variable vector or matrix, "
+                           "or an inner product of two vectors")
 
     def __getitem__(self, sel):
         if isinstance(sel, (int, np.integer)):
             return self.tape.emit("idx", self.idx, -1, int(sel), None, self.val[sel])
         if isinstance(sel, slice):
             sel = np.arange(*sel.indices(len(self.val)))
+        elif isinstance(sel, tuple):
+            raise ProgramError("indexing takes one index (an integer, slice or index array)")
         else:
             sel = np.asarray(sel)
             if sel.dtype == bool:
+                if np.ndim(self.val) != 1 or sel.ndim != 1:
+                    raise ProgramError("boolean mask indexing requires a vector and a 1-D mask")
                 sel = np.flatnonzero(sel)
             sel = sel.astype(int)
         return self.tape.emit("idx", self.idx, -1, sel, None, self.val[sel])
@@ -302,9 +319,15 @@ def dot(a, b):
     return float(np.dot(a, b))
 
 
+def _vector_only(v, op):
+    if np.ndim(v.val) > 1:
+        raise ProgramError(f"{op} requires a vector, got shape {np.shape(v.val)}")
+
+
 def sqnorm(v):
     """Squared Euclidean norm of a vector."""
     if isinstance(v, Var):
+        _vector_only(v, "sqnorm")
         return v.tape.emit("red", v.idx, -1, 2.0 * v.val, None, float(np.dot(v.val, v.val)))
     return float(np.dot(v, v))
 
@@ -312,6 +335,7 @@ def sqnorm(v):
 def norm(v):
     """Euclidean norm; gradient pinned to 0 at the origin."""
     if isinstance(v, Var):
+        _vector_only(v, "norm")
         value = float(np.sqrt(np.dot(v.val, v.val)))
         partial = np.zeros_like(v.val) if value == 0.0 else v.val / value
         return v.tape.emit("red", v.idx, -1, partial, None, value)
@@ -319,7 +343,7 @@ def norm(v):
 
 
 def vsum(v):
-    """Sum of a vector's entries."""
+    """Sum of all entries of a vector or matrix."""
     if isinstance(v, Var):
         if np.ndim(v.val) == 0:
             return v
@@ -328,32 +352,48 @@ def vsum(v):
 
 
 def cumsum(v):
+    """Running sums of a vector's entries."""
     if isinstance(v, Var):
-        if np.ndim(v.val) == 0:
-            raise ProgramError("cumsum requires a vector")
+        if np.ndim(v.val) != 1:
+            raise ProgramError(f"cumsum requires a vector, got shape {np.shape(v.val)}")
         return v.tape.emit("cumsum", v.idx, -1, None, None, np.cumsum(v.val))
+    if np.ndim(v) > 1:
+        raise ProgramError(f"cumsum requires a vector, got shape {np.shape(v)}")
     return np.cumsum(v)
 
 
 # -- reverse sweep ----------------------------------------------------------
 
 
+def _fold(contrib, shape):
+    # sum a broadcast contribution back down to its operand's shape
+    lead = contrib.ndim - len(shape)
+    if lead:
+        contrib = contrib.sum(axis=tuple(range(lead)))
+    ones = tuple(d for d, m in enumerate(shape) if m == 1 and contrib.shape[d] != 1)
+    return contrib.sum(axis=ones, keepdims=True) if ones else contrib
+
+
 def _accumulate(adj, shapes, k, contrib):
     if k < 0:
         return
-    if shapes[k] == 0:
+    shape = shapes[k]
+    if not shape:
         c = float(contrib) if np.ndim(contrib) == 0 else float(np.sum(contrib))
         adj[k] = c if adj[k] is None else adj[k] + c
     else:
         if adj[k] is None:
-            adj[k] = np.zeros(shapes[k])
-        adj[k] += contrib
+            adj[k] = np.zeros(shape)
+        try:
+            adj[k] += contrib
+        except ValueError:  # the operand was broadcast up in the forward pass
+            adj[k] += _fold(contrib, shape)
 
 
 def _backward(tape, root, p):
     nodes, shapes = tape.nodes, tape.shapes
     adj = [None] * (root + 1)
-    adj[root] = 1.0 if shapes[root] == 0 else np.ones(shapes[root])
+    adj[root] = 1.0 if not shapes[root] else np.ones(shapes[root])
     for k in range(root, 0, -1):
         a = adj[k]
         if a is None:

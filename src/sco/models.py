@@ -8,10 +8,10 @@ log-pseudo-likelihood.
 Generators are pure functions of their :class:`ModelSpec`, seed included:
 the same spec always yields the same dataset.  Each objective is built on
 the autodiff tape and exposes a ``restricted`` hook so active-set refits
-run on the column submatrix rather than the full design.  Only the full
-oracle runs the construction probe: restricted oracles are built once per
-refit from these fixed programs, where a probe would only cost one more
-tape evaluation.
+run on the column submatrix (on the touched spins for Ising) rather than
+the full design.  Only the full oracle runs the construction probe:
+restricted oracles are built once per refit from these fixed programs,
+where a probe would only cost one more tape evaluation.
 """
 
 from __future__ import annotations
@@ -283,55 +283,83 @@ def generate(spec):
 # -- objectives --------------------------------------------------------------
 
 
-def _linear_predictor(A, loss, scale):
-    """f(theta) = loss(A @ theta); ``restricted(coords)`` builds the same
-    loss on the columns ``A[:, coords]``.  The hook is not recursive: a
+def _oracle(program_for, p, scale):
+    """Full oracle of ``program_for(None)`` over R^p whose ``restricted(coords)``
+    builds ``program_for(coords)``.  The hook is not recursive: a
     self-referencing closure would form a reference cycle that keeps the
     captured arrays alive until a full garbage collection."""
 
     def restrict(coords):
-        sub = A[:, coords]
-        return build_objective(lambda theta: loss(sub @ theta), len(coords), scale=scale,
-                               probe=False)
+        return build_objective(program_for(coords), len(coords), scale=scale, probe=False)
 
-    return build_objective(lambda theta: loss(A @ theta), A.shape[1], scale=scale,
-                           restrict=restrict)
+    return build_objective(program_for(None), p, scale=scale, restrict=restrict)
 
 
-def _ising_design(Z):
-    # stacked per-spin design: block a maps the edge weights to the field at spin a
+def _linear_predictor(A, loss):
+    """coords -> program ``loss(A[:, coords] @ theta)``; None means every column."""
+
+    def program_for(coords):
+        sub = A if coords is None else A[:, coords]
+        return lambda theta: loss(sub @ theta)
+
+    return program_for
+
+
+def _ising_objective(Z):
+    """coords -> negative log-pseudo-likelihood program over those edges
+    (None means all q(q-1)/2), computed from the field F = Z @ J.
+
+    J is the symmetric coupling matrix gathered from theta.  Only the spins
+    T touched by the edges enter: the program is
+    vsum(log1pexp(W * (Z[:, T] @ J_TT))) with W = -2 Z[:, T], plus
+    n (q - |T|) log 2 for the untouched spins, whose field is zero.  A
+    restricted call therefore costs O(n |T|^2) with |T| <= 2 k, whatever q.
+    """
     n, q = Z.shape
     rows, cols = np.triu_indices(q, k=1)
-    p = len(rows)
-    edge_of = np.zeros((q, q), dtype=int)
-    edge_of[rows, cols] = np.arange(p)
-    edge_of[cols, rows] = np.arange(p)
-    C = np.zeros((n * q, p))
-    for a in range(q):
-        for b in range(q):
-            if b != a:
-                C[a * n:(a + 1) * n, edge_of[a, b]] = Z[:, b]
-    return C
+
+    def program_for(coords):
+        coords = np.arange(len(rows)) if coords is None else coords
+        if len(np.unique(coords)) != len(coords):
+            raise ValueError("restricted Ising edges must be distinct")
+        a, b = rows[coords], cols[coords]
+        spins = np.unique(np.concatenate((a, b)))
+        a, b = np.searchsorted(spins, a), np.searchsorted(spins, b)
+        m = len(spins)
+        slot = np.zeros((m, m), dtype=int)  # J_TT[u, v] = theta[slot[u, v]] * mask[u, v]
+        slot[a, b] = slot[b, a] = np.arange(len(coords))
+        mask = np.zeros((m, m))
+        mask[a, b] = mask[b, a] = 1.0
+        ZT = Z[:, spins]
+        W = -2.0 * ZT
+        untouched = n * (q - m) * np.log(2.0)
+        return lambda theta: vsum(log1pexp(W * (ZT @ (theta[slot] * mask)))) + untouched
+
+    return program_for
 
 
 def objective(dataset):
-    """Oracle ``loss(A @ theta)`` for a dataset's kind.
+    """Oracle of a dataset's kind, with a restrict hook that rebuilds the
+    same objective over a coordinate subset.
 
     linear and trend: 0.5 ||y - A theta||^2 (RSS scale) with A = X, the
     cumulative-indicator design for trend.  logistic: the Bernoulli
     negative log-likelihood sum_i log1pexp(x_i' theta) - y_i x_i' theta.
-    ising: the negative log-pseudo-likelihood over the stacked per-spin
-    design, sum over samples i and spins a of
-    -log sigmoid(2 z_ia sum_{b != a} theta_ab z_ib); at theta = 0 it
-    equals n q log 2.
+    These three restrict to the columns ``A[:, coords]``.  ising: the
+    negative log-pseudo-likelihood from the field F = Z @ J, where Z is
+    the n x q spin matrix and J the symmetric coupling matrix holding the
+    edge weights theta (zero diagonal): sum over samples i and spins a of
+    log1pexp(-2 z_ia F_ia) = -log sigmoid(2 z_ia sum_{b != a} J_ab z_ib);
+    at theta = 0 it equals n q log 2.  It restricts to the spins the
+    chosen edges touch.
     """
     X, y = dataset.X, dataset.y
-    if dataset.kind == "logistic":
-        return _linear_predictor(X, lambda t: vsum(log1pexp(t)) - dot(y, t), "nll")
     if dataset.kind == "ising":
-        weight = -2.0 * X.T.reshape(-1)  # z_ia stacked spin by spin
-        return _linear_predictor(_ising_design(X), lambda t: vsum(log1pexp(weight * t)), "nll")
-    return _linear_predictor(X, lambda t: 0.5 * sqnorm(y - t), "rss")
+        return _oracle(_ising_objective(X), dataset.p, "nll")
+    if dataset.kind == "logistic":
+        program_for = _linear_predictor(X, lambda t: vsum(log1pexp(t)) - dot(y, t))
+        return _oracle(program_for, dataset.p, "nll")
+    return _oracle(_linear_predictor(X, lambda t: 0.5 * sqnorm(y - t)), dataset.p, "rss")
 
 
 def build_problem(dataset, s=None, groups=None, preselect=None):

@@ -3,6 +3,9 @@ and the algebraic properties of the engine."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sco
 from sco.autodiff import EvaluationError, ProgramError, build_objective, fd_gradient
@@ -185,3 +188,117 @@ def test_power_and_division_rules():
     f = build_objective(lambda th: sco.vsum(th ** 3.0) + sco.vsum(1.0 / th), 3)
     theta = np.array([1.5, -2.0, 0.5])
     _fd_close(f, theta)
+
+
+_IDX2 = np.array([[0, 1], [2, 0], [1, 1]])  # a 3 x 2 gather from a 3-vector
+
+
+@pytest.mark.parametrize("program, op", [
+    (lambda th: sco.sqnorm(th[_IDX2]), "sqnorm"),
+    (lambda th: sco.norm(th[_IDX2]), "norm"),
+    (lambda th: sco.vsum(sco.cumsum(th[_IDX2])), "cumsum"),
+    (lambda th: th[_IDX2] @ np.ones(2), "@"),
+    (lambda th: sco.vsum(th[_IDX2] @ np.ones((2, 2))), "@"),
+    (lambda th: np.ones(3) @ th[_IDX2], "@"),
+    (lambda th: sco.vsum(np.ones((2, 2)) @ th[0]), "@"),
+    (lambda th: sco.vsum(th[_IDX2][_IDX2 > 0]), "boolean mask"),
+    (lambda th: th[_IDX2][0, 1], "indexing"),
+], ids=["sqnorm", "norm", "cumsum", "matrix@vector", "matrix@matrix", "vector@matrix",
+        "matrix@scalar", "bool-mask", "tuple-index"])
+def test_unsupported_shapes_raise_program_error(program, op):
+    # matrix values reach every op; the vector-only ones must say so
+    with pytest.raises(ProgramError, match=op):
+        build_objective(program, 3)
+    oracle = build_objective(program, 3, probe=False)
+    with pytest.raises(ProgramError, match=op):
+        oracle.value_and_grad(np.array([0.3, -0.2, 0.7]))
+
+
+def test_matrix_gather_and_constant_product():
+    # the Ising field: vsum(log1pexp(W * (Z @ (theta[slot] * mask))))
+    rng = np.random.default_rng(4)
+    Z = rng.choice([-1.0, 1.0], size=(7, 3))
+    slot = np.array([[0, 0, 1], [0, 0, 2], [1, 2, 0]])
+    mask = 1.0 - np.eye(3)
+    f = build_objective(lambda th: sco.vsum(sco.log1pexp(-2.0 * Z * (Z @ (th[slot] * mask)))), 3)
+    theta = rng.standard_normal(3)
+    J = theta[slot] * mask
+    t = -2.0 * Z * (Z @ J)
+    value, grad = f.value_and_grad(theta)
+    assert value == pytest.approx(np.sum(np.logaddexp(0.0, t)), rel=1e-14)
+    _fd_close(f, theta)
+
+
+def test_broadcast_operands_fold_back():
+    # a vector times a matrix of variables, and a matrix plus a scalar variable
+    idx = np.array([[0, 1, 2], [2, 2, 0]])
+    f = build_objective(lambda th: sco.vsum(sco.exp(th[idx] * th) + th[0]), 3)
+    _fd_close(f, np.array([0.4, -0.3, 0.8]))
+    _fd_close(f, np.array([-1.1, 0.2, 0.5]))
+
+
+_UNARY = {"exp": sco.exp, "log1pexp": sco.log1pexp, "logistic": sco.logistic}
+
+
+@st.composite
+def _random_programs(draw):
+    # a sum of chains; each starts with a 1-D or 2-D gather from theta and
+    # applies elementwise functions, constant scalings, constant-matrix
+    # products and row-broadcast products with another gather
+    p = draw(st.integers(1, 5))
+    unit = st.floats(-1.0, 1.0)
+    chains = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from([(1,), (3,), (4, 2), (2, 3), (1, 4)]))
+        steps = [("gather", draw(hnp.arrays(int, shape, elements=st.integers(0, p - 1))))]
+        for _ in range(draw(st.integers(0, 4))):
+            op = draw(st.sampled_from(["unary", "scale", "scale-array", "matmul", "row"]))
+            if op == "unary":
+                steps.append((op, _UNARY[draw(st.sampled_from(sorted(_UNARY)))]))
+            elif op == "scale":
+                steps.append((op, draw(unit)))
+            elif op == "scale-array":
+                steps.append(("scale", draw(hnp.arrays(float, shape, elements=unit))))
+            elif op == "matmul":
+                rows = draw(st.integers(1, 4))
+                cell = st.floats(-1.0 / shape[0], 1.0 / shape[0])  # keeps values bounded
+                steps.append((op, draw(hnp.arrays(float, (rows, shape[0]), elements=cell))))
+                shape = (rows,) + shape[1:]
+            elif len(shape) == 2:
+                steps.append((op, draw(hnp.arrays(int, shape[1:],
+                                                  elements=st.integers(0, p - 1)))))
+        chains.append(steps)
+    theta = draw(hnp.arrays(float, (p,), elements=unit))
+    return p, chains, theta
+
+
+def _run_chain(steps, th):
+    x = th[steps[0][1]]
+    for op, arg in steps[1:]:
+        if op == "unary":
+            x = arg(x)
+        elif op == "scale":
+            x = x * arg
+        elif op == "matmul":
+            x = arg @ x
+        else:
+            x = x * th[arg]
+    return sco.vsum(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_programs())
+def test_tape_matches_fd_on_random_programs(case):
+    p, chains, theta = case
+
+    def program(th):
+        out = _run_chain(chains[0], th)
+        for steps in chains[1:]:
+            out = out + _run_chain(steps, th)
+        return out
+
+    oracle = build_objective(program, p)
+    value, grad = oracle.value_and_grad(theta)
+    assert oracle.value(theta) == value  # plain path and tape agree bit for bit
+    fd = fd_gradient(oracle, theta)
+    assert np.max(np.abs(grad - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd))), (grad, fd)

@@ -2,6 +2,7 @@
 checks against finite differences, and the dataset CSV round trip."""
 
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -84,6 +85,87 @@ def test_ising_objective_at_zero():
     q = models.ising_spin_count(ds.p)
     assert oracle.value(np.zeros(ds.p)) == pytest.approx(ds.n * q * np.log(2.0))
     assert set(np.unique(ds.X)) <= {-1.0, 1.0}
+
+
+def _ising_design(Z):
+    # reference: the stacked (n q) x p per-spin design, block a maps the
+    # edge weights to the field at spin a
+    n, q = Z.shape
+    rows, cols = np.triu_indices(q, k=1)
+    p = len(rows)
+    edge_of = np.zeros((q, q), dtype=int)
+    edge_of[rows, cols] = np.arange(p)
+    edge_of[cols, rows] = np.arange(p)
+    C = np.zeros((n * q, p))
+    for a in range(q):
+        for b in range(q):
+            if b != a:
+                C[a * n:(a + 1) * n, edge_of[a, b]] = Z[:, b]
+    return C
+
+
+def _stacked_pseudo_likelihood(C, weight, theta):
+    t = weight * (C @ theta)
+    value = float(np.sum(np.logaddexp(0.0, t)))
+    grad = C.T @ (weight / (1.0 + np.exp(-t)))
+    return value, grad
+
+
+@pytest.mark.parametrize("q", [3, 5, 8])
+def test_ising_field_matches_stacked_design(q):
+    # the field Z @ J gives loss(C @ theta) of the stacked design, in
+    # full and on edge subsets touching every spin or only two
+    p = models.ising_edge_count(q)
+    ds = models.generate(models.ModelSpec("ising", 60, p, min(3, p), 0.5, seed=q))
+    C = _ising_design(ds.X)
+    weight = -2.0 * ds.X.T.reshape(-1)
+    oracle = models.objective(ds)
+    rows, cols = np.triu_indices(q, k=1)
+    star = np.flatnonzero(rows == 0)  # edges (0, b): touch every spin
+    assert len(np.unique(np.concatenate((rows[star], cols[star])))) == q
+    rng = np.random.default_rng(q)
+    subsets = [np.arange(p), star, np.array([0]), np.array([p - 1])]  # the last two touch 2
+    subsets += [np.sort(rng.choice(p, size=k, replace=False)) for k in (2, p // 2 + 1)]
+    for coords in subsets:
+        for scale in (0.1, 1.0, 5.0):
+            z = scale * rng.standard_normal(len(coords))
+            theta = np.zeros(p)
+            theta[coords] = z
+            ref_full, ref_grad = _stacked_pseudo_likelihood(C, weight, theta)
+            ref_sub, ref_sub_grad = _stacked_pseudo_likelihood(C[:, coords], weight, z)
+            value, grad = oracle.value_and_grad(theta)
+            assert abs(value - ref_full) <= 1e-12 * abs(ref_full)
+            assert abs(oracle.value(theta) - ref_full) <= 1e-12 * abs(ref_full)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * (1.0 + np.max(np.abs(ref_grad)))
+            sub = oracle.restricted(coords)
+            value, grad = sub.value_and_grad(z)
+            assert abs(value - ref_sub) <= 1e-12 * abs(ref_sub)
+            assert abs(sub.value(z) - ref_sub) <= 1e-12 * abs(ref_sub)
+            assert np.max(np.abs(grad - ref_sub_grad)) <= \
+                1e-12 * (1.0 + np.max(np.abs(ref_sub_grad)))
+
+
+def test_ising_restriction_rejects_repeated_edges():
+    # one slot per edge: a repeated edge cannot be summed like a repeated column
+    oracle = models.objective(models.generate(SMALL["ising"]))
+    with pytest.raises(ValueError, match="distinct"):
+        oracle.restricted([3, 3])
+
+
+def test_ising_oracle_memory_stays_small():
+    # q=45 spins, p=990 edges, n=500: the stacked design would take 178 MB
+    rng = np.random.default_rng(0)
+    spec = models.ModelSpec("ising", 500, models.ising_edge_count(45), 5, 0.4)
+    Z = rng.integers(0, 2, size=(500, 45)) * 2.0 - 1.0
+    ds = models.Dataset(spec, Z, None, np.zeros(spec.p), np.arange(5))
+    tracemalloc.start()
+    try:
+        problem = models.build_problem(ds)
+        problem.oracle.value_and_grad(0.01 * rng.standard_normal(spec.p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
 
 
 def test_ising_spin_count_roundtrip():
