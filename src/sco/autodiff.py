@@ -24,6 +24,7 @@ backward pass visits each node exactly once.
 from __future__ import annotations
 
 import numbers
+from functools import partial
 
 import numpy as np
 
@@ -416,6 +417,8 @@ def _backward(tape, root, p):
             _accumulate(adj, shapes, i, a)
         elif kind == "cumsum":
             _accumulate(adj, shapes, i, np.cumsum(a[::-1])[::-1])
+        elif kind == "scatter":
+            _accumulate(adj, shapes, i, a[pa])
         elif kind == "idx":
             if adj[i] is None:
                 adj[i] = np.zeros(shapes[i])
@@ -449,6 +452,94 @@ def _tape_eval(program, theta, p):
     raise ProgramError("program must return a scalar")
 
 
+class _Placement:
+    """z at ``coords`` of a zero p-vector, as a derived restricted oracle's
+    input: ``C @ x`` uses ``C[:, coords]``, sliced once per constant C and
+    kept here; any other use sees the dense vector, built at the first one."""
+
+    __slots__ = ("coords", "p", "_columns")
+
+    def __init__(self, coords, p):
+        self.coords, self.p, self._columns = coords, p, {}
+
+    def dense(self, z):
+        x = np.zeros(self.p)
+        x[self.coords] = z
+        return x
+
+    def columns(self, C):
+        hit = self._columns.get(id(C))
+        if hit is None or hit[0] is not C:
+            matrix = np.ndim(C) == 2 and np.shape(C)[1] == self.p
+            hit = (C, _const(C)[:, self.coords] if matrix else None)
+            if matrix and len(self._columns) < 4:  # the entry holds C, so its id stays valid
+                self._columns[id(C)] = hit
+        return hit[1]
+
+
+class _PlacedArray:
+    # plain-path input; ndarray operators defer to it, so C @ x reaches __rmatmul__
+    __slots__ = ("at", "z", "_dense")
+    __array_priority__ = 1e3
+
+    def __init__(self, at, z):
+        self.at, self.z, self._dense = at, z, None
+
+    def __array__(self, dtype=None, copy=None):
+        if self._dense is None:
+            self._dense = self.at.dense(self.z)
+        return np.array(self._dense, dtype=dtype, copy=copy)
+
+    def __rmatmul__(self, other):
+        cols = self.at.columns(other)
+        return np.asarray(self).__rmatmul__(other) if cols is None else cols @ self.z
+
+
+for _op in "add radd sub rsub mul rmul truediv rtruediv pow neg abs matmul getitem".split():
+    setattr(_PlacedArray, f"__{_op}__",
+            lambda self, *args, _op=f"__{_op}__": getattr(np.asarray(self), _op)(*args))
+
+
+class _PlacedVar(Var):
+    # tape input over the input variable z; other uses read one scatter node
+    __slots__ = ("at", "z", "_dense")
+
+    def __init__(self, at, z):
+        self.tape, self.at, self.z, self._dense = z.tape, at, z, None
+
+    def _densify(self):
+        if self._dense is None:
+            self._dense = self.tape.emit("scatter", self.z.idx, -1, self.at.coords, None,
+                                         self.at.dense(self.z.val))
+        return self._dense
+
+    idx = property(lambda self: self._densify().idx)
+    val = property(lambda self: self._densify().val)
+
+    def __rmatmul__(self, other):
+        cols = self.at.columns(other)
+        return super().__rmatmul__(other) if cols is None else self.z.__rmatmul__(cols)
+
+
+def _derived_restriction(program, p, scale, coords):
+    at = _Placement(coords, p)
+    return build_objective(
+        lambda z: program((_PlacedVar if isinstance(z, Var) else _PlacedArray)(at, z)),
+        len(coords), scale=scale, probe=False)
+
+
+def _zero_padded(oracle, coords):
+    # the restriction of an oracle built from opaque functions
+    at = _Placement(coords, oracle.dim)
+
+    def value_and_grad(z):
+        f, g = oracle.value_and_grad(at.dense(z))
+        return f, g[coords]
+
+    return ObjectiveOracle(len(coords), lambda z: oracle.value(at.dense(z)), value_and_grad,
+                           scale=oracle.scale)
+
+
 # -- oracle -----------------------------------------------------------------
 
 
@@ -458,10 +549,10 @@ class ObjectiveOracle:
     ``scale`` optionally tags the objective for the information criteria:
     ``"rss"`` for half-sum-of-squares objectives, ``"nll"`` for negative
     log-likelihoods.  ``restricted(coords)`` returns an oracle over just
-    those coordinates when the builder supplied one (used to keep
-    active-set refits cheap); solvers fall back to zero-padded evaluation
-    otherwise.  Oracles are immutable after construction and safe to share
-    across concurrent solves; each evaluation owns its own tape.
+    those coordinates (used to keep active-set refits cheap): the
+    ``restrict`` hook's, or zero-padded evaluation without one.  Oracles
+    are immutable after construction and safe to share across concurrent
+    solves; each evaluation owns its own tape.
     """
 
     __slots__ = ("dim", "scale", "_value", "_vag", "_restrict")
@@ -483,9 +574,15 @@ class ObjectiveOracle:
         return self._vag(self._coerce(theta))
 
     def restricted(self, coords):
+        """Oracle over the distinct in-range ``coords``; raises ValueError otherwise."""
+        coords = np.array(coords, dtype=int)
+        listed = coords.tolist()
+        if coords.ndim != 1 or len(set(listed)) != len(listed):
+            raise ValueError("restricted coordinates must be distinct, in a 1-D array")
+        if listed and not 0 <= min(listed) <= max(listed) < self.dim:
+            raise ValueError(f"restricted coordinates must lie in 0..{self.dim - 1}")
         if self._restrict is None:
-            return None
-        coords = np.asarray(coords, dtype=int)
+            return _zero_padded(self, coords)
         sub = self._restrict(coords)
         if sub.dim != len(coords):
             raise ValueError("restricted oracle has the wrong dimension")
@@ -519,9 +616,11 @@ def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, p
         Objective-scale tag consumed by the information criteria.
     restrict : callable, optional
         ``restrict(coords) -> ObjectiveOracle`` building the same objective
-        over a coordinate subset (others pinned to zero).
+        over a coordinate subset (others pinned to zero).  By default it is
+        derived, unprobed: the program runs on z placed at ``coords`` of a
+        zero vector, where ``C @ theta`` costs O(n k) on ``C[:, coords]``.
     gradient : callable, optional
-        Analytic gradient; when given it bypasses the tape entirely.
+        Analytic gradient; it bypasses the tape, and restriction then zero-pads.
     probe : bool
         Run one recorded evaluation up front so unsupported operations
         surface as a construction error rather than at solve time.
@@ -550,6 +649,8 @@ def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, p
         except (TypeError, AttributeError) as e:
             raise ProgramError(f"unsupported operation in objective program: {e}") from e
 
+    if restrict is None and gradient is None:
+        restrict = partial(_derived_restriction, program, dim, scale)
     oracle = ObjectiveOracle(dim, _value, _vag, scale=scale, restrict=restrict)
     if probe:
         try:

@@ -6,12 +6,10 @@ piecewise-constant signal), and Ising edge selection via the negative
 log-pseudo-likelihood.
 
 Generators are pure functions of their :class:`ModelSpec`, seed included:
-the same spec always yields the same dataset.  Each objective is built on
-the autodiff tape and exposes a ``restricted`` hook so active-set refits
-run on the column submatrix (on the touched spins for Ising) rather than
-the full design.  Only the full oracle runs the construction probe:
-restricted oracles are built once per refit from these fixed programs,
-where a probe would only cost one more tape evaluation.
+the same spec always yields the same dataset.  Each objective is a program
+on the autodiff tape, so active-set refits run on the column submatrix
+(derived by :func:`build_objective`; for Ising, on the touched spins
+through its own ``restrict`` hook) rather than the full design.
 """
 
 from __future__ import annotations
@@ -283,28 +281,6 @@ def generate(spec):
 # -- objectives --------------------------------------------------------------
 
 
-def _oracle(program_for, p, scale):
-    """Full oracle of ``program_for(None)`` over R^p whose ``restricted(coords)``
-    builds ``program_for(coords)``.  The hook is not recursive: a
-    self-referencing closure would form a reference cycle that keeps the
-    captured arrays alive until a full garbage collection."""
-
-    def restrict(coords):
-        return build_objective(program_for(coords), len(coords), scale=scale, probe=False)
-
-    return build_objective(program_for(None), p, scale=scale, restrict=restrict)
-
-
-def _linear_predictor(A, loss):
-    """coords -> program ``loss(A[:, coords] @ theta)``; None means every column."""
-
-    def program_for(coords):
-        sub = A if coords is None else A[:, coords]
-        return lambda theta: loss(sub @ theta)
-
-    return program_for
-
-
 def _ising_objective(Z):
     """coords -> negative log-pseudo-likelihood program over those edges
     (None means all q(q-1)/2), computed from the field F = Z @ J.
@@ -320,8 +296,6 @@ def _ising_objective(Z):
 
     def program_for(coords):
         coords = np.arange(len(rows)) if coords is None else coords
-        if len(np.unique(coords)) != len(coords):
-            raise ValueError("restricted Ising edges must be distinct")
         a, b = rows[coords], cols[coords]
         spins = np.unique(np.concatenate((a, b)))
         a, b = np.searchsorted(spins, a), np.searchsorted(spins, b)
@@ -339,27 +313,33 @@ def _ising_objective(Z):
 
 
 def objective(dataset):
-    """Oracle of a dataset's kind, with a restrict hook that rebuilds the
-    same objective over a coordinate subset.
+    """Oracle of a dataset's kind.
 
-    linear and trend: 0.5 ||y - A theta||^2 (RSS scale) with A = X, the
+    linear and trend: 0.5 ||y - X theta||^2 (RSS scale), X being the
     cumulative-indicator design for trend.  logistic: the Bernoulli
     negative log-likelihood sum_i log1pexp(x_i' theta) - y_i x_i' theta.
-    These three restrict to the columns ``A[:, coords]``.  ising: the
-    negative log-pseudo-likelihood from the field F = Z @ J, where Z is
-    the n x q spin matrix and J the symmetric coupling matrix holding the
-    edge weights theta (zero diagonal): sum over samples i and spins a of
+    These are plain programs of X @ theta, whose derived restriction uses
+    the columns ``X[:, coords]``.  ising: the negative log-pseudo-likelihood
+    from the field F = Z @ J, where Z is the n x q spin matrix and J the
+    symmetric coupling matrix holding the edge weights theta (zero
+    diagonal): sum over samples i and spins a of
     log1pexp(-2 z_ia F_ia) = -log sigmoid(2 z_ia sum_{b != a} J_ab z_ib);
-    at theta = 0 it equals n q log 2.  It restricts to the spins the
-    chosen edges touch.
+    at theta = 0 it equals n q log 2.  Its own restrict hook keeps only the
+    spins the chosen edges touch.
     """
     X, y = dataset.X, dataset.y
     if dataset.kind == "ising":
-        return _oracle(_ising_objective(X), dataset.p, "nll")
+        program_for = _ising_objective(X)
+        return build_objective(program_for(None), dataset.p, scale="nll",
+                               restrict=lambda coords: build_objective(
+                                   program_for(coords), len(coords), scale="nll", probe=False))
     if dataset.kind == "logistic":
-        program_for = _linear_predictor(X, lambda t: vsum(log1pexp(t)) - dot(y, t))
-        return _oracle(program_for, dataset.p, "nll")
-    return _oracle(_linear_predictor(X, lambda t: 0.5 * sqnorm(y - t)), dataset.p, "rss")
+        def nll(theta):
+            t = X @ theta
+            return vsum(log1pexp(t)) - dot(y, t)
+
+        return build_objective(nll, dataset.p, scale="nll")
+    return build_objective(lambda theta: 0.5 * sqnorm(y - X @ theta), dataset.p, scale="rss")
 
 
 def build_problem(dataset, s=None, groups=None, preselect=None):

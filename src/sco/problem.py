@@ -203,10 +203,10 @@ class ScoSolution:
 class RestrictedResult:
     """Outcome of a restricted minimization.
 
-    ``objective`` is the value produced by the (possibly restricted)
-    evaluation path; ``last_step`` is the most recently accepted
-    line-search step, None when no step was taken.  ``converged`` is
-    exactly ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
+    ``objective`` is the value computed by the restricted oracle;
+    ``last_step`` is the most recently accepted line-search step, None
+    when no step was taken.  ``converged`` is exactly
+    ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
     stopped: ``"converged"``, ``"floor"`` (f could no longer resolve a
     decrease), ``"max_iter"``, ``"line_search"`` (every trial of the last
     search left the objective's domain) or ``"no_descent"`` (the search
@@ -367,7 +367,8 @@ def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max
 def restricted_minimize(problem, support, init=None, config=None):
     """Minimize f over ``support`` plus preselected coordinates.
 
-    All other coordinates stay pinned at zero.  Runs limited-memory
+    All other coordinates stay pinned at zero: f is the oracle's
+    ``restricted`` oracle over the free coordinates.  Runs limited-memory
     quasi-Newton iterations (memory 10) with an Armijo backtracking line
     search (sufficient-decrease constant 1e-4, halving steps), stopping
     when the infinity norm of the gradient over the free coordinates drops
@@ -398,26 +399,8 @@ def restricted_minimize(problem, support, init=None, config=None):
         x = np.zeros(problem.p)
         return RestrictedResult(x, problem.oracle.value(x), 0.0, 0, True, None, "converged")
     sub = problem.oracle.restricted(free)
-    if sub is not None:
-        value, vag = sub.value, sub.value_and_grad
-    else:
-        oracle = problem.oracle
-        template = np.zeros(problem.p)
-
-        def _embed(z):
-            full = template.copy()
-            full[free] = z
-            return full
-
-        def value(z):
-            return oracle.value(_embed(z))
-
-        def vag(z):
-            f, g = oracle.value_and_grad(_embed(z))
-            return f, g[free]
-
     x0 = init[free] if init is not None else np.zeros(len(free))
-    res = _lbfgs(value, vag, x0, cfg.inner_tol, cfg.inner_max_iter)
+    res = _lbfgs(sub.value, sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter)
     params = np.zeros(problem.p)
     params[free] = res.params
     return replace(res, params=params)

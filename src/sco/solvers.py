@@ -18,10 +18,10 @@ refit of its final support and returns the best refit iterate it visited,
 so the reported objective is always attained by the reported parameters.
 
 Points known to be sparse are evaluated on their support through the
-oracle's ``restricted`` hook (the full oracle when there is none):
-line-search trials of iht and htp, and refit iterates, whose objective the
-refit already holds.  Only start points, warm starts and the returned
-parameters are evaluated at full dimension.
+oracle's ``restricted`` oracles: line-search trials of iht and htp, and
+refit iterates, whose objective the refit already holds.  Only start
+points, warm starts and the returned parameters are evaluated at full
+dimension.
 """
 
 from __future__ import annotations
@@ -238,7 +238,7 @@ def _backtrack_threshold(problem, theta, f, g, cfg):
         point[keep] = trial[keep]
         if not np.array_equal(keep, keep_prev):
             keep_prev, sub = keep, oracle.restricted(keep)
-        f_trial = sub.value(trial[keep]) if sub is not None else oracle.value(point)
+        f_trial = sub.value(trial[keep])
         g_restricted = g[keep]
         if f_trial <= f - 1e-4 * eta * float(g_restricted @ g_restricted):
             return eta, units, point, f_trial

@@ -241,16 +241,22 @@ _UNARY = {"exp": sco.exp, "log1pexp": sco.log1pexp, "logistic": sco.logistic}
 
 
 @st.composite
-def _random_programs(draw):
-    # a sum of chains; each starts with a 1-D or 2-D gather from theta and
-    # applies elementwise functions, constant scalings, constant-matrix
-    # products and row-broadcast products with another gather
+def _random_programs(draw, project=False):
+    # a sum of chains; each starts with a 1-D or 2-D gather from theta (with
+    # ``project``, or with a constant-matrix product C @ theta) and applies
+    # elementwise functions, constant scalings, constant-matrix products and
+    # row-broadcast products with another gather
     p = draw(st.integers(1, 5))
     unit = st.floats(-1.0, 1.0)
     chains = []
     for _ in range(draw(st.integers(1, 3))):
-        shape = draw(st.sampled_from([(1,), (3,), (4, 2), (2, 3), (1, 4)]))
-        steps = [("gather", draw(hnp.arrays(int, shape, elements=st.integers(0, p - 1))))]
+        if project and draw(st.booleans()):
+            shape = (draw(st.integers(1, 4)),)
+            cell = st.floats(-1.0 / p, 1.0 / p)
+            steps = [("project", draw(hnp.arrays(float, (shape[0], p), elements=cell)))]
+        else:
+            shape = draw(st.sampled_from([(1,), (3,), (4, 2), (2, 3), (1, 4)]))
+            steps = [("gather", draw(hnp.arrays(int, shape, elements=st.integers(0, p - 1))))]
         for _ in range(draw(st.integers(0, 4))):
             op = draw(st.sampled_from(["unary", "scale", "scale-array", "matmul", "row"]))
             if op == "unary":
@@ -273,7 +279,8 @@ def _random_programs(draw):
 
 
 def _run_chain(steps, th):
-    x = th[steps[0][1]]
+    start, arg = steps[0]
+    x = th[arg] if start == "gather" else arg @ th
     for op, arg in steps[1:]:
         if op == "unary":
             x = arg(x)
@@ -286,19 +293,82 @@ def _run_chain(steps, th):
     return sco.vsum(x)
 
 
-@settings(max_examples=200, deadline=None)
-@given(case=_random_programs())
-def test_tape_matches_fd_on_random_programs(case):
-    p, chains, theta = case
-
+def _program(chains):
     def program(th):
         out = _run_chain(chains[0], th)
         for steps in chains[1:]:
             out = out + _run_chain(steps, th)
         return out
 
-    oracle = build_objective(program, p)
+    return program
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_programs())
+def test_tape_matches_fd_on_random_programs(case):
+    p, chains, theta = case
+    oracle = build_objective(_program(chains), p)
     value, grad = oracle.value_and_grad(theta)
     assert oracle.value(theta) == value  # plain path and tape agree bit for bit
     fd = fd_gradient(oracle, theta)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd))), (grad, fd)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_random_programs(project=True), data=st.data())
+def test_derived_restriction_matches_zero_padding_on_random_programs(case, data):
+    # C @ theta reads the columns C[:, coords]; every other use the scattered vector
+    p, chains, theta = case
+    oracle = build_objective(_program(chains), p)
+    coords = np.sort(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
+                                        unique=True), label="coords"))
+    z = theta[coords]
+    full = np.zeros(p)
+    full[coords] = z
+    sub = oracle.restricted(coords)
+    value, grad = sub.value_and_grad(z)
+    assert sub.value(z) == value  # plain path and tape agree bit for bit
+    f, g = oracle.value_and_grad(full)
+    assert abs(value - f) <= 1e-12 * max(1.0, abs(f)), (value, f)
+    assert np.max(np.abs(grad - g[coords])) <= 1e-9 * (1.0 + np.max(np.abs(g))), (grad, g)
+
+
+_C = np.arange(12.0).reshape(3, 4) / 10.0
+_RAW_USES = {  # each program applies one operation straight to its input
+    "add": lambda th: sco.sqnorm(th + 1.0),
+    "radd": lambda th: sco.sqnorm(1.0 + th),
+    "sub": lambda th: sco.sqnorm(th - 0.5),
+    "rsub": lambda th: sco.sqnorm(np.ones(4) - th),
+    "mul": lambda th: sco.vsum(th * np.arange(4.0)),
+    "rmul": lambda th: sco.vsum(2.0 * th),
+    "truediv": lambda th: sco.vsum(th / 2.0),
+    "pow": lambda th: sco.vsum(th ** 2.0),
+    "neg": lambda th: sco.sqnorm(-th),
+    "abs": lambda th: sco.vsum(abs(th)),
+    "vector@matrix": lambda th: sco.vsum(th @ _C.T),
+    "vector@vector": lambda th: th @ np.ones(4),
+    "vector-constant@": lambda th: np.ones(4) @ th,
+    "matrix@": lambda th: sco.sqnorm(_C @ th),
+    "gather": lambda th: sco.vsum(th[[0, 3, 3]]),
+    "exp": lambda th: sco.vsum(sco.exp(th)),
+    "log1pexp": lambda th: sco.vsum(sco.log1pexp(th)),
+    "logistic": lambda th: sco.vsum(sco.logistic(th)),
+    "cumsum": lambda th: sco.norm(sco.cumsum(th)),
+    "vsum": lambda th: sco.vsum(th),
+    "dot": lambda th: sco.dot(np.arange(4.0), th),
+    "norm": lambda th: sco.norm(th),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RAW_USES))
+def test_derived_restriction_supports_each_use_of_the_input(name):
+    oracle = build_objective(_RAW_USES[name], 4)
+    coords, z = np.array([1, 3]), np.array([0.7, -1.3])
+    full = np.zeros(4)
+    full[coords] = z
+    sub = oracle.restricted(coords)
+    value, grad = sub.value_and_grad(z)
+    assert sub.value(z) == value
+    f, g = oracle.value_and_grad(full)
+    assert value == pytest.approx(f, rel=1e-12, abs=1e-15)
+    assert np.allclose(grad, g[coords], rtol=1e-12, atol=1e-15)

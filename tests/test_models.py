@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sco
 from sco import autodiff, models
-from sco.autodiff import fd_gradient
+from sco.autodiff import ObjectiveOracle, build_objective, fd_gradient
+from sco.problem import ScoProblem
 
 SMALL = {
     "linear": models.ModelSpec("linear", 40, 25, 5, 5.0, seed=0),
@@ -18,6 +20,33 @@ SMALL = {
     "trend": models.ModelSpec("trend", 60, 60, 4, 10.0, seed=0),
     "ising": models.ModelSpec("ising", 50, 15, 5, 0.4, seed=0),
 }
+
+_LIN, _LOGIT, _TREND = (models.generate(SMALL[k]) for k in ("linear", "logistic", "trend"))
+_EVEN = np.arange(0, _LIN.p, 2)
+_X_EVEN = _LIN.X[:, _EVEN]
+
+# objectives written without a restrict hook: name -> (program, p, scale)
+USER_PROGRAMS = {
+    "user-norm": (lambda th: sco.norm(_LIN.y - _LIN.X @ th), _LIN.p, None),  # the README's
+    "user-sqnorm": (lambda th: 0.5 * sco.sqnorm(_LIN.y - _LIN.X @ th), _LIN.p, "rss"),
+    "user-logistic": (lambda th: sco.vsum(sco.log1pexp(_LOGIT.X @ th))
+                      - sco.dot(_LOGIT.y, _LOGIT.X @ th), _LOGIT.p, "nll"),
+    "user-cumsum-trend": (lambda th: 0.5 * sco.sqnorm(_TREND.y - sco.cumsum(th)), _TREND.p,
+                          "rss"),
+    "user-gather": (lambda th: 0.5 * sco.sqnorm(_LIN.y - _X_EVEN @ th[_EVEN])
+                    + 0.1 * sco.sqnorm(th), _LIN.p, "rss"),
+}
+
+
+def user_oracle(name):
+    program, p, scale = USER_PROGRAMS[name]
+    return build_objective(program, p, scale=scale)
+
+
+def _opaque_oracle():
+    # built from opaque functions, so it restricts by zero-padded evaluation
+    full = models.objective(_LIN)
+    return ObjectiveOracle(full.dim, full.value, full.value_and_grad, scale=full.scale)
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
@@ -152,6 +181,17 @@ def test_ising_restriction_rejects_repeated_edges():
         oracle.restricted([3, 3])
 
 
+@pytest.mark.parametrize("coords, match", [([3, 3], "distinct"), ([0, 4, 0], "distinct"),
+                                           ([2, -1], "lie in"), ([0, 10**6], "lie in"),
+                                           ([[0, 1]], "1-D")])
+@pytest.mark.parametrize("kind", [*models.KINDS, *USER_PROGRAMS, "opaque"])
+def test_restricted_rejects_bad_coordinates(kind, coords, match):
+    # a repeated column would be counted twice, an out-of-range one wrap around
+    oracle = _ORACLES[kind]
+    with pytest.raises(ValueError, match=match):
+        oracle.restricted(coords)
+
+
 def test_ising_oracle_memory_stays_small():
     # q=45 spins, p=990 edges, n=500: the stacked design would take 178 MB
     rng = np.random.default_rng(0)
@@ -214,9 +254,10 @@ def test_restricted_oracle_agrees(kind, monkeypatch):
 
 
 _ORACLES = {kind: models.objective(models.generate(spec)) for kind, spec in SMALL.items()}
+_ORACLES.update({name: user_oracle(name) for name in USER_PROGRAMS}, opaque=_opaque_oracle())
 
 
-@pytest.mark.parametrize("kind", models.KINDS)
+@pytest.mark.parametrize("kind", [*models.KINDS, *USER_PROGRAMS, "opaque"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_restricted_oracle_agrees_on_random_sparse_points(kind, data):
@@ -236,6 +277,43 @@ def test_restricted_oracle_agrees_on_random_sparse_points(kind, data):
     gsub = sub.gradient(z)
     gfull = oracle.gradient(full)[coords]
     assert np.max(np.abs(gsub - gfull)) <= 1e-9 * (1.0 + np.max(np.abs(gfull)))
+
+
+def _linear_predictor(A, loss):
+    """The zoo's hand-written restriction before it was derived: coords ->
+    program ``loss(A[:, coords] @ theta)``; None means every column."""
+
+    def program_for(coords):
+        sub = A if coords is None else A[:, coords]
+        return lambda theta: loss(sub @ theta)
+
+    return program_for
+
+
+_LOSSES = {
+    "linear": lambda y: lambda t: 0.5 * sco.sqnorm(y - t),
+    "trend": lambda y: lambda t: 0.5 * sco.sqnorm(y - t),
+    "logistic": lambda y: lambda t: sco.vsum(sco.log1pexp(t)) - sco.dot(y, t),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LOSSES))
+def test_derived_restriction_matches_reference_hook(kind):
+    # the derived restriction computes A[:, coords] @ z, as the hook did: bit for bit
+    ds = models.generate(SMALL[kind])
+    oracle = models.objective(ds)
+    program_for = _linear_predictor(ds.X, _LOSSES[kind](ds.y))
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 5, ds.p // 2, ds.p):
+        coords = np.sort(rng.choice(ds.p, size=k, replace=False))
+        sub = oracle.restricted(coords)
+        ref = build_objective(program_for(coords), k, probe=False)
+        for scale in (1e-3, 1.0, 30.0):
+            z = scale * rng.standard_normal(k)
+            value, grad = sub.value_and_grad(z)
+            ref_value, ref_grad = ref.value_and_grad(z)
+            assert value == ref_value and sub.value(z) == ref.value(z)
+            assert np.array_equal(grad, ref_grad)
 
 
 @pytest.mark.parametrize("kind", models.KINDS)
@@ -299,20 +377,25 @@ def test_trend_design_is_cumulative_indicator():
     assert np.allclose(ds.X @ ds.theta_true, np.cumsum(ds.theta_true))
 
 
-@pytest.mark.parametrize("kind", models.KINDS)
+@pytest.mark.parametrize("kind", [*models.KINDS, *USER_PROGRAMS])
 def test_dropped_problem_leaves_no_cyclic_garbage(kind):
     # the restrict hook must not be a self-referencing closure: a cycle
     # would keep the captured design alive until a full collection
     datasets = {k: models.generate(spec) for k, spec in SMALL.items()}
     for ds in datasets.values():
         models.build_problem(ds)  # warm-up: first-call caches are not garbage
-    ds = datasets[kind]
+    for name in USER_PROGRAMS:
+        user_oracle(name).restricted(np.arange(3)).value_and_grad(np.full(3, 0.1))
     gc.collect()
     gc.disable()
     try:
-        problem = models.build_problem(ds)
+        if kind in USER_PROGRAMS:
+            problem = ScoProblem(p=USER_PROGRAMS[kind][1], s=3, oracle=user_oracle(kind))
+        else:
+            problem = models.build_problem(datasets[kind])
         sub = problem.oracle.restricted(np.arange(3))
-        problem.oracle.value_and_grad(np.full(ds.p, 0.1))
+        problem.oracle.value_and_grad(np.full(problem.p, 0.1))
+        sub.value(np.full(3, 0.1))
         sub.value_and_grad(np.full(3, 0.1))
         del problem, sub
         assert gc.collect() == 0

@@ -13,7 +13,7 @@ from sco import models, solvers
 from sco.autodiff import ObjectiveOracle, build_objective
 from sco.problem import ScoProblem, SolverConfig, restricted_minimize, validate_solution
 from sco.solvers import SolverKind, solve
-from test_models import SMALL
+from test_models import SMALL, USER_PROGRAMS, user_oracle
 
 ALL_KINDS = list(SolverKind)
 MONOTONE = [SolverKind.FORWARD, SolverKind.OMP, SolverKind.FOBA, SolverKind.SCOPE,
@@ -190,19 +190,22 @@ def test_scope_and_foba_match_exhaustive_smoke():
 
 def test_shared_problem_solves_concurrently():
     """A shared problem can be solved from several threads at once, with
-    results bit-identical to serial solves."""
+    results bit-identical to serial solves; hookless user programs too."""
     ds = models.generate(models.ModelSpec("linear", 60, 30, 3, 5.0, seed=4))
-    prob = models.build_problem(ds)
-    kinds = ALL_KINDS * 2
-    serial = [solve(kind, prob) for kind in kinds]
+    problems = [models.build_problem(ds)]
+    problems += [ScoProblem(p=USER_PROGRAMS[name][1], s=3, oracle=user_oracle(name))
+                 for name in USER_PROGRAMS]
+    jobs = [(kind, prob) for prob in problems for kind in ALL_KINDS * 2]
+    serial = [solve(kind, prob) for kind, prob in jobs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            futures = [pool.submit(solve, kind, prob) for kind in kinds]
+            futures = [pool.submit(solve, kind, prob) for kind, prob in jobs]
             threaded = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
+    kinds = [kind for kind, _ in jobs]
     for kind, a, b in zip(kinds, serial, threaded):
         assert np.array_equal(a.support, b.support), kind
         assert np.array_equal(a.params, b.params), kind
