@@ -453,59 +453,76 @@ def _tape_eval(program, theta, p):
 
 
 class _Placement:
-    """z at ``coords`` of a zero p-vector, as a derived restricted oracle's
-    input: ``C @ x`` uses ``C[:, coords]``, sliced once per constant C and
-    kept here; any other use sees the dense vector, built at the first one."""
+    """z at ``coords`` of a zero p-vector, the input of a derived restricted
+    oracle.  ``C @ x`` multiplies z by ``C[:, coords]``, sliced once per
+    constant C and kept here; every other use sees the dense vector, on
+    the tape through one ``scatter`` node emitted at the first such use."""
 
     __slots__ = ("coords", "p", "_columns")
 
     def __init__(self, coords, p):
-        self.coords, self.p, self._columns = coords, p, {}
+        self.coords = coords
+        self.p = p
+        self._columns = {}
 
     def dense(self, z):
         x = np.zeros(self.p)
         x[self.coords] = z
         return x
 
+    def placed(self, z):
+        x = self.dense(z).view(_PlacedArray)
+        x.at = self
+        x.z = z
+        return x
+
     def columns(self, C):
         hit = self._columns.get(id(C))
-        if hit is None or hit[0] is not C:
-            matrix = np.ndim(C) == 2 and np.shape(C)[1] == self.p
-            hit = (C, _const(C)[:, self.coords] if matrix else None)
-            if matrix and len(self._columns) < 4:  # the entry holds C, so its id stays valid
-                self._columns[id(C)] = hit
-        return hit[1]
+        if hit is not None and hit[0] is C:
+            return hit[1]
+        if np.ndim(C) != 2 or np.shape(C)[1] != self.p:
+            return None
+        cols = _const(C)[:, self.coords]
+        if len(self._columns) < 4:  # the entry holds C, so its id stays valid
+            self._columns[id(C)] = (C, cols)
+        return cols
 
 
-class _PlacedArray:
-    # plain-path input; ndarray operators defer to it, so C @ x reaches __rmatmul__
-    __slots__ = ("at", "z", "_dense")
-    __array_priority__ = 1e3
-
-    def __init__(self, at, z):
-        self.at, self.z, self._dense = at, z, None
-
-    def __array__(self, dtype=None, copy=None):
-        if self._dense is None:
-            self._dense = self.at.dense(self.z)
-        return np.array(self._dense, dtype=dtype, copy=copy)
+class _PlacedArray(np.ndarray):
+    """The dense placed input on the plain path.  ``C @ x`` reaches
+    ``__rmatmul__`` because Python tries a subclass's reflected operator
+    first; every other operation sees, and returns, plain ndarrays."""
 
     def __rmatmul__(self, other):
         cols = self.at.columns(other)
-        return np.asarray(self).__rmatmul__(other) if cols is None else cols @ self.z
+        if cols is None:
+            return other @ _plain(self)
+        return cols @ self.z
+
+    def __getitem__(self, sel):
+        return _plain(self)[sel]
+
+    def __array_ufunc__(self, ufunc, method, *args, out=None, **kwargs):
+        if out is not None:
+            kwargs["out"] = tuple(map(_plain, out))
+        return getattr(ufunc, method)(*map(_plain, args), **kwargs)
 
 
-for _op in "add radd sub rsub mul rmul truediv rtruediv pow neg abs matmul getitem".split():
-    setattr(_PlacedArray, f"__{_op}__",
-            lambda self, *args, _op=f"__{_op}__": getattr(np.asarray(self), _op)(*args))
+def _plain(a):
+    return a.view(np.ndarray) if isinstance(a, _PlacedArray) else a
 
 
 class _PlacedVar(Var):
-    # tape input over the input variable z; other uses read one scatter node
+    """The placed input on the tape, over the input variable z; every use
+    other than ``C @ x`` reads one ``scatter`` node."""
+
     __slots__ = ("at", "z", "_dense")
 
     def __init__(self, at, z):
-        self.tape, self.at, self.z, self._dense = z.tape, at, z, None
+        self.tape = z.tape
+        self.at = at
+        self.z = z
+        self._dense = None
 
     def _densify(self):
         if self._dense is None:
@@ -513,8 +530,13 @@ class _PlacedVar(Var):
                                          self.at.dense(self.z.val))
         return self._dense
 
-    idx = property(lambda self: self._densify().idx)
-    val = property(lambda self: self._densify().val)
+    @property
+    def idx(self):
+        return self._densify().idx
+
+    @property
+    def val(self):
+        return self._densify().val
 
     def __rmatmul__(self, other):
         cols = self.at.columns(other)
@@ -524,7 +546,7 @@ class _PlacedVar(Var):
 def _derived_restriction(program, p, scale, coords):
     at = _Placement(coords, p)
     return build_objective(
-        lambda z: program((_PlacedVar if isinstance(z, Var) else _PlacedArray)(at, z)),
+        lambda z: program(_PlacedVar(at, z) if isinstance(z, Var) else at.placed(z)),
         len(coords), scale=scale, probe=False)
 
 
@@ -574,8 +596,11 @@ class ObjectiveOracle:
         return self._vag(self._coerce(theta))
 
     def restricted(self, coords):
-        """Oracle over the distinct in-range ``coords``; raises ValueError otherwise."""
-        coords = np.array(coords, dtype=int)
+        """Oracle over distinct in-range integer ``coords``; raises ValueError otherwise."""
+        given = np.asarray(coords)
+        if given.size and given.dtype.kind not in "iu":
+            raise ValueError("restricted coordinates must be integers")
+        coords = given.astype(int)
         listed = coords.tolist()
         if coords.ndim != 1 or len(set(listed)) != len(listed):
             raise ValueError("restricted coordinates must be distinct, in a 1-D array")

@@ -330,9 +330,11 @@ def objective(dataset):
     X, y = dataset.X, dataset.y
     if dataset.kind == "ising":
         program_for = _ising_objective(X)
-        return build_objective(program_for(None), dataset.p, scale="nll",
-                               restrict=lambda coords: build_objective(
-                                   program_for(coords), len(coords), scale="nll", probe=False))
+
+        def restrict(coords):
+            return build_objective(program_for(coords), len(coords), scale="nll", probe=False)
+
+        return build_objective(program_for(None), dataset.p, scale="nll", restrict=restrict)
     if dataset.kind == "logistic":
         def nll(theta):
             t = X @ theta

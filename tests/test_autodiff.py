@@ -334,7 +334,7 @@ def test_derived_restriction_matches_zero_padding_on_random_programs(case, data)
 
 
 _C = np.arange(12.0).reshape(3, 4) / 10.0
-_RAW_USES = {  # each program applies one operation straight to its input
+_RAW_USES = {  # each program applies one operation straight to its input, or to it twice
     "add": lambda th: sco.sqnorm(th + 1.0),
     "radd": lambda th: sco.sqnorm(1.0 + th),
     "sub": lambda th: sco.sqnorm(th - 0.5),
@@ -357,6 +357,11 @@ _RAW_USES = {  # each program applies one operation straight to its input
     "vsum": lambda th: sco.vsum(th),
     "dot": lambda th: sco.dot(np.arange(4.0), th),
     "norm": lambda th: sco.norm(th),
+    "input@input": lambda th: th @ th,
+    "input*input": lambda th: sco.vsum(th * th),
+    "input+input": lambda th: sco.sqnorm(th + th),
+    "input-input": lambda th: sco.sqnorm(th - th) + sco.vsum(th),
+    "input/input": lambda th: sco.vsum((th + 3.0) / (th * th + 1.0)),
 }
 
 

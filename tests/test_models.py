@@ -183,10 +183,12 @@ def test_ising_restriction_rejects_repeated_edges():
 
 @pytest.mark.parametrize("coords, match", [([3, 3], "distinct"), ([0, 4, 0], "distinct"),
                                            ([2, -1], "lie in"), ([0, 10**6], "lie in"),
-                                           ([[0, 1]], "1-D")])
+                                           ([[0, 1]], "1-D"), ([1.5, 2], "integers"),
+                                           ([1.0, 2.0], "integers"), ([True, False], "integers")])
 @pytest.mark.parametrize("kind", [*models.KINDS, *USER_PROGRAMS, "opaque"])
 def test_restricted_rejects_bad_coordinates(kind, coords, match):
-    # a repeated column would be counted twice, an out-of-range one wrap around
+    # a repeated column would be counted twice, an out-of-range one wrap around,
+    # a fractional one be cut down and a boolean mask be read as 0/1 indices
     oracle = _ORACLES[kind]
     with pytest.raises(ValueError, match=match):
         oracle.restricted(coords)
