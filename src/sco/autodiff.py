@@ -431,7 +431,7 @@ def _backward(tape, root, p):
     return np.asarray(g, dtype=float)
 
 
-def _tape_eval(program, theta, p):
+def _tape_eval(program, theta, p, grad=True):
     tape = Tape()
     out = program(tape.input(theta))
     if isinstance(out, Var):
@@ -442,21 +442,22 @@ def _tape_eval(program, theta, p):
         value = float(out.val)
         if not np.isfinite(value):
             raise EvaluationError("non-finite objective value", node=out.idx)
-        grad = _backward(tape, out.idx, p)
-        if not np.all(np.isfinite(grad)):
+        if not grad:
+            return value
+        g = _backward(tape, out.idx, p)
+        if not np.all(np.isfinite(g)):
             raise EvaluationError("non-finite gradient", node=out.idx)
-        return value, grad
+        return value, g
     if isinstance(out, numbers.Real):
         # program ignored its argument: constant objective, zero gradient
-        return float(out), np.zeros(p)
+        return (float(out), np.zeros(p)) if grad else float(out)
     raise ProgramError("program must return a scalar")
 
 
 class _Placement:
     """z at ``coords`` of a zero p-vector, the input of a derived restricted
     oracle.  ``C @ x`` multiplies z by ``C[:, coords]``, sliced once per
-    constant C and kept here; every other use sees the dense vector, on
-    the tape through one ``scatter`` node emitted at the first such use."""
+    constant C and kept here; :meth:`dense` builds the dense vector."""
 
     __slots__ = ("coords", "p", "_columns")
 
@@ -468,12 +469,6 @@ class _Placement:
     def dense(self, z):
         x = np.zeros(self.p)
         x[self.coords] = z
-        return x
-
-    def placed(self, z):
-        x = self.dense(z).view(_PlacedArray)
-        x.at = self
-        x.z = z
         return x
 
     def columns(self, C):
@@ -488,33 +483,10 @@ class _Placement:
         return cols
 
 
-class _PlacedArray(np.ndarray):
-    """The dense placed input on the plain path.  ``C @ x`` reaches
-    ``__rmatmul__`` because Python tries a subclass's reflected operator
-    first; every other operation sees, and returns, plain ndarrays."""
-
-    def __rmatmul__(self, other):
-        cols = self.at.columns(other)
-        if cols is None:
-            return other @ _plain(self)
-        return cols @ self.z
-
-    def __getitem__(self, sel):
-        return _plain(self)[sel]
-
-    def __array_ufunc__(self, ufunc, method, *args, out=None, **kwargs):
-        if out is not None:
-            kwargs["out"] = tuple(map(_plain, out))
-        return getattr(ufunc, method)(*map(_plain, args), **kwargs)
-
-
-def _plain(a):
-    return a.view(np.ndarray) if isinstance(a, _PlacedArray) else a
-
-
 class _PlacedVar(Var):
-    """The placed input on the tape, over the input variable z; every use
-    other than ``C @ x`` reads one ``scatter`` node."""
+    """The placed input on the tape, over the input variable z.  ``C @ x``
+    records one product with ``C[:, coords]``; every other use reads one
+    ``scatter`` node, emitted at the first such use."""
 
     __slots__ = ("at", "z", "_dense")
 
@@ -545,9 +517,14 @@ class _PlacedVar(Var):
 
 def _derived_restriction(program, p, scale, coords):
     at = _Placement(coords, p)
-    return build_objective(
-        lambda z: program(_PlacedVar(at, z) if isinstance(z, Var) else at.placed(z)),
-        len(coords), scale=scale, probe=False)
+    k = len(coords)
+
+    def placed(z):
+        return program(_PlacedVar(at, z))
+
+    return ObjectiveOracle(k, partial(_recorded, placed, k, False),
+                           partial(_recorded, placed, k, True), scale=scale,
+                           restrict=partial(_derived_restriction, placed, k, scale))
 
 
 def _zero_padded(oracle, coords):
@@ -563,6 +540,15 @@ def _zero_padded(oracle, coords):
 
 
 # -- oracle -----------------------------------------------------------------
+
+
+def _integer_indices(values, what):
+    # an index array is cast to int only when it holds integers: a fractional
+    # index would be cut down and a boolean mask read as 0/1 indices
+    given = np.asarray(values)
+    if given.size and given.dtype.kind not in "iu":
+        raise ValueError(f"{what} must be integers")
+    return given.astype(int)
 
 
 class ObjectiveOracle:
@@ -597,10 +583,7 @@ class ObjectiveOracle:
 
     def restricted(self, coords):
         """Oracle over distinct in-range integer ``coords``; raises ValueError otherwise."""
-        given = np.asarray(coords)
-        if given.size and given.dtype.kind not in "iu":
-            raise ValueError("restricted coordinates must be integers")
-        coords = given.astype(int)
+        coords = _integer_indices(coords, "restricted coordinates")
         listed = coords.tolist()
         if coords.ndim != 1 or len(set(listed)) != len(listed):
             raise ValueError("restricted coordinates must be distinct, in a 1-D array")
@@ -627,6 +610,22 @@ class ObjectiveOracle:
 _ERRSTATE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
 
+def _guarded(fn, *args):
+    # floating-point faults surface as EvaluationError, type faults as ProgramError
+    try:
+        with np.errstate(**_ERRSTATE):
+            return fn(*args)
+    except FloatingPointError as e:
+        raise EvaluationError(f"non-finite value during evaluation: {e}") from e
+    except (TypeError, AttributeError) as e:
+        raise ProgramError(f"unsupported operation in objective program: {e}") from e
+
+
+def _recorded(program, dim, grad, theta):
+    # the value, and with grad the gradient, from one recorded evaluation
+    return _guarded(_tape_eval, program, theta, dim, grad)
+
+
 def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, probe=True):
     """Wrap a differentiable program into an :class:`ObjectiveOracle`.
 
@@ -644,6 +643,9 @@ def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, p
         over a coordinate subset (others pinned to zero).  By default it is
         derived, unprobed: the program runs on z placed at ``coords`` of a
         zero vector, where ``C @ theta`` costs O(n k) on ``C[:, coords]``.
+        The derived oracle always records a tape; its ``value`` skips the
+        backward sweep, so it raises :class:`EvaluationError` wherever
+        ``value_and_grad`` would, including where the gradient is undefined.
     gradient : callable, optional
         Analytic gradient; it bypasses the tape, and restriction then zero-pads.
     probe : bool
@@ -652,13 +654,7 @@ def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, p
     """
 
     def _value(theta):
-        try:
-            with np.errstate(**_ERRSTATE):
-                out = program(theta)
-        except FloatingPointError as e:
-            raise EvaluationError(f"non-finite value during evaluation: {e}") from e
-        except (TypeError, AttributeError) as e:
-            raise ProgramError(f"unsupported operation in objective program: {e}") from e
+        out = _guarded(program, theta)
         if np.ndim(out) != 0:
             raise ProgramError("objective must evaluate to a scalar")
         return float(out)
@@ -666,13 +662,7 @@ def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, p
     def _vag(theta):
         if gradient is not None:
             return _value(theta), np.asarray(gradient(theta), dtype=float)
-        try:
-            with np.errstate(**_ERRSTATE):
-                return _tape_eval(program, theta, dim)
-        except FloatingPointError as e:
-            raise EvaluationError(f"non-finite value during evaluation: {e}") from e
-        except (TypeError, AttributeError) as e:
-            raise ProgramError(f"unsupported operation in objective program: {e}") from e
+        return _recorded(program, dim, True, theta)
 
     if restrict is None and gradient is None:
         restrict = partial(_derived_restriction, program, dim, scale)

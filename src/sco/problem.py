@@ -11,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import ObjectiveOracle
+from .autodiff import EvaluationError, ObjectiveOracle, _integer_indices
 
 __all__ = [
     "SolverConfig",
@@ -271,21 +271,25 @@ def _lbfgs_direction(g, S, Y, R):
 
 
 _EPS = float(np.finfo(float).eps)
+_MEMORY = 10  # secant pairs kept
+_ARMIJO = 1e-4  # sufficient-decrease constant
+_MAX_HALVINGS = 50
 
 
-def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max_halvings=50):
+def _lbfgs(value_and_grad, x0, tol, max_iter):
     """Limited-memory secant updates with Armijo halving line search.
 
-    A trial is accepted on Armijo sufficient decrease together with a
-    strict decrease of f, or, within the precision floor (see
-    :func:`restricted_minimize`), on a smaller gradient infinity norm.
-    Trial points whose evaluation leaves the objective's domain count as
-    rejected trials.  Floor steps may raise f by rounding noise, so a
-    final value above the start's returns the start instead.  Returns a
-    :class:`RestrictedResult` over the coordinates of ``x0``.
+    Each trial costs one ``value_and_grad`` call, whose value and
+    gradient both decide it.  A trial is accepted on Armijo sufficient
+    decrease together with a strict decrease of f, or, within the
+    precision floor (see :func:`restricted_minimize`), on a smaller
+    gradient infinity norm.  A trial whose evaluation raises
+    :class:`EvaluationError` (it left the objective's domain, or its
+    gradient is undefined there) counts as rejected.  Floor steps may
+    raise f by rounding noise, so a final value above the start's
+    returns the start instead.  Returns a :class:`RestrictedResult` over
+    the coordinates of ``x0``.
     """
-    from .autodiff import EvaluationError
-
     x = x_start = np.array(x0, dtype=float)
     f, g = value_and_grad(x)
     f_start = f
@@ -311,21 +315,17 @@ def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max
             alpha = min(1.0, 1.0 / max(np.sqrt(-gtd), 1e-12))
         floor = 4.0 * _EPS * max(1.0, abs(f))
         step = None
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             x_new = x + alpha * d
             try:
-                ft = value(x_new)
+                ft, gt = value_and_grad(x_new)
             except EvaluationError:
                 ft = np.inf
-            if ft < f and ft <= f + armijo * alpha * gtd:
-                step = value_and_grad(x_new)
+            if ft < f and ft <= f + _ARMIJO * alpha * gtd:
+                step = ft, gt
                 break
             if abs(ft - f) <= floor:
                 # f cannot resolve this step: keep it if the gradient shrank
-                try:
-                    ft, gt = value_and_grad(x_new)
-                except EvaluationError:
-                    break
                 if float(np.max(np.abs(gt))) < grad_inf:
                     step = ft, gt
                 break
@@ -346,7 +346,7 @@ def _lbfgs(value, value_and_grad, x0, tol, max_iter, memory=10, armijo=1e-4, max
             S.append(s)
             Y.append(y)
             R.append(1.0 / sy)
-            if len(S) > memory:
+            if len(S) > _MEMORY:
                 S.pop(0)
                 Y.pop(0)
                 R.pop(0)
@@ -370,22 +370,26 @@ def restricted_minimize(problem, support, init=None, config=None):
     All other coordinates stay pinned at zero: f is the oracle's
     ``restricted`` oracle over the free coordinates.  Runs limited-memory
     quasi-Newton iterations (memory 10) with an Armijo backtracking line
-    search (sufficient-decrease constant 1e-4, halving steps), stopping
-    when the infinity norm of the gradient over the free coordinates drops
-    to ``config.inner_tol`` or after ``config.inner_max_iter`` iterations.
+    search (sufficient-decrease constant 1e-4, halving steps, one
+    ``value_and_grad`` call per trial), stopping when the infinity norm
+    of the gradient over the free coordinates drops to
+    ``config.inner_tol`` or after ``config.inner_max_iter`` iterations.
     It also stops at the precision floor ``4 eps max(1, |f|)``: a trial
     whose value lies within the floor of the current value is kept only
     if it lowers the gradient's infinity norm, and halving ends once the
-    predicted decrease falls below the floor (trials outside the
-    objective's domain keep halving, at most 50 times).  The result's
-    ``reason`` records which rule ended the search.
+    predicted decrease falls below the floor (trials whose evaluation
+    raises :class:`~sco.autodiff.EvaluationError` keep halving, at most
+    50 times).  The result's ``reason`` records which rule ended the
+    search.
 
-    ``init`` must be zero off the free coordinates; the search never
-    increases the objective relative to it.  Returns a
-    :class:`RestrictedResult` whose ``params`` is the full-length vector.
+    ``support`` holds integer coordinate indices; fractional or boolean
+    entries raise ValueError.  ``init`` must be zero off the free
+    coordinates; the search never increases the objective relative to
+    it.  Returns a :class:`RestrictedResult` whose ``params`` is the
+    full-length vector.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
-    support = np.asarray(support, dtype=int)
+    support = _integer_indices(support, "support indices")
     if len(support) and (support.min() < 0 or support.max() >= problem.p):
         raise ValueError("support indices out of range")
     free = np.union1d(support, problem.preselect).astype(int)
@@ -395,12 +399,9 @@ def restricted_minimize(problem, support, init=None, config=None):
         off[free] = False
         if np.any(init[off] != 0.0):
             raise ValueError("init must be zero off support and preselected coordinates")
-    if len(free) == 0:
-        x = np.zeros(problem.p)
-        return RestrictedResult(x, problem.oracle.value(x), 0.0, 0, True, None, "converged")
     sub = problem.oracle.restricted(free)
     x0 = init[free] if init is not None else np.zeros(len(free))
-    res = _lbfgs(sub.value, sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter)
+    res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter)
     params = np.zeros(problem.p)
     params[free] = res.params
     return replace(res, params=params)

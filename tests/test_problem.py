@@ -141,6 +141,27 @@ def test_restricted_minimize_rejects_bad_init():
         restricted_minimize(prob, [0, 1], bad)
 
 
+@pytest.mark.parametrize("support, match", [([1.9, 4.2], "integers"), ([1.0, 4.0], "integers"),
+                                            ([True, False, True], "integers"),
+                                            ([0, 12], "out of range"), ([-1, 2], "out of range")])
+def test_restricted_minimize_rejects_bad_support(support, match):
+    # a fractional index would be cut down and a boolean mask read as 0/1 indices
+    prob = models.build_problem(models.generate(models.ModelSpec("linear", 40, 12, 3, 5.0)))
+    with pytest.raises(ValueError, match=match):
+        restricted_minimize(prob, support)
+
+
+def test_restricted_minimize_where_the_gradient_is_undefined():
+    # the first trial lands on |theta| = 0, where sqrt has no derivative:
+    # the trial is rejected, not raised
+    oracle = build_objective(lambda th: sco.sqrt(th @ th), 2)
+    prob = ScoProblem(p=2, s=1, oracle=oracle)
+    res = restricted_minimize(prob, [0], np.array([1.0, 0.0]))
+    assert np.all(np.isfinite(res.params)) and np.isfinite(res.objective)
+    assert res.objective < 1.0
+    assert res.params[1] == 0.0
+
+
 def test_group_and_preselect_validation():
     rng = np.random.default_rng(9)
     X = rng.standard_normal((6, 4))
@@ -235,17 +256,21 @@ def test_restricted_minimize_reason(make, reason):
 
 def test_refit_value_calls_stay_low():
     """Refits near the precision floor must not pay for decreases f cannot
-    resolve; each halving costs one ``value`` call."""
+    resolve; each line-search trial costs one oracle call."""
     ds = models.generate(models.ModelSpec("logistic", 300, 40, 3, 0.5, seed=7))
     base = models.build_problem(ds)
-    counts = {"value": 0, "restrict": 0}
+    counts = {"value": 0, "value_and_grad": 0, "restrict": 0}
 
     def counting(oracle, restrict):
         def value(theta):
             counts["value"] += 1
             return oracle.value(theta)
 
-        return sco.ObjectiveOracle(oracle.dim, value, oracle.value_and_grad,
+        def value_and_grad(theta):
+            counts["value_and_grad"] += 1
+            return oracle.value_and_grad(theta)
+
+        return sco.ObjectiveOracle(oracle.dim, value, value_and_grad,
                                    scale=oracle.scale, restrict=restrict)
 
     def restrict(coords):
@@ -259,7 +284,8 @@ def test_refit_value_calls_stay_low():
     for support in supports:
         restricted_minimize(prob, support)
     assert counts["restrict"] == len(supports)
-    assert counts["value"] / len(supports) <= 15.0
+    calls = counts["value"] + counts["value_and_grad"]
+    assert calls / len(supports) <= 15.0, counts
 
 
 def _newton_logistic(X, y, steps=50):
