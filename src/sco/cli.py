@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 
 import numpy as np
 
@@ -70,9 +69,7 @@ def _cmd_demo(args):
 def _cmd_solve(args):
     dataset = models.generate(_make_spec(args))
     problem = models.build_problem(dataset, s=args.s)
-    t0 = time.perf_counter()
     sol = solve(args.solver, problem)
-    sol.runtime = time.perf_counter() - t0
     payload = _solution_json(sol, args.solver)
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)

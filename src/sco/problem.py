@@ -31,21 +31,20 @@ __all__ = [
 class SolverConfig:
     """Shared solver knobs.
 
-    ``step_size`` is the starting point of the backtracking gradient step
-    used by the thresholding solvers (None means backtrack from 1.0).
-    ``warm_start`` initializes the iterate / active set when given.
-    ``foba_backward_ratio`` is the fraction of the last forward gain below
-    which a backward deletion is accepted.
+    ``max_iter`` and ``tol`` bound and stop a solver's outer loop;
+    ``inner_max_iter`` and ``inner_tol`` do the same for each restricted
+    refit (see :func:`restricted_minimize`).  ``warm_start``, a length-p
+    vector, is a first candidate solution and seeds the solver's start
+    point or active set (see :func:`sco.solvers.solve`).  ``seed``
+    shuffles the folds of :func:`sco.selection.cross_validate`.
     """
 
     max_iter: int = 100
     tol: float = 1e-8
-    step_size: Optional[float] = None
     inner_max_iter: int = 100
     inner_tol: float = 1e-8
     seed: Optional[int] = None
     warm_start: Optional[np.ndarray] = None
-    foba_backward_ratio: float = 0.5
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -54,10 +53,6 @@ class SolverConfig:
             raise ValueError("inner_max_iter must be at least 1")
         if not self.tol > 0.0 or not self.inner_tol > 0.0:
             raise ValueError("tolerances must be positive")
-        if self.step_size is not None and not self.step_size > 0.0:
-            raise ValueError("step_size must be positive")
-        if not 0.0 <= self.foba_backward_ratio:
-            raise ValueError("foba_backward_ratio must be nonnegative")
         if self.warm_start is not None:
             object.__setattr__(self, "warm_start", np.asarray(self.warm_start, dtype=float))
 

@@ -12,7 +12,13 @@ scope     splicing: swap low-sacrifice actives for high-sacrifice
           inactives whenever that lowers the objective
 ========  ==========================================================
 
-All routines are pure functions of (problem, config): a shared immutable
+:func:`solve` is the one entry point.  It owns what the solvers share:
+the default config, the warm start, the clock, the trace, the restricted
+refits and the returned :class:`~sco.problem.ScoSolution`.  Each solver
+is a private rule that reads and updates one ``_Run`` and returns its
+iteration count and convergence flag.
+
+A solve is a pure function of (kind, problem, config): a shared immutable
 problem can be solved concurrently.  Every solver ends with a restricted
 refit of its final support and returns the best refit iterate it visited,
 so the reported objective is always attained by the reported parameters.
@@ -32,6 +38,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .autodiff import EvaluationError
 from .problem import (
     ScoProblem,
     ScoSolution,
@@ -42,9 +49,7 @@ from .problem import (
     top_units,
 )
 
-__all__ = ["SolverKind", "TraceEntry", "solve", "solve_forward", "solve_omp",
-           "solve_iht", "solve_htp", "solve_grasp", "solve_pdas", "solve_foba",
-           "solve_scope"]
+__all__ = ["SolverKind", "TraceEntry", "solve"]
 
 
 class SolverKind(str, enum.Enum):
@@ -61,33 +66,49 @@ class SolverKind(str, enum.Enum):
 TraceEntry = namedtuple("TraceEntry", ["iteration", "objective", "support_change"])
 
 _EMPTY = np.asarray([], dtype=int)
-
-
-def _mask_to(problem, x, units):
-    """Copy of x zeroed outside the given units plus preselection."""
-    keep = np.union1d(problem.view.coords_of(units), problem.preselect)
-    out = np.zeros(problem.p)
-    out[keep] = np.asarray(x, dtype=float)[keep]
-    return out
-
-
-def _refit(problem, units, init, config):
-    coords = problem.view.coords_of(np.asarray(units, dtype=int))
-    return restricted_minimize(problem, coords, init, config)
+_FOBA_BACKWARD_RATIO = 0.5  # share of the last forward gain a deletion may cost
 
 
 class _Run:
-    """Per-solve bookkeeping: wall clock, iteration trace, best refit seen."""
+    """One solve: its problem and config, the start point, the wall clock,
+    the iteration trace and the best candidate seen.
 
-    def __init__(self, problem):
+    ``start`` is the warm start as given (zero without one).  With a warm
+    start, ``warm`` holds its projection onto the budget as
+    ``(objective, params, units)``, which is offered as the first
+    candidate; otherwise ``warm`` is None.
+    """
+
+    def __init__(self, problem, cfg):
         self.problem = problem
+        self.cfg = cfg
         self.t0 = time.perf_counter()
         self.trace = []
         self.best = None  # (objective, params, units)
         self.prev_units = None
+        self.warm = None
+        if cfg.warm_start is None:
+            self.start = np.zeros(problem.p)
+            return
+        if cfg.warm_start.shape != (problem.p,):
+            raise ValueError("warm_start has the wrong shape")
+        self.start = cfg.warm_start
+        w = project_feasible(self.start, problem)
+        self.warm = (problem.oracle.value(w), w, problem.view.units_with_support(w))
+        self.offer(*self.warm)
 
-    def full_value(self, x):
-        return self.problem.oracle.value(x)
+    def mask(self, x, units):
+        """Copy of x zeroed outside the given units plus preselection, and
+        the coordinates it keeps."""
+        keep = np.union1d(self.problem.view.coords_of(units), self.problem.preselect)
+        out = np.zeros(self.problem.p)
+        out[keep] = x[keep]
+        return out, keep
+
+    def refit(self, units, x):
+        """Restricted refit over the units plus preselection, from x masked there."""
+        init, keep = self.mask(x, units)
+        return restricted_minimize(self.problem, keep, init, self.cfg)
 
     def offer(self, f, x, units):
         if self.best is None or f < self.best[0]:
@@ -112,7 +133,7 @@ class _Run:
         return ScoSolution(
             params=params,
             support=self.problem.view.coords_of(units),
-            objective=self.full_value(params),
+            objective=self.problem.oracle.value(params),
             iterations=iterations,
             converged=converged,
             runtime=time.perf_counter() - self.t0,
@@ -120,24 +141,7 @@ class _Run:
         )
 
 
-def _start_point(problem, config):
-    if config.warm_start is not None:
-        w = np.asarray(config.warm_start, dtype=float)
-        if w.shape != (problem.p,):
-            raise ValueError("warm_start has the wrong shape")
-        return w
-    return np.zeros(problem.p)
-
-
-def _offer_warm(run, problem, config):
-    # a warm start is itself a feasible candidate: never return worse
-    if config.warm_start is None:
-        return
-    w = project_feasible(np.asarray(config.warm_start, dtype=float), problem)
-    run.offer(run.full_value(w), w, problem.view.units_with_support(w))
-
-
-def _initial_units(problem, config):
+def _initial_units(run):
     """Size-s starting active set.
 
     Warm starts contribute their nonzero units (largest norms first); any
@@ -145,25 +149,24 @@ def _initial_units(problem, config):
     norms at the warm point.  Without a warm start this reduces to the
     top-s gradient units at the preselection-only minimizer.
     """
+    problem = run.problem
     view, s = problem.view, problem.s
-    w = config.warm_start
-    if w is not None:
-        norms = view.unit_norms(w)
+    if run.warm is not None:
+        norms = view.unit_norms(run.start)
         nz = np.flatnonzero(norms > 0.0)
         if len(nz) >= s:
             return top_units(norms, s)
-        x0 = _mask_to(problem, np.asarray(w, dtype=float), nz)
-        g = problem.oracle.gradient(x0)
+        g = problem.oracle.gradient(run.mask(run.start, nz)[0])
         gn = view.unit_norms(g)
         gn[nz] = -np.inf
         extra = top_units(gn, s - len(nz))
         return np.sort(np.concatenate([nz, extra]))
-    base = restricted_minimize(problem, _EMPTY, None, config)
+    base = run.refit(_EMPTY, run.start)
     g = problem.oracle.gradient(base.params)
     return top_units(view.unit_norms(g), s)
 
 
-def _greedy_add(problem, theta, active_mask, config):
+def _greedy_add(run, theta, active_mask):
     """Exact forward step: refit every inactive unit, keep the best one."""
     best_f = np.inf
     best_u = -1
@@ -171,41 +174,34 @@ def _greedy_add(problem, theta, active_mask, config):
     current = np.flatnonzero(active_mask)
     for u in np.flatnonzero(~active_mask):
         cand = np.sort(np.append(current, u))
-        init = _mask_to(problem, theta, cand)
-        res = _refit(problem, cand, init, config)
+        res = run.refit(cand, theta)
         if res.objective < best_f:
             best_f, best_u, best_res = res.objective, int(u), res
     return best_u, best_res
 
 
-def solve_forward(problem, config=None):
+def _forward(run):
     """Exact greedy forward selection: s rounds, each adding the inactive
     unit whose refit lowers the objective the most."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
-    _offer_warm(run, problem, cfg)
-    theta = _start_point(problem, cfg)
-    base = restricted_minimize(problem, _EMPTY, _mask_to(problem, theta, _EMPTY), cfg)
-    theta = base.params
+    problem = run.problem
+    theta = run.refit(_EMPTY, run.start).params
     active = np.zeros(problem.view.n_units, dtype=bool)
-    rounds = min(problem.s, cfg.max_iter)
+    rounds = min(problem.s, run.cfg.max_iter)
     for r in range(1, rounds + 1):
-        u, res = _greedy_add(problem, theta, active, cfg)
+        u, res = _greedy_add(run, theta, active)
         active[u] = True
         theta = res.params
         run.accept(r, res, np.flatnonzero(active))
-    return run.solution(iterations=rounds, converged=rounds == problem.s)
+    return rounds, rounds == problem.s
 
 
-def solve_omp(problem, config=None):
+def _omp(run):
     """Orthogonal matching pursuit: add the inactive unit with the largest
     gradient norm, then re-minimize over the enlarged support."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
-    _offer_warm(run, problem, cfg)
-    theta = _start_point(problem, cfg)
+    problem = run.problem
+    theta = run.start
     active = np.zeros(problem.view.n_units, dtype=bool)
-    rounds = min(problem.s, cfg.max_iter)
+    rounds = min(problem.s, run.cfg.max_iter)
     for r in range(1, rounds + 1):
         g = problem.oracle.gradient(theta)
         scores = problem.view.unit_norms(g)
@@ -213,21 +209,23 @@ def solve_omp(problem, config=None):
         u = int(np.argmax(scores))
         active[u] = True
         units = np.flatnonzero(active)
-        res = _refit(problem, units, _mask_to(problem, theta, units), cfg)
+        res = run.refit(units, theta)
         theta = res.params
         run.accept(r, res, units)
-    return run.solution(iterations=rounds, converged=rounds == problem.s)
+    return rounds, rounds == problem.s
 
 
-def _backtrack_threshold(problem, theta, f, g, cfg):
+def _backtrack_threshold(problem, theta, f, g):
     """Backtracked projected gradient step shared by iht and htp.
 
-    Halves the step until the hard-thresholded point satisfies an Armijo
-    decrease measured by the gradient restricted to the new support, or
-    gives up after 50 halvings.  Each trial is evaluated on its support;
-    consecutive trials on the same support share one restricted oracle.
+    Halves the step, from 1.0, until the hard-thresholded point satisfies
+    an Armijo decrease measured by the gradient restricted to the new
+    support, or gives up after 50 halvings.  Each trial is evaluated on
+    its support; consecutive trials on the same support share one
+    restricted oracle.  A trial whose evaluation raises
+    :class:`~sco.autodiff.EvaluationError` counts as rejected.
     """
-    eta = cfg.step_size if cfg.step_size is not None else 1.0
+    eta = 1.0
     view, oracle = problem.view, problem.oracle
     keep_prev = None
     for _ in range(51):
@@ -238,7 +236,10 @@ def _backtrack_threshold(problem, theta, f, g, cfg):
         point[keep] = trial[keep]
         if not np.array_equal(keep, keep_prev):
             keep_prev, sub = keep, oracle.restricted(keep)
-        f_trial = sub.value(trial[keep])
+        try:
+            f_trial = sub.value(trial[keep])
+        except EvaluationError:
+            f_trial = np.inf
         g_restricted = g[keep]
         if f_trial <= f - 1e-4 * eta * float(g_restricted @ g_restricted):
             return eta, units, point, f_trial
@@ -246,59 +247,45 @@ def _backtrack_threshold(problem, theta, f, g, cfg):
     return None
 
 
-def solve_iht(problem, config=None):
+def _iht(run):
     """Iterative hard thresholding: project the backtracked gradient step
     onto the budget; stop once the objective improvement falls below tol."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
-    theta = _start_point(problem, cfg)
-    if cfg.warm_start is not None:
-        theta = project_feasible(theta, problem)
-    f = run.full_value(theta)
-    units = problem.view.units_with_support(theta)
-    if cfg.warm_start is not None:
-        run.offer(f, theta, units)
+    problem = run.problem
+    f, theta, units = run.warm or (problem.oracle.value(run.start), run.start, _EMPTY)
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < run.cfg.max_iter:
         it += 1
         g = problem.oracle.gradient(theta)
-        step = _backtrack_threshold(problem, theta, f, g, cfg)
+        step = _backtrack_threshold(problem, theta, f, g)
         if step is None:
             break  # line search exhausted; keep the best iterate
         _, units_new, theta_new, f_new = step
         run.note(it, f_new, units_new)
         gap = abs(f - f_new)
         theta, f, units = theta_new, f_new, units_new
-        if gap <= cfg.tol:
+        if gap <= run.cfg.tol:
             converged = True
             break
     run.offer(f, theta, units)
-    res = _refit(problem, units, theta, cfg)
+    res = run.refit(units, theta)
     run.offer(res.objective, res.params, units)
-    return run.solution(iterations=it, converged=converged)
+    return it, converged
 
 
-def solve_htp(problem, config=None):
+def _htp(run):
     """Hard-thresholding pursuit: support from the backtracked projected
     gradient step, parameters from a full refit; stops when the support
     stabilizes (revisiting an older support counts as a failed cycle)."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
-    theta = _start_point(problem, cfg)
-    if cfg.warm_start is not None:
-        theta = project_feasible(theta, problem)
-    f = run.full_value(theta)
-    units = problem.view.units_with_support(theta)
-    if cfg.warm_start is not None:
-        run.offer(f, theta, units)
+    problem = run.problem
+    f, theta, units = run.warm or (problem.oracle.value(run.start), run.start, _EMPTY)
     visited = {units.tobytes()}
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < run.cfg.max_iter:
         it += 1
         g = problem.oracle.gradient(theta)
-        step = _backtrack_threshold(problem, theta, f, g, cfg)
+        step = _backtrack_threshold(problem, theta, f, g)
         if step is None:
             break
         _, units_new, point, _ = step
@@ -309,63 +296,56 @@ def solve_htp(problem, config=None):
         if key in visited:
             break  # support cycle: stop without claiming convergence
         visited.add(key)
-        res = _refit(problem, units_new, point, cfg)
+        res = run.refit(units_new, point)
         theta = res.params
         f = run.accept(it, res, units_new)
         units = units_new
     if run.best is None:  # never left the start: report its refit
-        res = _refit(problem, units, theta, cfg)
+        res = run.refit(units, theta)
         run.offer(res.objective, res.params, units)
-    return run.solution(iterations=it, converged=converged)
+    return it, converged
 
 
-def solve_grasp(problem, config=None):
+def _grasp(run):
     """Gradient support pursuit: merge the top-2s gradient units with the
     current support, refit, prune back to s units, then debias."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
+    problem = run.problem
     view = problem.view
-    theta = _start_point(problem, cfg)
-    if cfg.warm_start is not None:
-        theta = project_feasible(theta, problem)
-        run.offer(run.full_value(theta), theta, view.units_with_support(theta))
-    units = view.units_with_support(theta)
+    _, theta, units = run.warm or (None, run.start, _EMPTY)
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < run.cfg.max_iter:
         it += 1
         g = problem.oracle.gradient(theta)
         wide = top_units(view.unit_norms(g), min(2 * problem.s, view.n_units))
         merged = np.union1d(wide, units)
-        res_merged = _refit(problem, merged, _mask_to(problem, theta, merged), cfg)
+        res_merged = run.refit(merged, theta)
         units_new = hard_threshold(res_merged.params, problem.s, view)
-        res = _refit(problem, units_new, _mask_to(problem, res_merged.params, units_new), cfg)
+        res = run.refit(units_new, res_merged.params)
         theta = res.params
         run.accept(it, res, units_new)
         if np.array_equal(units_new, units):
             converged = True
             break
         units = units_new
-    return run.solution(iterations=it, converged=converged)
+    return it, converged
 
 
-def solve_pdas(problem, config=None):
+def _pdas(run):
     """Active-set fixed point: refit the active set, then rescore every
     unit (actives by coefficient norm, inactives by the last accepted
     line-search step times their gradient norm) and keep the top s."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
-    _offer_warm(run, problem, cfg)
+    problem = run.problem
     view = problem.view
-    units = _initial_units(problem, cfg)
-    theta = _mask_to(problem, _start_point(problem, cfg), units)
+    units = _initial_units(run)
+    theta = run.start
     visited = {units.tobytes()}
     eta = 1.0
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < run.cfg.max_iter:
         it += 1
-        res = _refit(problem, units, _mask_to(problem, theta, units), cfg)
+        res = run.refit(units, theta)
         theta = res.params
         if res.last_step is not None:
             eta = res.last_step
@@ -383,27 +363,24 @@ def solve_pdas(problem, config=None):
             break  # revisited an earlier active set: cycle, stop
         visited.add(key)
         units = units_new
-    return run.solution(iterations=it, converged=converged)
+    return it, converged
 
 
-def solve_foba(problem, config=None):
+def _foba(run):
     """Forward-backward greedy: exact forward steps recording their gain,
     then backward deletions accepted while the objective increase stays
-    below ``foba_backward_ratio`` times the last forward gain.  The trace
-    records one entry per forward round, net of its backward deletions."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
-    _offer_warm(run, problem, cfg)
-    theta = _start_point(problem, cfg)
-    base = restricted_minimize(problem, _EMPTY, _mask_to(problem, theta, _EMPTY), cfg)
+    below half the last forward gain.  The trace records one entry per
+    forward round, net of its backward deletions."""
+    problem = run.problem
+    base = run.refit(_EMPTY, run.start)
     theta = base.params
     f_cur = run.offer(base.objective, theta, _EMPTY)
     active = np.zeros(problem.view.n_units, dtype=bool)
     delta_last = None
     rounds = 0
-    while int(active.sum()) < problem.s and rounds < cfg.max_iter:
+    while int(active.sum()) < problem.s and rounds < run.cfg.max_iter:
         rounds += 1
-        u, res = _greedy_add(problem, theta, active, cfg)
+        u, res = _greedy_add(run, theta, active)
         active[u] = True
         theta = res.params
         f_new = run.offer(res.objective, theta, np.flatnonzero(active))
@@ -414,39 +391,34 @@ def solve_foba(problem, config=None):
             units = np.flatnonzero(active)
             best_inc, best_u, best_res = np.inf, -1, None
             for v in units:
-                reduced = units[units != v]
-                res_v = _refit(problem, reduced, _mask_to(problem, theta, reduced), cfg)
+                res_v = run.refit(units[units != v], theta)
                 if res_v.objective - f_cur < best_inc:
                     best_inc = res_v.objective - f_cur
                     best_u, best_res = int(v), res_v
-            if best_inc > cfg.foba_backward_ratio * delta_last:
+            if best_inc > _FOBA_BACKWARD_RATIO * delta_last:
                 break
             active[best_u] = False
             theta = best_res.params
             f_cur = run.offer(best_res.objective, theta, np.flatnonzero(active))
         run.note(rounds, f_cur, np.flatnonzero(active))
-    done = int(active.sum()) == problem.s or not (~active).any()
-    return run.solution(iterations=rounds, converged=done)
+    return rounds, int(active.sum()) == problem.s or not (~active).any()
 
 
-def solve_scope(problem, config=None):
+def _scope(run):
     """Splicing: starting from a size-s active set, repeatedly swap the k
     lowest-sacrifice active units (squared coefficient norm) for the k
     highest-sacrifice inactive units (squared gradient norm), k counting
     down from s, accepting the first swap that beats the current objective
     by more than tol; stop when no swap size helps."""
-    cfg = config if config is not None else SolverConfig()
-    run = _Run(problem)
-    _offer_warm(run, problem, cfg)
+    problem = run.problem
     view = problem.view
-    units = _initial_units(problem, cfg)
-    init = _mask_to(problem, _start_point(problem, cfg), units)
-    res = _refit(problem, units, init, cfg)
+    units = _initial_units(run)
+    res = run.refit(units, run.start)
     theta = res.params
     f_cur = run.accept(0, res, units)
     converged = False
     it = 0
-    while it < cfg.max_iter:
+    while it < run.cfg.max_iter:
         it += 1
         g = problem.oracle.gradient(theta)
         coef_sac = np.square(view.unit_norms(theta))
@@ -458,8 +430,8 @@ def solve_scope(problem, config=None):
         improved = False
         for k in range(k_max, 0, -1):
             cand = np.sort(np.concatenate([np.setdiff1d(units, drop_order[:k]), add_order[:k]]))
-            res = _refit(problem, cand, _mask_to(problem, theta, cand), cfg)
-            if res.objective < f_cur - cfg.tol:
+            res = run.refit(cand, theta)
+            if res.objective < f_cur - run.cfg.tol:
                 units = cand
                 theta = res.params
                 f_cur = run.accept(it, res, units)
@@ -468,18 +440,18 @@ def solve_scope(problem, config=None):
         if not improved:
             converged = True
             break
-    return run.solution(iterations=it, converged=converged)
+    return it, converged
 
 
 _REGISTRY = {
-    SolverKind.FORWARD: solve_forward,
-    SolverKind.OMP: solve_omp,
-    SolverKind.IHT: solve_iht,
-    SolverKind.HTP: solve_htp,
-    SolverKind.GRASP: solve_grasp,
-    SolverKind.PDAS: solve_pdas,
-    SolverKind.FOBA: solve_foba,
-    SolverKind.SCOPE: solve_scope,
+    SolverKind.FORWARD: _forward,
+    SolverKind.OMP: _omp,
+    SolverKind.IHT: _iht,
+    SolverKind.HTP: _htp,
+    SolverKind.GRASP: _grasp,
+    SolverKind.PDAS: _pdas,
+    SolverKind.FOBA: _foba,
+    SolverKind.SCOPE: _scope,
 }
 
 
@@ -492,15 +464,27 @@ def solve(kind, problem, config=None):
         One of forward, omp, iht, htp, grasp, pdas, foba, scope.
     problem : ScoProblem
     config : SolverConfig, optional
+        ``warm_start``, when given, must have shape ``(p,)``.  Its
+        projection onto the budget (the top-s units plus preselection) is
+        the first candidate solution, so a warm-started solve never
+        returns a higher objective than that projection.  It also seeds
+        the solver: iht, htp and grasp start from the projection; omp
+        takes its first gradient at the warm start itself; forward and
+        foba start their empty-support refit from its preselected
+        coordinates; pdas and scope take its nonzero units (filled up by
+        gradient norms) as their first active set.
 
     Returns
     -------
     ScoSolution
         Parameters are exactly zero off the selected units plus
         preselection; at most s units are selected; the stored objective
-        equals a fresh oracle evaluation of the parameters.
+        equals a fresh oracle evaluation of the parameters; ``runtime``
+        is the solve's wall time.
     """
-    routine = _REGISTRY[SolverKind(kind)]
+    rule = _REGISTRY[SolverKind(kind)]
     if not isinstance(problem, ScoProblem):
         raise TypeError("problem must be a ScoProblem")
-    return routine(problem, config)
+    run = _Run(problem, config if config is not None else SolverConfig())
+    iterations, converged = rule(run)
+    return run.solution(iterations, converged)

@@ -212,7 +212,7 @@ def test_config_validation():
         SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SolverConfig(step_size=-1.0)
 
 

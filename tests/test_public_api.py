@@ -3,13 +3,15 @@
 import pytest
 
 import sco
-from sco import autodiff, models, selection
+from sco import autodiff, models, selection, solvers
 
 REMOVED = {
     sco: ("oracle_from_functions", "cross_validation"),
     autodiff: ("oracle_from_functions",),
     selection: ("cross_validation",),
     models: ("objective_linear", "objective_logistic", "objective_trend", "objective_ising"),
+    solvers: ("solve_forward", "solve_omp", "solve_iht", "solve_htp", "solve_grasp",
+              "solve_pdas", "solve_foba", "solve_scope"),
 }
 
 

@@ -271,8 +271,7 @@ def test_backtracking_reuses_restricted_oracle(monkeypatch):
     for _ in range(5):
         restricts.clear()
         supports.clear()
-        _, _, theta, f = solvers._backtrack_threshold(prob, theta, f, oracle.gradient(theta),
-                                                      SolverConfig())
+        _, _, theta, f = solvers._backtrack_threshold(prob, theta, f, oracle.gradient(theta))
         runs = [b for a, b in zip([None] + supports, supports) if not np.array_equal(a, b)]
         assert len(restricts) == len(runs)
         assert all(np.array_equal(c, u) for c, u in zip(restricts, runs))
@@ -319,3 +318,18 @@ def test_solve_rejects_bad_input():
         solve("nonsense", None)
     with pytest.raises(TypeError):
         solve("omp", "not a problem")
+    prob = models.build_problem(models.generate(SMALL["linear"]))
+    short = SolverConfig(warm_start=np.ones(prob.p - 1))
+    for kind in ALL_KINDS:
+        with pytest.raises(ValueError, match="warm_start has the wrong shape"):
+            solve(kind, prob, short)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_trials_outside_the_domain_are_rejected(kind):
+    """A line-search trial outside the objective's domain halves the step,
+    in iht and htp as in the refit, so every solver returns a valid
+    solution."""
+    oracle = build_objective(lambda th: sco.vsum(th) + sco.log(1.0 - sco.sqnorm(th)), 4)
+    prob = ScoProblem(p=4, s=2, oracle=oracle)
+    validate_solution(prob, solve(kind, prob))
