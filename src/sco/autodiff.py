@@ -13,10 +13,11 @@ with a variable vector or matrix accept any of them; :func:`sqnorm`,
 :func:`norm`, :func:`cumsum`, ``V @ c`` with a constant ``c`` and boolean
 masks stay vector-only and raise :class:`ProgramError` on a matrix.
 
-Calling the program with a plain numpy array evaluates it directly.
-Calling it with a :class:`Var` records a tape; one reverse sweep over the
-tape then yields the full gradient at a small constant multiple of the cost
-of one evaluation, which is what makes high-dimensional solves viable.
+Every oracle built from a program evaluates it on a tape: the program is
+called with a :class:`Var` and records its operations.  ``value`` stops at
+the recorded root; one reverse sweep over the tape then yields the full
+gradient at a small constant multiple of the cost of one evaluation, which
+is what makes high-dimensional solves viable.
 Tape nodes are append-only and reference only earlier nodes, so a single
 backward pass visits each node exactly once.
 """
@@ -257,8 +258,8 @@ class Var:
 
 
 # -- supported elementwise / reduction functions ---------------------------
-# Each dispatches on Var vs plain input so the same program serves both the
-# fast value path and the recorded gradient path with identical arithmetic.
+# Each records a node for a Var; a plain input is a constant (say ``log(w)``
+# of a fixed weight vector) and is evaluated directly.
 
 
 def exp(x):
@@ -431,7 +432,7 @@ def _backward(tape, root, p):
     return np.asarray(g, dtype=float)
 
 
-def _tape_eval(program, theta, p, grad=True):
+def _tape_eval(program, theta, p, grad):
     tape = Tape()
     out = program(tape.input(theta))
     if isinstance(out, Var):
@@ -517,14 +518,11 @@ class _PlacedVar(Var):
 
 def _derived_restriction(program, p, scale, coords):
     at = _Placement(coords, p)
-    k = len(coords)
 
     def placed(z):
         return program(_PlacedVar(at, z))
 
-    return ObjectiveOracle(k, partial(_recorded, placed, k, False),
-                           partial(_recorded, placed, k, True), scale=scale,
-                           restrict=partial(_derived_restriction, placed, k, scale))
+    return _program_oracle(placed, len(coords), scale)
 
 
 def _zero_padded(oracle, coords):
@@ -610,30 +608,42 @@ class ObjectiveOracle:
 _ERRSTATE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 
 
-def _guarded(fn, *args):
+def _recorded(program, dim, grad, theta):
+    # the value, and with grad the gradient, from one recorded evaluation;
     # floating-point faults surface as EvaluationError, type faults as ProgramError
     try:
         with np.errstate(**_ERRSTATE):
-            return fn(*args)
+            return _tape_eval(program, theta, dim, grad)
     except FloatingPointError as e:
         raise EvaluationError(f"non-finite value during evaluation: {e}") from e
     except (TypeError, AttributeError) as e:
         raise ProgramError(f"unsupported operation in objective program: {e}") from e
 
 
-def _recorded(program, dim, grad, theta):
-    # the value, and with grad the gradient, from one recorded evaluation
-    return _guarded(_tape_eval, program, theta, dim, grad)
+def _program_oracle(program, dim, scale, restrict=None):
+    # the one constructor of program oracles: full, derived restricted and nested
+    if restrict is None:
+        restrict = partial(_derived_restriction, program, dim, scale)
+    return ObjectiveOracle(dim, partial(_recorded, program, dim, False),
+                           partial(_recorded, program, dim, True), scale=scale,
+                           restrict=restrict)
 
 
-def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, probe=True):
+def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
     """Wrap a differentiable program into an :class:`ObjectiveOracle`.
+
+    Every evaluation records the program on a fresh tape; ``value`` skips
+    the backward sweep.  So ``value`` raises :class:`EvaluationError`
+    exactly where ``value_and_grad`` would, including where only the
+    gradient is undefined (``sqrt`` at 0), on the full oracle and on every
+    restricted one alike.  An analytic gradient is supplied by building
+    ``ObjectiveOracle(dim, f, lambda th: (f(th), g(th)))`` directly.
 
     Parameters
     ----------
     program : callable
-        Maps the parameter vector (a plain array or a :class:`Var`) to a
-        scalar using the supported operation set.
+        Maps the parameter vector, received as a :class:`Var`, to a scalar
+        using the supported operation set.
     dim : int
         Parameter dimension p.
     scale : {"rss", "nll", None}
@@ -643,30 +653,11 @@ def build_objective(program, dim, *, scale=None, restrict=None, gradient=None, p
         over a coordinate subset (others pinned to zero).  By default it is
         derived, unprobed: the program runs on z placed at ``coords`` of a
         zero vector, where ``C @ theta`` costs O(n k) on ``C[:, coords]``.
-        The derived oracle always records a tape; its ``value`` skips the
-        backward sweep, so it raises :class:`EvaluationError` wherever
-        ``value_and_grad`` would, including where the gradient is undefined.
-    gradient : callable, optional
-        Analytic gradient; it bypasses the tape, and restriction then zero-pads.
     probe : bool
         Run one recorded evaluation up front so unsupported operations
         surface as a construction error rather than at solve time.
     """
-
-    def _value(theta):
-        out = _guarded(program, theta)
-        if np.ndim(out) != 0:
-            raise ProgramError("objective must evaluate to a scalar")
-        return float(out)
-
-    def _vag(theta):
-        if gradient is not None:
-            return _value(theta), np.asarray(gradient(theta), dtype=float)
-        return _recorded(program, dim, True, theta)
-
-    if restrict is None and gradient is None:
-        restrict = partial(_derived_restriction, program, dim, scale)
-    oracle = ObjectiveOracle(dim, _value, _vag, scale=scale, restrict=restrict)
+    oracle = _program_oracle(program, dim, scale, restrict)
     if probe:
         try:
             oracle.value_and_grad(np.full(dim, 0.5))

@@ -174,6 +174,14 @@ class ScoProblem:
     def selectable_units(self):
         return self.view.n_units
 
+    def mask(self, x, units):
+        """Copy of x zeroed outside the given units plus preselection, and
+        the coordinates it keeps."""
+        keep = np.union1d(self.view.coords_of(units), self.preselect)
+        out = np.zeros(self.p)
+        out[keep] = x[keep]
+        return out, keep
+
 
 @dataclass(eq=False)
 class ScoSolution:
@@ -239,11 +247,9 @@ def hard_threshold(v, s, view):
 def project_feasible(v, problem):
     """Zero every coordinate outside the top-s units plus preselection."""
     v = np.asarray(v, dtype=float)
-    units = hard_threshold(v, problem.s, problem.view)
-    keep = np.union1d(problem.view.coords_of(units), problem.preselect)
-    out = np.zeros_like(v)
-    out[keep] = v[keep]
-    return out
+    if v.shape != (problem.p,):
+        raise ValueError(f"expected a vector of shape ({problem.p},), got {v.shape}")
+    return problem.mask(v, hard_threshold(v, problem.s, problem.view))[0]
 
 
 _DEFAULT_CONFIG = SolverConfig()

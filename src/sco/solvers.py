@@ -97,17 +97,9 @@ class _Run:
         self.warm = (problem.oracle.value(w), w, problem.view.units_with_support(w))
         self.offer(*self.warm)
 
-    def mask(self, x, units):
-        """Copy of x zeroed outside the given units plus preselection, and
-        the coordinates it keeps."""
-        keep = np.union1d(self.problem.view.coords_of(units), self.problem.preselect)
-        out = np.zeros(self.problem.p)
-        out[keep] = x[keep]
-        return out, keep
-
     def refit(self, units, x):
         """Restricted refit over the units plus preselection, from x masked there."""
-        init, keep = self.mask(x, units)
+        init, keep = self.problem.mask(x, units)
         return restricted_minimize(self.problem, keep, init, self.cfg)
 
     def offer(self, f, x, units):
@@ -156,7 +148,7 @@ def _initial_units(run):
         nz = np.flatnonzero(norms > 0.0)
         if len(nz) >= s:
             return top_units(norms, s)
-        g = problem.oracle.gradient(run.mask(run.start, nz)[0])
+        g = problem.oracle.gradient(problem.mask(run.start, nz)[0])
         gn = view.unit_norms(g)
         gn[nz] = -np.inf
         extra = top_units(gn, s - len(nz))
@@ -226,18 +218,15 @@ def _backtrack_threshold(problem, theta, f, g):
     :class:`~sco.autodiff.EvaluationError` counts as rejected.
     """
     eta = 1.0
-    view, oracle = problem.view, problem.oracle
     keep_prev = None
     for _ in range(51):
         trial = theta - eta * g
-        units = hard_threshold(trial, problem.s, view)
-        keep = np.union1d(view.coords_of(units), problem.preselect)
-        point = np.zeros(problem.p)
-        point[keep] = trial[keep]
+        units = hard_threshold(trial, problem.s, problem.view)
+        point, keep = problem.mask(trial, units)
         if not np.array_equal(keep, keep_prev):
-            keep_prev, sub = keep, oracle.restricted(keep)
+            keep_prev, sub = keep, problem.oracle.restricted(keep)
         try:
-            f_trial = sub.value(trial[keep])
+            f_trial = sub.value(point[keep])
         except EvaluationError:
             f_trial = np.inf
         g_restricted = g[keep]

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sco
-from sco.autodiff import EvaluationError, ProgramError, build_objective, fd_gradient
+from sco.autodiff import (
+    EvaluationError,
+    ObjectiveOracle,
+    ProgramError,
+    build_objective,
+    fd_gradient,
+)
 
 
 def _fd_close(oracle, theta, rtol=1e-6):
@@ -77,7 +83,7 @@ def test_tape_replay_is_bit_identical():
     v2, g2 = f.value_and_grad(theta)
     assert v1 == v2
     assert np.array_equal(g1, g2)
-    # plain-path value matches the recorded value exactly too
+    # value is the same recording without the backward sweep
     assert f.value(theta) == v1
 
 
@@ -160,18 +166,40 @@ def test_abs_subgradient_zero_at_zero():
 
 
 def test_analytic_gradient_bypass():
+    # an analytic gradient is supplied as an oracle built from opaque functions
     rng = np.random.default_rng(1)
     X = rng.standard_normal((7, 3))
     y = rng.standard_normal(7)
-    oracle = build_objective(
-        lambda th: 0.5 * float(np.sum((y - X @ th) ** 2)),
-        3,
-        scale="rss",
-        gradient=lambda th: X.T @ (X @ th - y),
-    )
+
+    def value(th):
+        return 0.5 * float(np.sum((y - X @ th) ** 2))
+
+    def value_and_grad(th):
+        return value(th), X.T @ (X @ th - y)
+
+    oracle = ObjectiveOracle(3, value, value_and_grad, scale="rss")
     theta = rng.standard_normal(3)
     fd = fd_gradient(oracle, theta)
     assert np.max(np.abs(oracle.gradient(theta) - fd)) <= 1e-5
+    # its restriction zero-pads: the full oracle at z embedded, the gradient on coords
+    coords, z = np.array([0, 2]), rng.standard_normal(2)
+    full = np.zeros(3)
+    full[coords] = z
+    f, g = oracle.restricted(coords).value_and_grad(z)
+    f_full, g_full = oracle.value_and_grad(full)
+    assert f == f_full
+    assert np.array_equal(g, g_full[coords])
+    with pytest.raises(TypeError):
+        build_objective(lambda th: sco.sqnorm(th), 3, gradient=lambda th: 2.0 * th)
+
+
+def test_value_raises_where_value_and_grad_does():
+    # value records the program too, so it leaves the domain where the gradient does
+    f = build_objective(lambda th: sco.sqrt(th @ th), 3)
+    for oracle, dim in ((f, 3), (f.restricted([0, 2]), 2)):
+        for evaluate in (oracle.value, oracle.value_and_grad):
+            with pytest.raises(EvaluationError):
+                evaluate(np.zeros(dim))
 
 
 def test_scalar_vector_broadcast():
@@ -309,7 +337,7 @@ def test_tape_matches_fd_on_random_programs(case):
     p, chains, theta = case
     oracle = build_objective(_program(chains), p)
     value, grad = oracle.value_and_grad(theta)
-    assert oracle.value(theta) == value  # plain path and tape agree bit for bit
+    assert oracle.value(theta) == value  # the same recording without the backward sweep
     fd = fd_gradient(oracle, theta)
     assert np.max(np.abs(grad - fd)) <= 1e-6 * (1.0 + np.max(np.abs(fd))), (grad, fd)
 

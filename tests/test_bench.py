@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from sco import models
+from sco import bench, models
 from sco.bench import (
     BenchRecord,
     Metrics,
@@ -128,6 +128,20 @@ def test_run_suite_row_count_and_revalidation(tmp_path):
     md = open(out["markdown"]).read()
     assert "| model | solver |" in md
     assert "linear" in md
+
+
+def test_run_suite_solve_rows_report_the_solution_runtime(tmp_path, monkeypatch):
+    # a single-solve row's runtime_s is the solve's own clock, not a second one
+    sentinel = 1234.5
+
+    def solve_with_sentinel(kind, problem, config=None):
+        sol = solve(kind, problem, config)
+        sol.runtime = sentinel
+        return sol
+
+    monkeypatch.setattr(bench, "solve", solve_with_sentinel)
+    out = run_suite("a2-linear", scale=0.02, seeds=range(1), out_dir=tmp_path)
+    assert [r.runtime_s for r in out["records"]] == [sentinel] * len(SolverKind)
 
 
 def test_run_suite_selection_records_s_used(tmp_path):

@@ -45,6 +45,9 @@ def test_project_feasible_basic():
     prob = _ols_problem(X, y, 2)
     out = project_feasible([3.0, -5.0, 1.0], prob)
     assert np.array_equal(out, [3.0, -5.0, 0.0])
+    for wrong in ([3.0, -5.0], [3.0, -5.0, 1.0, 9.0]):
+        with pytest.raises(ValueError):
+            project_feasible(wrong, prob)
 
 
 def test_project_feasible_full_budget_keeps_vector():
