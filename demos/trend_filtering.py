@@ -3,7 +3,7 @@
 The parameters are the increments of the fitted series, so a sparsity
 budget of ten means the trend may jump at most ten times.  This is the
 higher-dimensional example (one parameter per observation): the objective
-below has 500 parameters, and the splicing solver took 0.62-0.75 s on it
+below has 500 parameters, and the splicing solver took 0.89-1.22 s on it
 (2-core Xeon, one BLAS thread, three runs of three solves).
 """
 

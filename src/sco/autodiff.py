@@ -13,17 +13,26 @@ with a variable vector or matrix accept any of them; :func:`sqnorm`,
 :func:`norm`, :func:`cumsum`, ``V @ c`` with a constant ``c`` and boolean
 masks stay vector-only and raise :class:`ProgramError` on a matrix.
 
-Every oracle built from a program evaluates it on a tape: the program is
-called with a :class:`Var` and records its operations.  ``value`` stops at
-the recorded root; one reverse sweep over the tape then yields the full
-gradient at a small constant multiple of the cost of one evaluation, which
-is what makes high-dimensional solves viable.
-Tape nodes are append-only and reference only earlier nodes, so a single
-backward pass visits each node exactly once.
+An oracle built from a program records it once: its first successful
+evaluation calls the program with a :class:`Var`, and each operation
+appends one node to a :class:`Tape`.  Every later evaluation replays that
+recording, the same rules over the same constants, without calling the
+program.  ``value`` stops at the recorded root; one reverse sweep, planned
+once per recording, then yields the full gradient at a small constant
+multiple of the cost of one evaluation, which is what makes
+high-dimensional solves viable.  Tape nodes are append-only and reference
+only earlier nodes, so the sweep visits each node at most once.
+
+Replay relies on a contract: a program computes only through the exported
+operations, and applies the same operations to the same constants on every
+call.  Programs cannot branch on tape variables, so this holds unless a
+program reads ``Var.val``, or outside state that can change between calls;
+both are unsupported.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from functools import partial
 
@@ -69,41 +78,15 @@ class ProgramError(TypeError):
     """The objective program is not expressible in the supported operation set."""
 
 
-class Tape:
-    """Append-only record of one forward evaluation.
-
-    Each node is a tuple ``(kind, i, j, pa, pb)`` where ``i``/``j`` index
-    operand nodes (-1 when absent; constants are folded into the stored
-    partials) and ``pa``/``pb`` carry whatever the backward rule for
-    ``kind`` needs (local partials, the constant matrix, index arrays...).
-    ``shapes[k]`` is ``np.shape`` of node k's value: ``()`` for a scalar,
-    ``(m,)`` for a vector, ``(m, r)`` for a matrix (the module docstring
-    lists the operations that stay vector-only).
-    """
-
-    __slots__ = ("nodes", "shapes")
-
-    def __init__(self):
-        self.nodes = []
-        self.shapes = []
-
-    def emit(self, kind, i, j, pa, pb, value):
-        # values are stored as python floats or float arrays of any shape
-        shape = getattr(value, "shape", ())
-        if not shape:
-            value = float(value)
-        self.nodes.append((kind, i, j, pa, pb))
-        self.shapes.append(shape)
-        return Var(self, len(self.nodes) - 1, value)
-
-    def input(self, value):
-        value = np.asarray(value, dtype=float)
-        return self.emit("in", -1, -1, None, None, value)
-
-
-def _domain(ok, message, op, var=None):
+def _domain(ok, message, op):
+    # the caller that applies the rule names the node (see _blame)
     if not ok:
-        raise EvaluationError(message, op=op, node=None if var is None else var.idx)
+        raise EvaluationError(message, op=op)
+
+
+def _blame(error, i, j):
+    # a rule checks its last variable operand: the divisor, or its one operand
+    error.node = j if j >= 0 else i
 
 
 def _const(x):
@@ -114,6 +97,265 @@ def _const(x):
     if isinstance(x, (list, tuple)):
         return np.asarray(x, dtype=float)
     raise ProgramError(f"unsupported operand type {type(x).__name__!r}")
+
+
+def _dense(coords, p, z):
+    # z at coords of a zero p-vector
+    x = np.zeros(p)
+    x[coords] = z
+    return x
+
+
+# -- operation rules ----------------------------------------------------------
+# One rule per operation: ``rule(x, y, c) -> (value, pa, pb)`` maps the
+# values of the variable operands (y is ignored by rules of one operand) and
+# the operation's constant to the node's value and the partials its adjoint
+# reads.  Recording and replay both run these rules.  ``rule.adjoint`` names
+# how the reverse sweep reads the partials: "linear" and "product" add
+# ``a * pa`` to operand i and ``a * pb`` to operand j, where a linear rule's
+# partials depend on its constant alone; "mv" adds ``pa.T @ a``; "sum",
+# "cumsum", "scatter" and "gather" are the adjoints of those operations.
+
+
+def _adjoint(kind):
+    def mark(rule):
+        rule.adjoint = kind
+        return rule
+
+    return mark
+
+
+@_adjoint("linear")
+def _add(x, y, c):
+    return x + y, 1.0, 1.0
+
+
+@_adjoint("linear")
+def _add_const(x, y, c):
+    return x + c, 1.0, None
+
+
+@_adjoint("linear")
+def _sub(x, y, c):
+    return x - y, 1.0, -1.0
+
+
+@_adjoint("linear")
+def _sub_const(x, y, c):
+    return x - c, 1.0, None
+
+
+@_adjoint("linear")
+def _rsub_const(x, y, c):
+    return c - x, -1.0, None
+
+
+@_adjoint("linear")
+def _neg(x, y, c):
+    return -x, -1.0, None
+
+
+@_adjoint("linear")
+def _scale(x, y, c):
+    return x * c, c, None
+
+
+@_adjoint("product")
+def _mul(x, y, c):
+    return x * y, y, x
+
+
+@_adjoint("product")
+def _div(x, y, c):
+    _domain(np.all(np.asarray(y) != 0.0), "division by zero", "div")
+    value = x / y
+    return value, 1.0 / y, -value / y
+
+
+@_adjoint("linear")
+def _div_const(x, y, c):
+    _domain(np.all(np.asarray(c) != 0.0), "division by zero", "div")
+    pa = 1.0 / c
+    return x / c, pa, None
+
+
+@_adjoint("product")
+def _rdiv_const(x, y, c):
+    _domain(np.all(np.asarray(x) != 0.0), "division by zero", "div")
+    value = c / x
+    return value, -value / x, None
+
+
+@_adjoint("product")
+def _pow(x, y, c):
+    base = np.asarray(x)
+    if c != round(c):
+        _domain(np.all(base >= 0.0), "fractional power of a negative value", "pow")
+    if c < 0.0:
+        _domain(np.all(base != 0.0), "zero raised to a negative power", "pow")
+    if c < 1.0 and c != 0.0:
+        _domain(np.all(base != 0.0), "power gradient undefined at a zero base", "pow")
+    value = x ** c
+    pa = c * x ** (c - 1.0) if c != 0.0 else np.zeros_like(base) * 1.0
+    return value, pa, None
+
+
+@_adjoint("product")
+def _abs(x, y, c):
+    # derivative pinned to 0 at 0 (subgradient selection)
+    pa = np.sign(x)
+    return np.abs(x), pa, None
+
+
+@_adjoint("product")
+def _dot(x, y, c):
+    return float(np.dot(x, y)), y, x
+
+
+@_adjoint("product")
+def _dot_const(x, y, c):
+    return float(np.dot(x, c)), c, None
+
+
+@_adjoint("product")
+def _const_dot(x, y, c):
+    return float(np.dot(c, x)), c, None
+
+
+@_adjoint("mv")
+def _vecmat(x, y, c):
+    # v @ A == A.T @ v; the partial is the effective matrix
+    return x @ c, c.T, None
+
+
+@_adjoint("mv")
+def _matvec(x, y, c):
+    return c @ x, c, None
+
+
+@_adjoint("gather")
+def _gather(x, y, c):
+    return x[c], c, None
+
+
+@_adjoint("scatter")
+def _scatter(x, y, c):
+    coords, p = c
+    return _dense(coords, p, x), coords, None
+
+
+@_adjoint("product")
+def _exp(x, y, c):
+    v = np.exp(x)
+    return v, v, None
+
+
+@_adjoint("product")
+def _log(x, y, c):
+    _domain(np.all(np.asarray(x) > 0.0), "log of a nonpositive value", "log")
+    pa = 1.0 / x
+    return np.log(x), pa, None
+
+
+@_adjoint("product")
+def _sqrt(x, y, c):
+    _domain(np.all(np.asarray(x) >= 0.0), "sqrt of a negative value", "sqrt")
+    _domain(np.all(np.asarray(x) != 0.0), "sqrt gradient undefined at 0", "sqrt")
+    v = np.sqrt(x)
+    return v, 0.5 / v, None
+
+
+def _logistic_plain(t):
+    e = np.exp(-np.abs(t))
+    return np.where(np.asarray(t) >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+@_adjoint("product")
+def _logistic(x, y, c):
+    v = _logistic_plain(x)
+    return v, v * (1.0 - v), None
+
+
+def _log1pexp_plain(t):
+    t = np.asarray(t)
+    return np.where(t > 0.0, t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+
+
+@_adjoint("product")
+def _log1pexp(x, y, c):
+    v = _log1pexp_plain(x)
+    return v, _logistic_plain(x), None
+
+
+@_adjoint("product")
+def _sqnorm(x, y, c):
+    pa = 2.0 * x
+    return float(np.dot(x, x)), pa, None
+
+
+@_adjoint("product")
+def _norm(x, y, c):
+    # gradient pinned to 0 at the origin
+    value = float(np.sqrt(np.dot(x, x)))
+    return value, np.zeros_like(x) if value == 0.0 else x / value, None
+
+
+@_adjoint("sum")
+def _sum(x, y, c):
+    return float(np.sum(x)), None, None
+
+
+@_adjoint("cumsum")
+def _cumsum(x, y, c):
+    return np.cumsum(x), None, None
+
+
+# -- recording ----------------------------------------------------------------
+
+
+class Tape:
+    """Append-only record of one forward evaluation.
+
+    Node 0 is the input; node k > 0 was made by ``ops[k - 1] = (rule, i, j,
+    c, scalar)``: ``rule`` applied to the values of nodes i and j (j is -1
+    when absent) and the constant c.  ``values[k]`` is the node's value, a
+    float (``scalar``) or a float array of any shape (the module docstring
+    lists the operations that stay vector-only), ``shapes[k]`` its shape
+    and ``partials[k]`` the pair of partials its adjoint reads.
+    """
+
+    __slots__ = ("ops", "values", "shapes", "partials")
+
+    def __init__(self):
+        self.ops = []
+        self.values = []
+        self.shapes = []
+        self.partials = []
+
+    def input(self, value):
+        value = np.asarray(value, dtype=float)
+        self.values.append(value)
+        self.shapes.append(value.shape)
+        self.partials.append(None)
+        return Var(self, len(self.values) - 1, value)
+
+    def apply(self, rule, x, y=None, c=None):
+        """Record ``rule`` over the variables x and y (None when absent)."""
+        i = x.idx
+        j = -1 if y is None else y.idx
+        try:
+            value, pa, pb = rule(x.val, None if y is None else y.val, c)
+        except EvaluationError as e:
+            _blame(e, i, j)
+            raise
+        shape = getattr(value, "shape", ())
+        if not shape:
+            value = float(value)
+        self.ops.append((rule, i, j, c, not shape))
+        self.values.append(value)
+        self.shapes.append(shape)
+        self.partials.append((pa, pb))
+        return Var(self, len(self.values) - 1, value)
 
 
 class Var:
@@ -141,66 +383,47 @@ class Var:
     def __add__(self, other):
         o = self._peer(other)
         if o is not None:
-            return self.tape.emit("lin", self.idx, o.idx, 1.0, 1.0, self.val + o.val)
-        return self.tape.emit("lin", self.idx, -1, 1.0, None, self.val + _const(other))
+            return self.tape.apply(_add, self, o)
+        return self.tape.apply(_add_const, self, c=_const(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._peer(other)
         if o is not None:
-            return self.tape.emit("lin", self.idx, o.idx, 1.0, -1.0, self.val - o.val)
-        return self.tape.emit("lin", self.idx, -1, 1.0, None, self.val - _const(other))
+            return self.tape.apply(_sub, self, o)
+        return self.tape.apply(_sub_const, self, c=_const(other))
 
     def __rsub__(self, other):
-        return self.tape.emit("lin", self.idx, -1, -1.0, None, _const(other) - self.val)
+        return self.tape.apply(_rsub_const, self, c=_const(other))
 
     def __neg__(self):
-        return self.tape.emit("lin", self.idx, -1, -1.0, None, -self.val)
+        return self.tape.apply(_neg, self)
 
     def __mul__(self, other):
         o = self._peer(other)
         if o is not None:
-            return self.tape.emit("mul", self.idx, o.idx, o.val, self.val, self.val * o.val)
-        c = _const(other)
-        return self.tape.emit("lin", self.idx, -1, c, None, self.val * c)
+            return self.tape.apply(_mul, self, o)
+        return self.tape.apply(_scale, self, c=_const(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._peer(other)
         if o is not None:
-            _domain(np.all(np.asarray(o.val) != 0.0), "division by zero", "div", o)
-            value = self.val / o.val
-            return self.tape.emit("div", self.idx, o.idx, 1.0 / o.val, -value / o.val, value)
-        c = _const(other)
-        _domain(np.all(np.asarray(c) != 0.0), "division by zero", "div", self)
-        return self.tape.emit("lin", self.idx, -1, 1.0 / c, None, self.val / c)
+            return self.tape.apply(_div, self, o)
+        return self.tape.apply(_div_const, self, c=_const(other))
 
     def __rtruediv__(self, other):
-        c = _const(other)
-        _domain(np.all(np.asarray(self.val) != 0.0), "division by zero", "div", self)
-        value = c / self.val
-        return self.tape.emit("div", -1, self.idx, None, -value / self.val, value)
+        return self.tape.apply(_rdiv_const, self, c=_const(other))
 
     def __pow__(self, exponent):
         if isinstance(exponent, Var):
             raise ProgramError("power requires a real constant exponent")
-        c = float(exponent)
-        base = np.asarray(self.val)
-        if c != round(c):
-            _domain(np.all(base >= 0.0), "fractional power of a negative value", "pow", self)
-        if c < 0.0:
-            _domain(np.all(base != 0.0), "zero raised to a negative power", "pow", self)
-        if c < 1.0 and c != 0.0:
-            _domain(np.all(base != 0.0), "power gradient undefined at a zero base", "pow", self)
-        value = self.val ** c
-        partial = c * self.val ** (c - 1.0) if c != 0.0 else np.zeros_like(base) * 1.0
-        return self.tape.emit("uf", self.idx, -1, partial, None, value)
+        return self.tape.apply(_pow, self, c=float(exponent))
 
     def __abs__(self):
-        # derivative pinned to 0 at 0 (subgradient selection)
-        return self.tape.emit("uf", self.idx, -1, np.sign(self.val), None, np.abs(self.val))
+        return self.tape.apply(_abs, self)
 
     # -- inner products ---------------------------------------------------
 
@@ -209,15 +432,14 @@ class Var:
         if o is not None:
             if np.ndim(self.val) != 1 or np.ndim(o.val) != 1:
                 raise ProgramError("@ between variables requires two vectors")
-            return self.tape.emit("dot", self.idx, o.idx, o.val, self.val, float(np.dot(self.val, o.val)))
+            return self.tape.apply(_dot, self, o)
         c = _const(other)
         if np.ndim(self.val) != 1:
             raise ProgramError("@ with a constant operand on the right requires a vector variable")
         if np.ndim(c) == 1:
-            return self.tape.emit("red", self.idx, -1, c, None, float(np.dot(self.val, c)))
+            return self.tape.apply(_dot_const, self, c=c)
         if np.ndim(c) == 2:
-            # v @ A == A.T @ v; store the effective matrix for the backward rule
-            return self.tape.emit("mv", self.idx, -1, c.T, None, self.val @ c)
+            return self.tape.apply(_vecmat, self, c=c)
         raise ProgramError("@ expects a vector or matrix operand")
 
     def __rmatmul__(self, other):
@@ -225,15 +447,15 @@ class Var:
         ndim = np.ndim(self.val)
         if np.ndim(c) == 2 and ndim:
             # C @ V for a vector or matrix V; the adjoint is C.T @ A
-            return self.tape.emit("mv", self.idx, -1, c, None, c @ self.val)
+            return self.tape.apply(_matvec, self, c=c)
         if np.ndim(c) == 1 and ndim == 1:
-            return self.tape.emit("red", self.idx, -1, c, None, float(np.dot(c, self.val)))
+            return self.tape.apply(_const_dot, self, c=c)
         raise ProgramError("@ expects a constant matrix times a variable vector or matrix, "
                            "or an inner product of two vectors")
 
     def __getitem__(self, sel):
         if isinstance(sel, (int, np.integer)):
-            return self.tape.emit("idx", self.idx, -1, int(sel), None, self.val[sel])
+            return self.tape.apply(_gather, self, c=int(sel))
         if isinstance(sel, slice):
             sel = np.arange(*sel.indices(len(self.val)))
         elif isinstance(sel, tuple):
@@ -245,7 +467,7 @@ class Var:
                     raise ProgramError("boolean mask indexing requires a vector and a 1-D mask")
                 sel = np.flatnonzero(sel)
             sel = sel.astype(int)
-        return self.tape.emit("idx", self.idx, -1, sel, None, self.val[sel])
+        return self.tape.apply(_gather, self, c=sel)
 
     def __bool__(self):
         raise ProgramError("objective programs must not branch on tape variables")
@@ -264,15 +486,13 @@ class Var:
 
 def exp(x):
     if isinstance(x, Var):
-        v = np.exp(x.val)
-        return x.tape.emit("uf", x.idx, -1, v, None, v)
+        return x.tape.apply(_exp, x)
     return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Var):
-        _domain(np.all(np.asarray(x.val) > 0.0), "log of a nonpositive value", "log", x)
-        return x.tape.emit("uf", x.idx, -1, 1.0 / x.val, None, np.log(x.val))
+        return x.tape.apply(_log, x)
     if not np.all(np.asarray(x) > 0.0):
         raise EvaluationError("log of a nonpositive value", op="log")
     return np.log(x)
@@ -280,38 +500,23 @@ def log(x):
 
 def sqrt(x):
     if isinstance(x, Var):
-        _domain(np.all(np.asarray(x.val) >= 0.0), "sqrt of a negative value", "sqrt", x)
-        _domain(np.all(np.asarray(x.val) != 0.0), "sqrt gradient undefined at 0", "sqrt", x)
-        v = np.sqrt(x.val)
-        return x.tape.emit("uf", x.idx, -1, 0.5 / v, None, v)
+        return x.tape.apply(_sqrt, x)
     if not np.all(np.asarray(x) >= 0.0):
         raise EvaluationError("sqrt of a negative value", op="sqrt")
     return np.sqrt(x)
 
 
-def _logistic_plain(t):
-    e = np.exp(-np.abs(t))
-    return np.where(np.asarray(t) >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
-
-
 def logistic(x):
     """Stable sigmoid 1 / (1 + e^-x)."""
     if isinstance(x, Var):
-        v = _logistic_plain(x.val)
-        return x.tape.emit("uf", x.idx, -1, v * (1.0 - v), None, v)
+        return x.tape.apply(_logistic, x)
     return _logistic_plain(x)
-
-
-def _log1pexp_plain(t):
-    t = np.asarray(t)
-    return np.where(t > 0.0, t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 def log1pexp(x):
     """Stable log(1 + e^x)."""
     if isinstance(x, Var):
-        v = _log1pexp_plain(x.val)
-        return x.tape.emit("uf", x.idx, -1, _logistic_plain(x.val), None, v)
+        return x.tape.apply(_log1pexp, x)
     return _log1pexp_plain(x)
 
 
@@ -330,7 +535,7 @@ def sqnorm(v):
     """Squared Euclidean norm of a vector."""
     if isinstance(v, Var):
         _vector_only(v, "sqnorm")
-        return v.tape.emit("red", v.idx, -1, 2.0 * v.val, None, float(np.dot(v.val, v.val)))
+        return v.tape.apply(_sqnorm, v)
     return float(np.dot(v, v))
 
 
@@ -338,9 +543,7 @@ def norm(v):
     """Euclidean norm; gradient pinned to 0 at the origin."""
     if isinstance(v, Var):
         _vector_only(v, "norm")
-        value = float(np.sqrt(np.dot(v.val, v.val)))
-        partial = np.zeros_like(v.val) if value == 0.0 else v.val / value
-        return v.tape.emit("red", v.idx, -1, partial, None, value)
+        return v.tape.apply(_norm, v)
     return float(np.sqrt(np.dot(v, v)))
 
 
@@ -349,7 +552,7 @@ def vsum(v):
     if isinstance(v, Var):
         if np.ndim(v.val) == 0:
             return v
-        return v.tape.emit("sum", v.idx, -1, None, None, float(np.sum(v.val)))
+        return v.tape.apply(_sum, v)
     return float(np.sum(v))
 
 
@@ -358,13 +561,46 @@ def cumsum(v):
     if isinstance(v, Var):
         if np.ndim(v.val) != 1:
             raise ProgramError(f"cumsum requires a vector, got shape {np.shape(v.val)}")
-        return v.tape.emit("cumsum", v.idx, -1, None, None, np.cumsum(v.val))
+        return v.tape.apply(_cumsum, v)
     if np.ndim(v) > 1:
         raise ProgramError(f"cumsum requires a vector, got shape {np.shape(v)}")
     return np.cumsum(v)
 
 
 # -- reverse sweep ----------------------------------------------------------
+# A plan step ``(k, t, contribution, into)`` adds node k's contribution to
+# the adjoint of its operand t: ``adj[t] = into(adj[t], contribution(adj[k],
+# partials[k]))``.  ``into`` starts an adjoint (the first contribution it
+# gets) or adds to it, and folds a contribution that was broadcast up in the
+# forward pass back to the operand's shape.
+
+
+def _times_pa(a, parts):
+    return a * parts[0]
+
+
+def _times_pb(a, parts):
+    return a * parts[1]
+
+
+def _same(a, parts):  # a * 1.0, bit for bit
+    return a
+
+
+def _negated(a, parts):  # a * -1.0, bit for bit
+    return -a
+
+
+def _mv_adjoint(a, parts):
+    return parts[0].T @ a
+
+
+def _cumsum_adjoint(a, parts):
+    return np.cumsum(a[::-1])[::-1]
+
+
+def _scatter_adjoint(a, parts):
+    return a[parts[0]]
 
 
 def _fold(contrib, shape):
@@ -376,131 +612,253 @@ def _fold(contrib, shape):
     return contrib.sum(axis=ones, keepdims=True) if ones else contrib
 
 
-def _accumulate(adj, shapes, k, contrib):
-    if k < 0:
-        return
-    shape = shapes[k]
-    if not shape:
-        c = float(contrib) if np.ndim(contrib) == 0 else float(np.sum(contrib))
-        adj[k] = c if adj[k] is None else adj[k] + c
-    else:
-        if adj[k] is None:
-            adj[k] = np.zeros(shape)
-        try:
-            adj[k] += contrib
-        except ValueError:  # the operand was broadcast up in the forward pass
-            adj[k] += _fold(contrib, shape)
+def _start_float(adj, c):
+    return float(c)
 
 
-def _backward(tape, root, p):
-    nodes, shapes = tape.nodes, tape.shapes
-    adj = [None] * (root + 1)
-    adj[root] = 1.0 if not shapes[root] else np.ones(shapes[root])
-    for k in range(root, 0, -1):
-        a = adj[k]
-        if a is None:
-            continue
-        kind, i, j, pa, pb = nodes[k]
-        if kind == "lin":
-            _accumulate(adj, shapes, i, a * pa)
-            if j >= 0:
-                _accumulate(adj, shapes, j, a * pb)
-        elif kind in ("mul", "div", "dot"):
-            if i >= 0:
-                _accumulate(adj, shapes, i, a * pa)
-            if j >= 0:
-                _accumulate(adj, shapes, j, a * pb)
-        elif kind in ("uf", "red"):
-            _accumulate(adj, shapes, i, a * pa)
-        elif kind == "mv":
-            _accumulate(adj, shapes, i, pa.T @ a)
-        elif kind == "sum":
-            _accumulate(adj, shapes, i, a)
-        elif kind == "cumsum":
-            _accumulate(adj, shapes, i, np.cumsum(a[::-1])[::-1])
-        elif kind == "scatter":
-            _accumulate(adj, shapes, i, a[pa])
-        elif kind == "idx":
-            if adj[i] is None:
-                adj[i] = np.zeros(shapes[i])
-            np.add.at(adj[i], pa, a)
-        else:  # pragma: no cover - exhaustive over emitted kinds
-            raise ProgramError(f"unknown tape node kind {kind!r}")
-    g = adj[0]
-    if g is None:
-        return np.zeros(p)
-    return np.asarray(g, dtype=float)
+def _start_float_sum(adj, c):
+    return float(np.sum(c))
 
 
-def _tape_eval(program, theta, p, grad):
-    tape = Tape()
-    out = program(tape.input(theta))
-    if isinstance(out, Var):
-        if out.tape is not tape:
-            raise ProgramError("program returned a variable from a foreign tape")
-        if np.ndim(out.val) != 0:
-            raise ProgramError("objective must evaluate to a scalar")
-        value = float(out.val)
-        if not np.isfinite(value):
-            raise EvaluationError("non-finite objective value", node=out.idx)
-        if not grad:
-            return value
-        g = _backward(tape, out.idx, p)
-        if not np.all(np.isfinite(g)):
-            raise EvaluationError("non-finite gradient", node=out.idx)
-        return value, g
-    if isinstance(out, numbers.Real):
-        # program ignored its argument: constant objective, zero gradient
-        return (float(out), np.zeros(p)) if grad else float(out)
-    raise ProgramError("program must return a scalar")
+def _add_float(adj, c):
+    return adj + float(c)
 
 
-class _Placement:
-    """z at ``coords`` of a zero p-vector, the input of a derived restricted
-    oracle.  ``C @ x`` multiplies z by ``C[:, coords]``, sliced once per
-    constant C and kept here; :meth:`dense` builds the dense vector."""
+def _add_float_sum(adj, c):
+    return adj + float(np.sum(c))
 
-    __slots__ = ("coords", "p", "_columns")
 
-    def __init__(self, coords, p):
-        self.coords = coords
-        self.p = p
-        self._columns = {}
+def _start_copy(adj, c):  # np.zeros(c.shape) + c, bit for bit
+    return c + 0.0
 
-    def dense(self, z):
-        x = np.zeros(self.p)
-        x[self.coords] = z
-        return x
 
-    def columns(self, C):
-        hit = self._columns.get(id(C))
-        if hit is not None and hit[0] is C:
-            return hit[1]
-        if np.ndim(C) != 2 or np.shape(C)[1] != self.p:
+def _start_zeros(shape, adj, c):
+    return np.zeros(shape) + c
+
+
+def _start_fold(shape, adj, c):
+    return np.zeros(shape) + _fold(c, shape)
+
+
+def _start_negated(adj, c):  # np.zeros(c.shape) + c * -1.0, bit for bit
+    return 0.0 - c
+
+
+def _add_in_place(adj, c):
+    adj += c
+    return adj
+
+
+def _subtract_in_place(adj, c):  # adj += c * -1.0, bit for bit
+    adj -= c
+    return adj
+
+
+def _add_fold(shape, adj, c):
+    adj += _fold(c, shape)
+    return adj
+
+
+def _add_at(index, shape, adj, c):
+    if adj is None:
+        adj = np.zeros(shape)
+    np.add.at(adj, index, c)
+    return adj
+
+
+def _broadcast(s, t):
+    # numpy's broadcast of two shapes, or None where they do not broadcast
+    if s == t or not t:
+        return s
+    if not s:
+        return t
+    n = max(len(s), len(t))
+    out = []
+    for m, q in zip((1,) * (n - len(s)) + s, (1,) * (n - len(t)) + t):
+        if m != q and m != 1 and q != 1:
             return None
-        cols = _const(C)[:, self.coords]
-        if len(self._columns) < 4:  # the entry holds C, so its id stays valid
-            self._columns[id(C)] = (C, cols)
-        return cols
+        out.append(q if m == 1 else m)
+    return tuple(out)
+
+
+def _into(shape, cshape, start):
+    # how a contribution of shape cshape reaches an adjoint of shape shape
+    if not shape:
+        if cshape:
+            return _start_float_sum if start else _add_float_sum
+        return _start_float if start else _add_float
+    if _broadcast(shape, cshape) != shape:
+        return partial(_start_fold if start else _add_fold, shape)
+    if not start:
+        return _add_in_place
+    return _start_copy if cshape == shape else partial(_start_zeros, shape)
+
+
+# the contribution of each one-operand adjoint; it has the operand's shape,
+# but for "sum", whose contribution is the scalar a
+_ONE_OPERAND = {"mv": _mv_adjoint, "sum": _same, "cumsum": _cumsum_adjoint,
+                "scatter": _scatter_adjoint}
+
+
+def _step(kind, side, part, c, node_shape, shape, start):
+    # the (contribution, into) pair of one operand's contribution
+    if kind == "gather":
+        return _same, partial(_add_at, c, shape)
+    if kind == "linear" and type(part) is float and abs(part) == 1.0:
+        if part == 1.0:
+            return _same, _into(shape, node_shape, start)
+        if node_shape == shape != ():
+            # subtract a from the adjoint instead of adding -a
+            return _same, _start_negated if start else _subtract_in_place
+        return _negated, _into(shape, node_shape, start)
+    if kind in ("linear", "product"):
+        cshape = _broadcast(node_shape, getattr(part, "shape", ()))
+        return _times_pb if side else _times_pa, _into(shape, cshape, start)
+    return _ONE_OPERAND[kind], _into(shape, () if kind == "sum" else shape, start)
+
+
+def _plan(tape, root):
+    """The reverse sweep of a recording, root down and operand i before j."""
+    shapes = tape.shapes
+    reached = [False] * (root + 1)
+    reached[root] = True
+    steps = []
+    for k in range(root, 0, -1):
+        if not reached[k]:
+            continue
+        rule, i, j, c, _ = tape.ops[k - 1]
+        parts = tape.partials[k]
+        for t, side in ((i, 0), (j, 1)):
+            if t >= 0:
+                steps.append((k, t) + _step(rule.adjoint, side, parts[side], c, shapes[k],
+                                            shapes[t], not reached[t]))
+                reached[t] = True
+    return steps
+
+
+def _sweep(steps, partials, root, dim):
+    adj = [None] * (root + 1)
+    adj[root] = 1.0
+    for k, t, contribution, into in steps:
+        adj[t] = into(adj[t], contribution(adj[k], partials[k]))
+    return np.zeros(dim) if adj[0] is None else adj[0]
+
+
+class _Recording:
+    """The op list of one recorded evaluation, rooted at a scalar node, and
+    its reverse sweep plan.  It keeps the op structure and constants, never
+    an evaluation's values, so any number of evaluations can replay it."""
+
+    __slots__ = ("ops", "root", "steps")
+
+    def __init__(self, tape, root):
+        self.ops = tuple(tape.ops)
+        self.root = root
+        self.steps = _plan(tape, root)
+
+    def replay(self, theta):
+        """Node values and partials at ``theta``, the recorded rules rerun."""
+        values = [theta]
+        partials = [None]
+        keep_value, keep_partials = values.append, partials.append
+        for rule, i, j, c, scalar in self.ops:
+            try:
+                # values[j] with j = -1 is a stand-in that one-operand rules ignore
+                value, pa, pb = rule(values[i], values[j], c)
+            except EvaluationError as e:
+                _blame(e, i, j)
+                raise
+            keep_value(float(value) if scalar else value)
+            keep_partials((pa, pb))
+        return values, partials
+
+
+_ERRSTATE = {"divide": "raise", "invalid": "raise", "over": "raise"}
+
+
+class _Evaluator:
+    """A program over R^dim and, once an evaluation of it has succeeded, its
+    recording.  :meth:`evaluate` is the one evaluation entry point of
+    program oracles.  The recording is never changed after it is made, and
+    each evaluation fills lists of its own, so concurrent evaluations need no
+    lock; racing first calls each record, and one of their identical
+    recordings is kept."""
+
+    __slots__ = ("program", "dim", "recording")
+
+    def __init__(self, program, dim):
+        self.program = program
+        self.dim = dim
+        self.recording = None
+
+    def value(self, theta):
+        return self.evaluate(theta, False)
+
+    def value_and_grad(self, theta):
+        return self.evaluate(theta, True)
+
+    def evaluate(self, theta, grad):
+        """The value, and with ``grad`` the gradient, at ``theta``: the
+        recording replayed, or the program recorded when there is none.
+        Floating-point faults surface as EvaluationError, type faults as
+        ProgramError, and an evaluation that raises keeps no recording."""
+        try:
+            with np.errstate(**_ERRSTATE):
+                recording = self.recording
+                if recording is None:
+                    tape = Tape()
+                    out = self.program(tape.input(theta))
+                    if not isinstance(out, Var):
+                        if isinstance(out, numbers.Real):
+                            # program ignored its argument: constant objective, zero gradient
+                            return (float(out), np.zeros(self.dim)) if grad else float(out)
+                        raise ProgramError("program must return a scalar")
+                    if out.tape is not tape:
+                        raise ProgramError("program returned a variable from a foreign tape")
+                    if np.ndim(out.val) != 0:
+                        raise ProgramError("objective must evaluate to a scalar")
+                    recording = _Recording(tape, out.idx)
+                    values, partials = tape.values, tape.partials
+                else:
+                    values, partials = recording.replay(theta)
+                root = recording.root
+                value = values[root]
+                if not math.isfinite(value):
+                    raise EvaluationError("non-finite objective value", node=root)
+                if grad:
+                    g = _sweep(recording.steps, partials, root, self.dim)
+                    if not np.isfinite(g).all():
+                        raise EvaluationError("non-finite gradient", node=root)
+                    value = value, g
+        except FloatingPointError as e:
+            raise EvaluationError(f"non-finite value during evaluation: {e}") from e
+        except (TypeError, AttributeError) as e:
+            raise ProgramError(f"unsupported operation in objective program: {e}") from e
+        self.recording = recording
+        return value
+
+
+# -- restriction --------------------------------------------------------------
 
 
 class _PlacedVar(Var):
-    """The placed input on the tape, over the input variable z.  ``C @ x``
-    records one product with ``C[:, coords]``; every other use reads one
-    ``scatter`` node, emitted at the first such use."""
+    """The input z placed at ``coords`` of a zero p-vector, as a derived
+    restricted oracle's program sees it.  ``C @ x`` records one product with
+    ``C[:, coords]``, sliced when the program is recorded; every other use
+    reads one ``scatter`` node, emitted at the first such use."""
 
-    __slots__ = ("at", "z", "_dense")
+    __slots__ = ("coords", "p", "z", "_dense")
 
-    def __init__(self, at, z):
+    def __init__(self, coords, p, z):
         self.tape = z.tape
-        self.at = at
+        self.coords = coords
+        self.p = p
         self.z = z
         self._dense = None
 
     def _densify(self):
         if self._dense is None:
-            self._dense = self.tape.emit("scatter", self.z.idx, -1, self.at.coords, None,
-                                         self.at.dense(self.z.val))
+            self._dense = self.tape.apply(_scatter, self.z, c=(self.coords, self.p))
         return self._dense
 
     @property
@@ -512,29 +870,28 @@ class _PlacedVar(Var):
         return self._densify().val
 
     def __rmatmul__(self, other):
-        cols = self.at.columns(other)
-        return super().__rmatmul__(other) if cols is None else self.z.__rmatmul__(cols)
+        if np.ndim(other) == 2 and np.shape(other)[1] == self.p:
+            return self.z.__rmatmul__(_const(other)[:, self.coords])
+        return super().__rmatmul__(other)
 
 
 def _derived_restriction(program, p, scale, coords):
-    at = _Placement(coords, p)
-
     def placed(z):
-        return program(_PlacedVar(at, z))
+        return program(_PlacedVar(coords, p, z))
 
     return _program_oracle(placed, len(coords), scale)
 
 
 def _zero_padded(oracle, coords):
     # the restriction of an oracle built from opaque functions
-    at = _Placement(coords, oracle.dim)
+    p = oracle.dim
 
     def value_and_grad(z):
-        f, g = oracle.value_and_grad(at.dense(z))
+        f, g = oracle.value_and_grad(_dense(coords, p, z))
         return f, g[coords]
 
-    return ObjectiveOracle(len(coords), lambda z: oracle.value(at.dense(z)), value_and_grad,
-                           scale=oracle.scale)
+    return ObjectiveOracle(len(coords), lambda z: oracle.value(_dense(coords, p, z)),
+                           value_and_grad, scale=oracle.scale)
 
 
 # -- oracle -----------------------------------------------------------------
@@ -557,8 +914,9 @@ class ObjectiveOracle:
     log-likelihoods.  ``restricted(coords)`` returns an oracle over just
     those coordinates (used to keep active-set refits cheap): the
     ``restrict`` hook's, or zero-padded evaluation without one.  Oracles
-    are immutable after construction and safe to share across concurrent
-    solves; each evaluation owns its own tape.
+    are safe to share across concurrent solves: a program oracle records
+    its program once and never changes the recording, and each evaluation
+    replays it into buffers of its own.
     """
 
     __slots__ = ("dim", "scale", "_value", "_vag", "_restrict")
@@ -605,45 +963,38 @@ class ObjectiveOracle:
         return f"ObjectiveOracle(dim={self.dim}{tag})"
 
 
-_ERRSTATE = {"divide": "raise", "invalid": "raise", "over": "raise"}
-
-
-def _recorded(program, dim, grad, theta):
-    # the value, and with grad the gradient, from one recorded evaluation;
-    # floating-point faults surface as EvaluationError, type faults as ProgramError
-    try:
-        with np.errstate(**_ERRSTATE):
-            return _tape_eval(program, theta, dim, grad)
-    except FloatingPointError as e:
-        raise EvaluationError(f"non-finite value during evaluation: {e}") from e
-    except (TypeError, AttributeError) as e:
-        raise ProgramError(f"unsupported operation in objective program: {e}") from e
-
-
 def _program_oracle(program, dim, scale, restrict=None):
     # the one constructor of program oracles: full, derived restricted and nested
     if restrict is None:
         restrict = partial(_derived_restriction, program, dim, scale)
-    return ObjectiveOracle(dim, partial(_recorded, program, dim, False),
-                           partial(_recorded, program, dim, True), scale=scale,
+    evaluator = _Evaluator(program, dim)
+    return ObjectiveOracle(dim, evaluator.value, evaluator.value_and_grad, scale=scale,
                            restrict=restrict)
 
 
 def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
     """Wrap a differentiable program into an :class:`ObjectiveOracle`.
 
-    Every evaluation records the program on a fresh tape; ``value`` skips
-    the backward sweep.  So ``value`` raises :class:`EvaluationError`
-    exactly where ``value_and_grad`` would, including where only the
-    gradient is undefined (``sqrt`` at 0), on the full oracle and on every
-    restricted one alike.  An analytic gradient is supplied by building
+    The first successful evaluation records the program on a tape, and
+    every later one replays that recording without calling the program;
+    ``value`` skips the backward sweep.  So ``value`` raises
+    :class:`EvaluationError` exactly where ``value_and_grad`` would,
+    including where only the gradient is undefined (``sqrt`` at 0), on the
+    full oracle and on every restricted one alike.  An evaluation that
+    raises keeps no recording.  An analytic gradient is supplied by building
     ``ObjectiveOracle(dim, f, lambda th: (f(th), g(th)))`` directly.
+
+    Replay needs the program to compute only through the exported
+    operations and to apply the same operations to the same constants on
+    every call.  Reading ``Var.val``, or outside state that can change
+    between calls (a global, an array mutated later), is unsupported: the
+    recording keeps what the first call saw.
 
     Parameters
     ----------
     program : callable
         Maps the parameter vector, received as a :class:`Var`, to a scalar
-        using the supported operation set.
+        using the supported operation set.  It is called once per recording.
     dim : int
         Parameter dimension p.
     scale : {"rss", "nll", None}

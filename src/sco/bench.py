@@ -71,11 +71,18 @@ def support_metrics(true_support, est_support, p):
 
 
 def exhaustive_oracle(problem, limit=10**6):
-    """Certified optimum by enumerating every size-s support.
+    """Best size-s support by enumeration, each support refit by the
+    restricted minimizer.
 
     Enumerates unit combinations in lexicographic order, refits each with
-    the restricted minimizer, and keeps the strictly best objective, so
-    ties resolve to the lexicographically smallest support.  Refuses to
+    :func:`~sco.problem.restricted_minimize`, and keeps the strictly best
+    full objective of the refit parameters, so ties resolve to the
+    lexicographically smallest support.  What it certifies is the
+    enumeration: every size-s support was refit.  Each refit is as exact as
+    ``restricted_minimize`` makes it, and ``converged=True`` means the
+    enumeration finished, not that every refit reported convergence (many
+    refits stop at the precision floor or at ``max_iter`` instead).
+    ``iterations`` is the number of supports enumerated.  Refuses to
     enumerate more than ``limit`` supports.
     """
     units = problem.view.n_units

@@ -1,6 +1,9 @@
 """Tape gradients against the finite-difference oracle, domain errors,
 and the algebraic properties of the engine."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sco
+from sco import models
 from sco.autodiff import (
     EvaluationError,
     ObjectiveOracle,
@@ -405,3 +409,161 @@ def test_derived_restriction_supports_each_use_of_the_input(name):
     f, g = oracle.value_and_grad(full)
     assert value == pytest.approx(f, rel=1e-12, abs=1e-15)
     assert np.allclose(grad, g[coords], rtol=1e-12, atol=1e-15)
+
+
+# -- record once, replay after ------------------------------------------------
+
+
+def _counting(program, calls):
+    def counted(th):
+        calls.append(1)
+        return program(th)
+
+    return counted
+
+
+def test_oracle_calls_its_program_once():
+    # the first call records the program; the other nine replay the recording
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((12, 6))
+    y = rng.standard_normal(12)
+    calls = []
+    oracle = build_objective(_counting(lambda th: 0.5 * sco.sqnorm(y - X @ th), calls), 6)
+    assert len(calls) == 1  # the construction probe records
+    sub = oracle.restricted([1, 4])
+    assert len(calls) == 1
+    for _ in range(5):
+        oracle.value(rng.standard_normal(6))
+        oracle.value_and_grad(rng.standard_normal(6))
+    assert len(calls) == 1
+    for _ in range(5):
+        sub.value(rng.standard_normal(2))
+        sub.value_and_grad(rng.standard_normal(2))
+    assert len(calls) == 2  # the restricted oracle recorded the program once
+
+    # the Ising objective restricts through its own hook, as models.objective builds it
+    ds = models.generate(models.ModelSpec("ising", 30, 10, 3, 0.4, seed=0))
+    program_for = models._ising_objective(ds.X)
+    hooked = []
+    ising = build_objective(program_for(None), ds.p, scale="nll", probe=False,
+                            restrict=lambda coords: build_objective(
+                                _counting(program_for(coords), hooked), len(coords),
+                                scale="nll", probe=False))
+    sub = ising.restricted([0, 3, 7])
+    for _ in range(5):
+        sub.value(0.3 * rng.standard_normal(3))
+        sub.value_and_grad(0.3 * rng.standard_normal(3))
+    assert len(hooked) == 1
+
+
+def _outcome(evaluate, theta):
+    # what one evaluation returns, or the error it raises with its op and node
+    try:
+        return evaluate(theta)
+    except EvaluationError as e:
+        return ("EvaluationError", str(e), e.op, e.node)
+
+
+def _same_outcome(replayed, fresh):
+    if isinstance(fresh, tuple) and isinstance(fresh[1], np.ndarray):
+        assert replayed[0] == fresh[0]
+        assert np.array_equal(replayed[1], fresh[1])
+    else:
+        assert replayed == fresh
+
+
+@settings(max_examples=150, deadline=None)
+@given(project=st.booleans(), data=st.data())
+def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
+    p, chains, theta = data.draw(_random_programs(project=project), label="case")
+    program = _program(chains)
+    points = [theta] + [data.draw(hnp.arrays(float, (p,), elements=st.floats(-2.0, 2.0)),
+                                  label="theta") for _ in range(3)]
+    coords = np.sort(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
+                                        unique=True), label="coords"))
+    oracle = build_objective(program, p)
+    sub = oracle.restricted(coords)
+    for point in points:
+        for replaying, fresh_oracle, x in (
+                (oracle, lambda: build_objective(program, p, probe=False), point),
+                (sub, lambda: build_objective(program, p).restricted(coords), point[coords])):
+            for method in ("value", "value_and_grad"):
+                fresh = _outcome(getattr(fresh_oracle(), method), x)
+                _same_outcome(_outcome(getattr(replaying, method), x), fresh)
+
+
+@pytest.mark.parametrize("program, valid, invalid, op, node", [
+    # node is the operand the failing operation checks: log's argument, the divisor
+    (lambda th: sco.sqnorm(th) + sco.log(th[0] - 1.0), [2.0, 1.0], [0.5, 1.0], "log", 3),
+    (lambda th: sco.vsum(th * th) + th[0] / (th[1] - 1.0), [2.0, 3.0], [2.0, 1.0], "div", 5),
+    (lambda th: sco.vsum(3.0 / th), [2.0, 3.0], [2.0, 0.0], "div", 0),
+    (lambda th: sco.sqrt(th @ th) + sco.vsum((th + 1.0) ** 0.5), [2.0, 3.0], [-4.0, 3.0],
+     "pow", 3),
+], ids=["log", "div", "rdiv", "pow"])
+def test_replay_raises_the_recorded_domain_error(program, valid, invalid, op, node):
+    oracle = build_objective(program, 2, probe=False)
+    oracle.value_and_grad(np.array(valid))
+    for method in ("value", "value_and_grad"):
+        fresh = build_objective(program, 2, probe=False)
+        with pytest.raises(EvaluationError) as expected:
+            getattr(fresh, method)(np.array(invalid))
+        with pytest.raises(EvaluationError) as replayed:
+            getattr(oracle, method)(np.array(invalid))
+        assert (expected.value.op, expected.value.node) == (op, node)
+        assert (replayed.value.op, replayed.value.node) == (op, node)
+        assert str(replayed.value) == str(expected.value)
+
+
+def test_failed_first_call_keeps_no_recording():
+    calls = []
+    oracle = build_objective(_counting(lambda th: sco.log(th[0]) + sco.sqnorm(th), calls), 2,
+                             probe=False)
+    with pytest.raises(EvaluationError):
+        oracle.value_and_grad(np.array([-1.0, 1.0]))  # stops at log, before sqnorm
+    value, grad = oracle.value_and_grad(np.array([2.0, 1.0]))
+    assert value == np.log(2.0) + 5.0
+    assert np.array_equal(grad, [0.5 + 4.0, 2.0])
+    oracle.value(np.array([3.0, 1.0]))
+    assert len(calls) == 2
+
+
+def test_concurrent_first_calls_agree():
+    # several threads record one fresh oracle at once; each gets the serial result
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((30, 8))
+    y = rng.standard_normal(30)
+
+    def program(th):
+        t = X @ th
+        out = sco.vsum(sco.log1pexp(t)) - sco.dot(y, t)
+        for w in np.linspace(0.1, 1.0, 40):
+            out = out + w * sco.sqnorm(th - w)
+        return out
+
+    theta = 0.2 * rng.standard_normal(8)
+    serial = build_objective(program, 8, probe=False).value_and_grad(theta)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            oracle = build_objective(program, 8, probe=False)
+            barrier = threading.Barrier(4)
+            results = [None] * 4
+
+            def first_call(slot, oracle=oracle, barrier=barrier, results=results):
+                barrier.wait(timeout=10)
+                results[slot] = [oracle.value_and_grad(theta) for _ in range(3)]
+
+            threads = [threading.Thread(target=first_call, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            for calls in results:
+                assert calls is not None
+                for value, grad in calls:
+                    assert value == serial[0]
+                    assert np.array_equal(grad, serial[1])
+    finally:
+        sys.setswitchinterval(interval)

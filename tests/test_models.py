@@ -235,17 +235,17 @@ def test_restricted_oracle_agrees(kind, monkeypatch):
     oracle = models.objective(ds)
     rng = np.random.default_rng(23)
     coords = np.sort(rng.choice(ds.p, size=4, replace=False))
-    tapes = []
-    tape_eval = autodiff._tape_eval
+    evaluations = []
+    evaluate = autodiff._Evaluator.evaluate
 
-    def counting_tape_eval(*args):
-        tapes.append(args)
-        return tape_eval(*args)
+    def counting_evaluate(*args):
+        evaluations.append(args)
+        return evaluate(*args)
 
-    monkeypatch.setattr(autodiff, "_tape_eval", counting_tape_eval)
+    monkeypatch.setattr(autodiff._Evaluator, "evaluate", counting_evaluate)
     sub = oracle.restricted(coords)
     assert sub is not None and sub.dim == 4
-    assert tapes == []  # restricted oracles skip the construction probe
+    assert evaluations == []  # restricted oracles skip the construction probe
     z = rng.standard_normal(4) * 0.3
     full = np.zeros(ds.p)
     full[coords] = z
