@@ -568,11 +568,12 @@ def cumsum(v):
 
 
 # -- reverse sweep ----------------------------------------------------------
-# A plan step ``(k, t, contribution, into)`` adds node k's contribution to
-# the adjoint of its operand t: ``adj[t] = into(adj[t], contribution(adj[k],
-# partials[k]))``.  ``into`` starts an adjoint (the first contribution it
-# gets) or adds to it, and folds a contribution that was broadcast up in the
-# forward pass back to the operand's shape.
+# A plan step ``(k, t, back, fix)`` adds node k's contribution to the adjoint
+# of its operand t.  ``back(adj[k], partials[k])`` is the contribution;
+# ``fix``, when the contribution does not have t's shape, folds one broadcast
+# up in the forward pass back down, or spreads a vsum's scalar adjoint over
+# t.  Adjoints are never added into in place, so a contribution may pass an
+# adjoint through unchanged.
 
 
 def _times_pa(a, parts):
@@ -596,14 +597,24 @@ def _mv_adjoint(a, parts):
 
 
 def _cumsum_adjoint(a, parts):
-    return np.cumsum(a[::-1])[::-1]
+    # written reversed into a fresh array: numpy does not hand negative-stride
+    # arrays to BLAS, so later products with a reversed view round differently
+    out = np.empty_like(a)
+    np.cumsum(a[::-1], out=out[::-1])
+    return out
 
 
 def _scatter_adjoint(a, parts):
     return a[parts[0]]
 
 
-def _fold(contrib, shape):
+def _gather_adjoint(index, shape, a, parts):
+    out = np.zeros(shape)
+    np.add.at(out, index, a)
+    return out
+
+
+def _fold(shape, contrib):
     # sum a broadcast contribution back down to its operand's shape
     lead = contrib.ndim - len(shape)
     if lead:
@@ -612,109 +623,10 @@ def _fold(contrib, shape):
     return contrib.sum(axis=ones, keepdims=True) if ones else contrib
 
 
-def _start_float(adj, c):
-    return float(c)
-
-
-def _start_float_sum(adj, c):
-    return float(np.sum(c))
-
-
-def _add_float(adj, c):
-    return adj + float(c)
-
-
-def _add_float_sum(adj, c):
-    return adj + float(np.sum(c))
-
-
-def _start_copy(adj, c):  # np.zeros(c.shape) + c, bit for bit
-    return c + 0.0
-
-
-def _start_zeros(shape, adj, c):
-    return np.zeros(shape) + c
-
-
-def _start_fold(shape, adj, c):
-    return np.zeros(shape) + _fold(c, shape)
-
-
-def _start_negated(adj, c):  # np.zeros(c.shape) + c * -1.0, bit for bit
-    return 0.0 - c
-
-
-def _add_in_place(adj, c):
-    adj += c
-    return adj
-
-
-def _subtract_in_place(adj, c):  # adj += c * -1.0, bit for bit
-    adj -= c
-    return adj
-
-
-def _add_fold(shape, adj, c):
-    adj += _fold(c, shape)
-    return adj
-
-
-def _add_at(index, shape, adj, c):
-    if adj is None:
-        adj = np.zeros(shape)
-    np.add.at(adj, index, c)
-    return adj
-
-
-def _broadcast(s, t):
-    # numpy's broadcast of two shapes, or None where they do not broadcast
-    if s == t or not t:
-        return s
-    if not s:
-        return t
-    n = max(len(s), len(t))
-    out = []
-    for m, q in zip((1,) * (n - len(s)) + s, (1,) * (n - len(t)) + t):
-        if m != q and m != 1 and q != 1:
-            return None
-        out.append(q if m == 1 else m)
-    return tuple(out)
-
-
-def _into(shape, cshape, start):
-    # how a contribution of shape cshape reaches an adjoint of shape shape
-    if not shape:
-        if cshape:
-            return _start_float_sum if start else _add_float_sum
-        return _start_float if start else _add_float
-    if _broadcast(shape, cshape) != shape:
-        return partial(_start_fold if start else _add_fold, shape)
-    if not start:
-        return _add_in_place
-    return _start_copy if cshape == shape else partial(_start_zeros, shape)
-
-
-# the contribution of each one-operand adjoint; it has the operand's shape,
-# but for "sum", whose contribution is the scalar a
-_ONE_OPERAND = {"mv": _mv_adjoint, "sum": _same, "cumsum": _cumsum_adjoint,
-                "scatter": _scatter_adjoint}
-
-
-def _step(kind, side, part, c, node_shape, shape, start):
-    # the (contribution, into) pair of one operand's contribution
-    if kind == "gather":
-        return _same, partial(_add_at, c, shape)
-    if kind == "linear" and type(part) is float and abs(part) == 1.0:
-        if part == 1.0:
-            return _same, _into(shape, node_shape, start)
-        if node_shape == shape != ():
-            # subtract a from the adjoint instead of adding -a
-            return _same, _start_negated if start else _subtract_in_place
-        return _negated, _into(shape, node_shape, start)
-    if kind in ("linear", "product"):
-        cshape = _broadcast(node_shape, getattr(part, "shape", ()))
-        return _times_pb if side else _times_pa, _into(shape, cshape, start)
-    return _ONE_OPERAND[kind], _into(shape, () if kind == "sum" else shape, start)
+def _spread(shape, a):
+    out = np.empty(shape)
+    out.fill(a)
+    return out
 
 
 def _plan(tape, root):
@@ -727,20 +639,44 @@ def _plan(tape, root):
         if not reached[k]:
             continue
         rule, i, j, c, _ = tape.ops[k - 1]
-        parts = tape.partials[k]
+        kind, parts, node = rule.adjoint, tape.partials[k], shapes[k]
         for t, side in ((i, 0), (j, 1)):
-            if t >= 0:
-                steps.append((k, t) + _step(rule.adjoint, side, parts[side], c, shapes[k],
-                                            shapes[t], not reached[t]))
-                reached[t] = True
+            if t < 0:
+                continue
+            reached[t] = True
+            shape, fix = shapes[t], None
+            if kind in ("linear", "product"):
+                part = parts[side]
+                if kind == "linear" and type(part) is float and abs(part) == 1.0:
+                    back = _same if part == 1.0 else _negated
+                else:
+                    back = _times_pb if side else _times_pa
+                # an elementwise node has its operands' broadcast shape; an
+                # inner product's scalar node gets contributions shaped as t
+                if node and node != shape:
+                    fix = partial(_fold, shape)
+            elif kind == "sum":
+                back, fix = _same, partial(_spread, shape)
+            elif kind == "gather":
+                back = partial(_gather_adjoint, c, shape)
+            elif kind == "mv":
+                back = _mv_adjoint
+            elif kind == "cumsum":
+                back = _cumsum_adjoint
+            else:
+                back = _scatter_adjoint
+            steps.append((k, t, back, fix))
     return steps
 
 
 def _sweep(steps, partials, root, dim):
     adj = [None] * (root + 1)
     adj[root] = 1.0
-    for k, t, contribution, into in steps:
-        adj[t] = into(adj[t], contribution(adj[k], partials[k]))
+    for k, t, back, fix in steps:
+        c = back(adj[k], partials[k])
+        if fix is not None:
+            c = fix(c)
+        adj[t] = c if adj[t] is None else adj[t] + c
     return np.zeros(dim) if adj[0] is None else adj[0]
 
 

@@ -6,6 +6,7 @@ limited-memory quasi-Newton minimizer over a fixed support.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -25,6 +26,14 @@ __all__ = [
     "restricted_minimize",
     "validate_solution",
 ]
+
+
+def _require_integers(obj, *names):
+    # a float count would fail later, inside slicing or range
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +56,7 @@ class SolverConfig:
     warm_start: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        _require_integers(self, "max_iter", "inner_max_iter")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.inner_max_iter < 1:
@@ -134,6 +144,7 @@ class ScoProblem:
     view: GroupView = field(init=False, repr=False)
 
     def __post_init__(self):
+        _require_integers(self, "p", "s")
         if self.p < 1:
             raise ValueError("dimension p must be at least 1")
         if self.oracle.dim != self.p:
@@ -384,8 +395,8 @@ def restricted_minimize(problem, support, init=None, config=None):
     search.
 
     ``support`` holds integer coordinate indices; fractional or boolean
-    entries raise ValueError.  ``init`` must be zero off the free
-    coordinates; the search never increases the objective relative to
+    entries raise ValueError.  ``init``, a length-p vector, must be zero
+    off the free coordinates; the search never increases the objective relative to
     it.  Returns a :class:`RestrictedResult` whose ``params`` is the
     full-length vector.
     """
@@ -396,6 +407,9 @@ def restricted_minimize(problem, support, init=None, config=None):
     free = np.union1d(support, problem.preselect).astype(int)
     if init is not None:
         init = np.asarray(init, dtype=float)
+        if init.shape != (problem.p,):
+            raise ValueError(f"init must be a vector of length p={problem.p}, "
+                             f"got shape {init.shape}")
         off = np.ones(problem.p, dtype=bool)
         off[free] = False
         if np.any(init[off] != 0.0):

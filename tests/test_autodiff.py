@@ -272,12 +272,18 @@ def test_broadcast_operands_fold_back():
 _UNARY = {"exp": sco.exp, "log1pexp": sco.log1pexp, "logistic": sco.logistic}
 
 
+_DIVISORS = st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0))
+
+
 @st.composite
 def _random_programs(draw, project=False):
-    # a sum of chains; each starts with a 1-D or 2-D gather from theta (with
-    # ``project``, or with a constant-matrix product C @ theta) and applies
-    # elementwise functions, constant scalings, constant-matrix products and
-    # row-broadcast products with another gather
+    # chains added or subtracted; each starts with a 1-D or 2-D gather from
+    # theta (with ``project``, or with a constant-matrix product C @ theta)
+    # and applies elementwise functions, negation, constant scalings, shifts
+    # and divisions, constant-matrix products and row-broadcast products
+    # with another gather.  A shift or division takes a scalar, an array of
+    # the chain's shape or, on a vector, a two-row matrix the chain is
+    # broadcast up to
     p = draw(st.integers(1, 5))
     unit = st.floats(-1.0, 1.0)
     chains = []
@@ -290,13 +296,25 @@ def _random_programs(draw, project=False):
             shape = draw(st.sampled_from([(1,), (3,), (4, 2), (2, 3), (1, 4)]))
             steps = [("gather", draw(hnp.arrays(int, shape, elements=st.integers(0, p - 1))))]
         for _ in range(draw(st.integers(0, 4))):
-            op = draw(st.sampled_from(["unary", "scale", "scale-array", "matmul", "row"]))
+            op = draw(st.sampled_from(["unary", "neg", "scale", "scale-array", "sub", "rsub",
+                                       "div", "matmul", "row"]))
             if op == "unary":
                 steps.append((op, _UNARY[draw(st.sampled_from(sorted(_UNARY)))]))
+            elif op == "neg":
+                steps.append((op, None))
             elif op == "scale":
                 steps.append((op, draw(unit)))
             elif op == "scale-array":
                 steps.append(("scale", draw(hnp.arrays(float, shape, elements=unit))))
+            elif op in ("sub", "rsub", "div"):
+                cells = _DIVISORS if op == "div" else unit
+                const = draw(st.sampled_from(["scalar", "array", "lift"]))
+                if const == "scalar":
+                    steps.append((op, draw(cells)))
+                else:
+                    if const == "lift" and len(shape) == 1:
+                        shape = (2,) + shape
+                    steps.append((op, draw(hnp.arrays(float, shape, elements=cells))))
             elif op == "matmul":
                 rows = draw(st.integers(1, 4))
                 cell = st.floats(-1.0 / shape[0], 1.0 / shape[0])  # keeps values bounded
@@ -305,7 +323,7 @@ def _random_programs(draw, project=False):
             elif len(shape) == 2:
                 steps.append((op, draw(hnp.arrays(int, shape[1:],
                                                   elements=st.integers(0, p - 1)))))
-        chains.append(steps)
+        chains.append((draw(st.sampled_from("+-")), steps))
     theta = draw(hnp.arrays(float, (p,), elements=unit))
     return p, chains, theta
 
@@ -316,8 +334,16 @@ def _run_chain(steps, th):
     for op, arg in steps[1:]:
         if op == "unary":
             x = arg(x)
+        elif op == "neg":
+            x = -x
         elif op == "scale":
             x = x * arg
+        elif op == "sub":
+            x = x - arg
+        elif op == "rsub":
+            x = arg - x
+        elif op == "div":
+            x = x / arg
         elif op == "matmul":
             x = arg @ x
         else:
@@ -327,9 +353,10 @@ def _run_chain(steps, th):
 
 def _program(chains):
     def program(th):
-        out = _run_chain(chains[0], th)
-        for steps in chains[1:]:
-            out = out + _run_chain(steps, th)
+        out = _run_chain(chains[0][1], th)
+        for sign, steps in chains[1:]:
+            x = _run_chain(steps, th)
+            out = out + x if sign == "+" else out - x
         return out
 
     return program
@@ -567,3 +594,41 @@ def test_concurrent_first_calls_agree():
                     assert np.array_equal(grad, serial[1])
     finally:
         sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("program", [
+    lambda th: 0.5 * sco.sqnorm(np.arange(4.0) - np.ones((4, 3)) @ th),
+    lambda th: sco.vsum(th + 1.0),
+    lambda th: sco.sqnorm(th) - sco.vsum(th),
+    lambda th: sco.vsum(th[[0, 2, 2]]),
+    lambda th: np.arange(3.0) @ th,
+    lambda th: sco.norm(sco.cumsum(th)),
+], ids=["least-squares", "vsum-shift", "sqnorm-vsum", "repeated-gather", "constant-dot",
+        "cumsum"])
+def test_returned_gradients_own_their_memory(program):
+    # a caller may overwrite a gradient in place; later calls must not see it.
+    # Gradients are contiguous too, so BLAS sums products with them as usual
+    oracle = build_objective(program, 3)
+    for evaluated, x in ((oracle, np.array([0.3, -0.7, 1.1])),
+                         (oracle.restricted([0, 2]), np.array([0.3, 1.1]))):
+        value, grad = evaluated.value_and_grad(x)
+        assert grad.flags.c_contiguous
+        expected = grad.copy()
+        grad[:] = np.nan
+        evaluated.gradient(x)[:] = np.nan
+        again = evaluated.value_and_grad(x)
+        assert again[0] == value
+        assert np.array_equal(again[1], expected)
+
+
+def test_an_adjoint_passed_to_two_operands_is_not_added_into():
+    # s = v + u hands one adjoint array to both v and u; exp(v), recorded
+    # before s, then adds to v's adjoint while u's is still to be read
+    def program(th):
+        u, v = th * 2.0, th * 3.0
+        e = sco.exp(v)
+        return sco.vsum(v + u) + sco.vsum(e)
+
+    theta = np.array([0.2, -0.4, 0.1])
+    grad = build_objective(program, 3).gradient(theta)
+    assert np.allclose(grad, 5.0 + 3.0 * np.exp(3.0 * theta), rtol=1e-14)

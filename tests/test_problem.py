@@ -142,6 +142,11 @@ def test_restricted_minimize_rejects_bad_init():
     bad = np.ones(4)
     with pytest.raises(ValueError):
         restricted_minimize(prob, [0, 1], bad)
+    # a wrong shape is named against p, not against the restricted dimension
+    prob = models.build_problem(models.generate(models.ModelSpec("linear", 40, 12, 3, 5.0)))
+    for init in (np.zeros(5), np.zeros((12, 1))):
+        with pytest.raises(ValueError, match="p=12"):
+            restricted_minimize(prob, [0, 1], init)
 
 
 @pytest.mark.parametrize("support, match", [([1.9, 4.2], "integers"), ([1.0, 4.0], "integers"),
@@ -177,6 +182,14 @@ def test_group_and_preselect_validation():
         _ols_problem(X, y, 1, groups=[0, 0, 1, 1], preselect=[1])  # split group
     prob = _ols_problem(X, y, 1, groups=[0, 0, 1, 1], preselect=[0, 1])
     assert prob.selectable_units == 1
+    # counts must be integers; numpy integers are
+    with pytest.raises(ValueError, match="s must be an integer"):
+        _ols_problem(X, y, 2.5)
+    with pytest.raises(ValueError, match="s must be an integer"):
+        _ols_problem(X, y, 2.0)
+    with pytest.raises(ValueError, match="p must be an integer"):
+        ScoProblem(p=4.0, s=2, oracle=prob.oracle)
+    assert _ols_problem(X, y, np.int64(2)).s == 2
 
 
 def test_preselect_budget_excludes_preselected():
@@ -217,6 +230,10 @@ def test_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(TypeError):
         SolverConfig(step_size=-1.0)
+    for field in ("max_iter", "inner_max_iter"):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: 2.5})
+        assert getattr(SolverConfig(**{field: np.int32(3)}), field) == 3
 
 
 def _logistic_refit_at_floor():
