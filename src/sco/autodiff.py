@@ -141,18 +141,8 @@ def _sub(x, y, c):
 
 
 @_adjoint("linear")
-def _sub_const(x, y, c):
-    return x - c, 1.0, None
-
-
-@_adjoint("linear")
 def _rsub_const(x, y, c):
     return c - x, -1.0, None
-
-
-@_adjoint("linear")
-def _neg(x, y, c):
-    return -x, -1.0, None
 
 
 @_adjoint("linear")
@@ -217,17 +207,6 @@ def _dot_const(x, y, c):
     return float(np.dot(x, c)), c, None
 
 
-@_adjoint("product")
-def _const_dot(x, y, c):
-    return float(np.dot(c, x)), c, None
-
-
-@_adjoint("mv")
-def _vecmat(x, y, c):
-    # v @ A == A.T @ v; the partial is the effective matrix
-    return x @ c, c.T, None
-
-
 @_adjoint("mv")
 def _matvec(x, y, c):
     return c @ x, c, None
@@ -276,14 +255,10 @@ def _logistic(x, y, c):
     return v, v * (1.0 - v), None
 
 
-def _log1pexp_plain(t):
-    t = np.asarray(t)
-    return np.where(t > 0.0, t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-
-
 @_adjoint("product")
 def _log1pexp(x, y, c):
-    v = _log1pexp_plain(x)
+    t = np.asarray(x)
+    v = np.where(t > 0.0, t, 0.0) + np.log1p(np.exp(-np.abs(t)))
     return v, _logistic_plain(x), None
 
 
@@ -317,25 +292,23 @@ class Tape:
     """Append-only record of one forward evaluation.
 
     Node 0 is the input; node k > 0 was made by ``ops[k - 1] = (rule, i, j,
-    c, scalar)``: ``rule`` applied to the values of nodes i and j (j is -1
+    c, shape)``: ``rule`` applied to the values of nodes i and j (j is -1
     when absent) and the constant c.  ``values[k]`` is the node's value, a
-    float (``scalar``) or a float array of any shape (the module docstring
-    lists the operations that stay vector-only), ``shapes[k]`` its shape
-    and ``partials[k]`` the pair of partials its adjoint reads.
+    float when ``shape`` is ``()`` and a float array of that shape otherwise
+    (the module docstring lists the operations that stay vector-only), and
+    ``partials[k]`` the pair of partials its adjoint reads.
     """
 
-    __slots__ = ("ops", "values", "shapes", "partials")
+    __slots__ = ("ops", "values", "partials")
 
     def __init__(self):
         self.ops = []
         self.values = []
-        self.shapes = []
         self.partials = []
 
     def input(self, value):
         value = np.asarray(value, dtype=float)
         self.values.append(value)
-        self.shapes.append(value.shape)
         self.partials.append(None)
         return Var(self, len(self.values) - 1, value)
 
@@ -351,11 +324,30 @@ class Tape:
         shape = getattr(value, "shape", ())
         if not shape:
             value = float(value)
-        self.ops.append((rule, i, j, c, not shape))
+        self.ops.append((rule, i, j, c, shape))
         self.values.append(value)
-        self.shapes.append(shape)
         self.partials.append((pa, pb))
         return Var(self, len(self.values) - 1, value)
+
+
+def _binary(var_rule, const_rule, const=_const):
+    # the operator applying var_rule to two variables, or const_rule to a
+    # variable and const(other)
+    def op(self, other):
+        o = self._peer(other)
+        if o is not None:
+            return self.tape.apply(var_rule, self, o)
+        return self.tape.apply(const_rule, self, c=const(other))
+
+    return op
+
+
+def _reflected(const_rule):
+    # the reflected operator of a constant on the left
+    def op(self, other):
+        return self.tape.apply(const_rule, self, c=_const(other))
+
+    return op
 
 
 class Var:
@@ -379,43 +371,17 @@ class Var:
         return None
 
     # -- elementwise arithmetic ------------------------------------------
+    # x - c is x + (-c) in IEEE arithmetic, signed zeros included
 
-    def __add__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            return self.tape.apply(_add, self, o)
-        return self.tape.apply(_add_const, self, c=_const(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            return self.tape.apply(_sub, self, o)
-        return self.tape.apply(_sub_const, self, c=_const(other))
-
-    def __rsub__(self, other):
-        return self.tape.apply(_rsub_const, self, c=_const(other))
+    __add__ = __radd__ = _binary(_add, _add_const)
+    __sub__ = _binary(_sub, _add_const, lambda other: -_const(other))
+    __rsub__ = _reflected(_rsub_const)
+    __mul__ = __rmul__ = _binary(_mul, _scale)
+    __truediv__ = _binary(_div, _div_const)
+    __rtruediv__ = _reflected(_rdiv_const)
 
     def __neg__(self):
-        return self.tape.apply(_neg, self)
-
-    def __mul__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            return self.tape.apply(_mul, self, o)
-        return self.tape.apply(_scale, self, c=_const(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._peer(other)
-        if o is not None:
-            return self.tape.apply(_div, self, o)
-        return self.tape.apply(_div_const, self, c=_const(other))
-
-    def __rtruediv__(self, other):
-        return self.tape.apply(_rdiv_const, self, c=_const(other))
+        return self.tape.apply(_scale, self, c=-1.0)
 
     def __pow__(self, exponent):
         if isinstance(exponent, Var):
@@ -439,7 +405,8 @@ class Var:
         if np.ndim(c) == 1:
             return self.tape.apply(_dot_const, self, c=c)
         if np.ndim(c) == 2:
-            return self.tape.apply(_vecmat, self, c=c)
+            # v @ C == C.T @ v, and the adjoint is C @ a either way
+            return self.tape.apply(_matvec, self, c=c.T)
         raise ProgramError("@ expects a vector or matrix operand")
 
     def __rmatmul__(self, other):
@@ -449,7 +416,7 @@ class Var:
             # C @ V for a vector or matrix V; the adjoint is C.T @ A
             return self.tape.apply(_matvec, self, c=c)
         if np.ndim(c) == 1 and ndim == 1:
-            return self.tape.apply(_const_dot, self, c=c)
+            return self.tape.apply(_dot_const, self, c=c)
         raise ProgramError("@ expects a constant matrix times a variable vector or matrix, "
                            "or an inner product of two vectors")
 
@@ -481,26 +448,28 @@ class Var:
 
 # -- supported elementwise / reduction functions ---------------------------
 # Each records a node for a Var; a plain input is a constant (say ``log(w)``
-# of a fixed weight vector) and is evaluated directly.
+# of a fixed weight vector), which the elementwise functions evaluate by
+# their rule, domain checks included, and the reductions directly.
+
+
+def _elementwise(rule, x):
+    if isinstance(x, Var):
+        return x.tape.apply(rule, x)
+    return rule(_const(x), None, None)[0]
 
 
 def exp(x):
-    if isinstance(x, Var):
-        return x.tape.apply(_exp, x)
-    return np.exp(x)
+    return _elementwise(_exp, x)
 
 
 def log(x):
-    if isinstance(x, Var):
-        return x.tape.apply(_log, x)
-    if not np.all(np.asarray(x) > 0.0):
-        raise EvaluationError("log of a nonpositive value", op="log")
-    return np.log(x)
+    return _elementwise(_log, x)
 
 
 def sqrt(x):
     if isinstance(x, Var):
         return x.tape.apply(_sqrt, x)
+    # the rule refuses 0, where only the gradient is undefined
     if not np.all(np.asarray(x) >= 0.0):
         raise EvaluationError("sqrt of a negative value", op="sqrt")
     return np.sqrt(x)
@@ -508,16 +477,12 @@ def sqrt(x):
 
 def logistic(x):
     """Stable sigmoid 1 / (1 + e^-x)."""
-    if isinstance(x, Var):
-        return x.tape.apply(_logistic, x)
-    return _logistic_plain(x)
+    return _elementwise(_logistic, x)
 
 
 def log1pexp(x):
     """Stable log(1 + e^x)."""
-    if isinstance(x, Var):
-        return x.tape.apply(_log1pexp, x)
-    return _log1pexp_plain(x)
+    return _elementwise(_log1pexp, x)
 
 
 def dot(a, b):
@@ -631,20 +596,20 @@ def _spread(shape, a):
 
 def _plan(tape, root):
     """The reverse sweep of a recording, root down and operand i before j."""
-    shapes = tape.shapes
+    ops = tape.ops
     reached = [False] * (root + 1)
     reached[root] = True
     steps = []
     for k in range(root, 0, -1):
         if not reached[k]:
             continue
-        rule, i, j, c, _ = tape.ops[k - 1]
-        kind, parts, node = rule.adjoint, tape.partials[k], shapes[k]
+        rule, i, j, c, node = ops[k - 1]
+        kind, parts = rule.adjoint, tape.partials[k]
         for t, side in ((i, 0), (j, 1)):
             if t < 0:
                 continue
             reached[t] = True
-            shape, fix = shapes[t], None
+            shape, fix = ops[t - 1][4] if t else tape.values[0].shape, None
             if kind in ("linear", "product"):
                 part = parts[side]
                 if kind == "linear" and type(part) is float and abs(part) == 1.0:
@@ -697,14 +662,14 @@ class _Recording:
         values = [theta]
         partials = [None]
         keep_value, keep_partials = values.append, partials.append
-        for rule, i, j, c, scalar in self.ops:
+        for rule, i, j, c, shape in self.ops:
             try:
                 # values[j] with j = -1 is a stand-in that one-operand rules ignore
                 value, pa, pb = rule(values[i], values[j], c)
             except EvaluationError as e:
                 _blame(e, i, j)
                 raise
-            keep_value(float(value) if scalar else value)
+            keep_value(value if shape else float(value))
             keep_partials((pa, pb))
         return values, partials
 

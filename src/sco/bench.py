@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -114,13 +114,9 @@ def exhaustive_oracle(problem, limit=10**6):
 
 # -- suites -------------------------------------------------------------------
 
-CSV_COLUMNS = ("solver", "model", "n", "p", "s_true", "s_used", "seed",
-               "accuracy", "recall", "precision", "f1", "runtime_s", "objective")
-
-
 @dataclass(frozen=True)
 class BenchRecord:
-    """One solver x problem x seed result row."""
+    """One solver x problem x seed result row; its fields are the CSV columns."""
 
     solver: str
     model: str
@@ -135,6 +131,12 @@ class BenchRecord:
     f1: float
     runtime_s: float
     objective: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(BenchRecord))
+# per column: (write, parse); floats via repr so parsing is exact
+_CODECS = {"str": (str, str), "int": (str, int), "float": (repr, float)}
+_COLUMN_CODECS = tuple(_CODECS[f.type] for f in fields(BenchRecord))
 
 
 @dataclass(frozen=True)
@@ -244,11 +246,8 @@ def write_records(records, path):
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for r in records:
-            writer.writerow([
-                r.solver, r.model, r.n, r.p, r.s_true, r.s_used, r.seed,
-                repr(r.accuracy), repr(r.recall), repr(r.precision), repr(r.f1),
-                repr(r.runtime_s), repr(r.objective),
-            ])
+            writer.writerow([write(getattr(r, name))
+                             for name, (write, _) in zip(CSV_COLUMNS, _COLUMN_CODECS)])
 
 
 def read_records(path):
@@ -260,12 +259,7 @@ def read_records(path):
         if tuple(header) != CSV_COLUMNS:
             raise ValueError("unexpected benchmark CSV header")
         for row in reader:
-            out.append(BenchRecord(
-                solver=row[0], model=row[1], n=int(row[2]), p=int(row[3]),
-                s_true=int(row[4]), s_used=int(row[5]), seed=int(row[6]),
-                accuracy=float(row[7]), recall=float(row[8]), precision=float(row[9]),
-                f1=float(row[10]), runtime_s=float(row[11]), objective=float(row[12]),
-            ))
+            out.append(BenchRecord(*(parse(v) for (_, parse), v in zip(_COLUMN_CODECS, row))))
     return out
 
 

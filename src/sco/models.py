@@ -346,6 +346,6 @@ def objective(dataset):
 
 def build_problem(dataset, s=None, groups=None, preselect=None):
     """ScoProblem over a dataset; s defaults to the planted sparsity."""
-    s = dataset.spec.s_true if s is None else int(s)
+    s = dataset.spec.s_true if s is None else s
     return ScoProblem(p=dataset.p, s=s, oracle=objective(dataset),
                       groups=groups, preselect=preselect, n=dataset.n)

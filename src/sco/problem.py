@@ -28,12 +28,11 @@ __all__ = [
 ]
 
 
-def _require_integers(obj, *names):
-    # a float count would fail later, inside slicing or range
-    for name in names:
-        value = getattr(obj, name)
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
+def _require_integer(value, name):
+    # a float count would be cut down, or fail later inside slicing or range
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,8 @@ class SolverConfig:
     warm_start: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        _require_integers(self, "max_iter", "inner_max_iter")
+        _require_integer(self.max_iter, "max_iter")
+        _require_integer(self.inner_max_iter, "inner_max_iter")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.inner_max_iter < 1:
@@ -144,7 +144,8 @@ class ScoProblem:
     view: GroupView = field(init=False, repr=False)
 
     def __post_init__(self):
-        _require_integers(self, "p", "s")
+        _require_integer(self.p, "p")
+        _require_integer(self.s, "s")
         if self.p < 1:
             raise ValueError("dimension p must be at least 1")
         if self.oracle.dim != self.p:
@@ -177,7 +178,7 @@ class ScoProblem:
             raise ValueError("no selectable units remain")
         if not 0 < self.s <= view.n_units:
             raise ValueError(f"sparsity budget s={self.s} must lie in 1..{view.n_units}")
-        if self.n is not None and self.n < 1:
+        if self.n is not None and _require_integer(self.n, "n") < 1:
             raise ValueError("sample size n must be positive")
         object.__setattr__(self, "view", view)
 
@@ -239,8 +240,8 @@ class RestrictedResult:
 def top_units(scores, k):
     """Indices of the k largest scores; ties resolved to the lower index."""
     scores = np.asarray(scores, dtype=float)
-    if k > len(scores):
-        raise ValueError("cannot select more units than exist")
+    if not 0 <= _require_integer(k, "count") <= len(scores):
+        raise ValueError(f"count k={k} must lie in 0..{len(scores)}")
     order = np.argsort(-scores, kind="stable")
     return np.sort(order[:k])
 

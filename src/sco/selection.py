@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import SolverConfig
+from .problem import SolverConfig, _require_integer
 from .solvers import solve
 
 __all__ = [
@@ -73,7 +73,7 @@ class PathAborted(RuntimeError):
 
 
 def _validate_grid(grid, n_units):
-    grid = [int(s) for s in grid]
+    grid = [int(_require_integer(s, "grid values")) for s in grid]
     if not grid:
         raise ValueError("empty sparsity grid")
     if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -184,8 +184,7 @@ def cross_validate(problem_factory, dataset, k, grid, kind, config=None):
     solution is re-fitted on the full data along a warm path.
     """
     cfg = config if config is not None else SolverConfig()
-    k = int(k)
-    if k < 2:
+    if _require_integer(k, "k") < 2:
         raise ValueError("cross-validation needs at least 2 folds")
     n_rows = dataset.n
     if n_rows < k:

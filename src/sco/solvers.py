@@ -158,18 +158,22 @@ def _initial_units(run):
     return top_units(view.unit_norms(g), s)
 
 
+def _best_refit(run, theta, changes):
+    """Refit each ``(unit, units)`` change from theta; the unit and refit
+    of the first lowest objective."""
+    best_u, best_res = -1, None
+    for u, units in changes:
+        res = run.refit(units, theta)
+        if best_res is None or res.objective < best_res.objective:
+            best_u, best_res = int(u), res
+    return best_u, best_res
+
+
 def _greedy_add(run, theta, active_mask):
     """Exact forward step: refit every inactive unit, keep the best one."""
-    best_f = np.inf
-    best_u = -1
-    best_res = None
     current = np.flatnonzero(active_mask)
-    for u in np.flatnonzero(~active_mask):
-        cand = np.sort(np.append(current, u))
-        res = run.refit(cand, theta)
-        if res.objective < best_f:
-            best_f, best_u, best_res = res.objective, int(u), res
-    return best_u, best_res
+    return _best_refit(run, theta, ((u, np.sort(np.append(current, u)))
+                                    for u in np.flatnonzero(~active_mask)))
 
 
 def _forward(run):
@@ -378,13 +382,8 @@ def _foba(run):
         # backward sweep: drop the cheapest active unit while cheap enough
         while active.any():
             units = np.flatnonzero(active)
-            best_inc, best_u, best_res = np.inf, -1, None
-            for v in units:
-                res_v = run.refit(units[units != v], theta)
-                if res_v.objective - f_cur < best_inc:
-                    best_inc = res_v.objective - f_cur
-                    best_u, best_res = int(v), res_v
-            if best_inc > _FOBA_BACKWARD_RATIO * delta_last:
+            best_u, best_res = _best_refit(run, theta, ((v, units[units != v]) for v in units))
+            if best_res.objective - f_cur > _FOBA_BACKWARD_RATIO * delta_last:
                 break
             active[best_u] = False
             theta = best_res.params

@@ -16,6 +16,7 @@ from sco.autodiff import (
     EvaluationError,
     ObjectiveOracle,
     ProgramError,
+    Tape,
     build_objective,
     fd_gradient,
 )
@@ -125,6 +126,37 @@ def test_domain_errors():
     h = build_objective(lambda th: sco.sqrt(th[0]), 1)
     with pytest.raises(EvaluationError):
         h.gradient([-2.0])
+
+
+_CONSTANTS = [0.7, [0.25, 1.0, 3.5], np.array([0.5, 2.0, 4.0])]
+
+
+@pytest.mark.parametrize("x", _CONSTANTS, ids=["float", "list", "vector"])
+@pytest.mark.parametrize("fn, reference", [
+    (sco.exp, np.exp),
+    (sco.log, np.log),
+    (sco.sqrt, np.sqrt),
+    (sco.logistic, lambda t: 1.0 / (1.0 + np.exp(-t))),
+    (sco.log1pexp, lambda t: np.logaddexp(0.0, t)),
+], ids=["exp", "log", "sqrt", "logistic", "log1pexp"])
+def test_constants_go_through_the_rules(fn, reference, x):
+    # a constant's value is the value the same function records on a variable
+    t = np.asarray(x, dtype=float)
+    recorded = fn(Tape().input(t)).val
+    assert np.array_equal(fn(x), recorded)
+    if fn in (sco.exp, sco.log, sco.sqrt):
+        assert np.array_equal(fn(x), reference(t))
+    else:  # the stable forms round differently from the textbook ones
+        assert np.allclose(fn(x), reference(t), rtol=1e-14, atol=0.0)
+
+
+def test_constant_domain_errors_match_the_rules():
+    for x in (0.0, [1.0, -1.0]):
+        with pytest.raises(EvaluationError) as err:
+            sco.log(x)
+        assert err.value.op == "log"
+    # the sqrt rule refuses 0 for its gradient; a constant has none
+    assert sco.sqrt(0.0) == 0.0
 
 
 def test_evaluation_error_carries_node():

@@ -14,6 +14,7 @@ from sco.problem import (
     hard_threshold,
     project_feasible,
     restricted_minimize,
+    top_units,
     validate_solution,
 )
 
@@ -26,6 +27,14 @@ def _ols_problem(X, y, s, **kw):
 def test_hard_threshold_singletons():
     view = GroupView(3)
     assert np.array_equal(hard_threshold([3.0, -5.0, 1.0], 2, view), [0, 1])
+    assert np.array_equal(hard_threshold([3.0, -5.0, 1.0], np.int64(1), view), [1])
+    # a negative or fractional count is refused, not read as a slice bound
+    for count in (-1, 1.5, 4):
+        with pytest.raises(ValueError):
+            hard_threshold([3.0, -5.0, 1.0], count, view)
+        with pytest.raises(ValueError):
+            top_units([1.0, 2.0, 3.0], count)
+    assert len(top_units([1.0, 2.0, 3.0], 0)) == 0
 
 
 def test_hard_threshold_groups():
@@ -190,6 +199,14 @@ def test_group_and_preselect_validation():
     with pytest.raises(ValueError, match="p must be an integer"):
         ScoProblem(p=4.0, s=2, oracle=prob.oracle)
     assert _ols_problem(X, y, np.int64(2)).s == 2
+    # so is the sample size, which the information criteria read
+    with pytest.raises(ValueError, match="n must be an integer"):
+        ScoProblem(p=4, s=2, oracle=prob.oracle, n=2.5)
+    assert ScoProblem(p=4, s=2, oracle=prob.oracle, n=np.int64(6)).n == 6
+    assert ScoProblem(p=4, s=2, oracle=prob.oracle, n=None).n is None
+    ds = models.generate(models.ModelSpec("linear", 20, 6, 2, 5.0, seed=0))
+    with pytest.raises(ValueError, match="s must be an integer"):
+        models.build_problem(ds, s=2.5)
 
 
 def test_preselect_budget_excludes_preselected():

@@ -126,6 +126,12 @@ def test_path_abort_reports_partials():
     # grid beyond the unit count aborts validation up front
     with pytest.raises(ValueError):
         solve_path(prob, [1, 2, 99], "omp")
+    # so does a fractional budget, which would otherwise be cut down
+    with pytest.raises(ValueError, match="grid values must be an integer"):
+        solve_path(prob, [1, 2.5], "omp")
+    with pytest.raises(ValueError, match="grid values must be an integer"):
+        select_by_ic(prob, [1.5, 3.7], "omp")
+    assert select_by_ic(prob, np.arange(1, 3), "omp").grid == (1, 2)
     # a failing oracle mid-path surfaces as PathAborted with partial results
     bad = build_objective(lambda th: sco.log(sco.vsum(th) - 100.0), 6, probe=False)
     prob_bad = ScoProblem(p=6, s=3, oracle=bad, n=6)
@@ -180,3 +186,9 @@ def test_cross_validate_errors():
         cross_validate(lambda d: models.build_problem(d, s=1), ds, 1, [1, 2], "omp")
     with pytest.raises(ValueError):
         cross_validate(lambda d: models.build_problem(d, s=1), ds, 11, [1, 2], "omp")
+    with pytest.raises(ValueError, match="k must be an integer"):
+        cross_validate(lambda d: models.build_problem(d, s=1), ds, 2.9, [1, 2], "omp")
+    with pytest.raises(ValueError, match="grid values must be an integer"):
+        cross_validate(lambda d: models.build_problem(d, s=1), ds, 2, [1.0, 2.0], "omp")
+    result = cross_validate(lambda d: models.build_problem(d, s=1), ds, np.int64(2), [1], "omp")
+    assert result.chosen_s == 1
