@@ -6,8 +6,9 @@ limited-memory quasi-Newton minimizer over a fixed support.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -72,11 +73,12 @@ class GroupView:
 
     A unit is a group of coordinates (or a single coordinate when the
     problem is ungrouped); units partition {0..p-1} minus the preselected
-    coordinates, and the sparsity budget counts units.
+    coordinates, and the sparsity budget counts units.  ``p`` must be an
+    integer.
     """
 
     def __init__(self, p, groups=None, preselect=None):
-        self.p = int(p)
+        self.p = int(_require_integer(p, "p"))
         pre = np.asarray([] if preselect is None else preselect, dtype=int)
         selectable = np.ones(self.p, dtype=bool)
         selectable[pre] = False
@@ -267,19 +269,21 @@ def project_feasible(v, problem):
 _DEFAULT_CONFIG = SolverConfig()
 
 
-def _lbfgs_direction(g, S, Y, R):
+def _lbfgs_direction(g, S, Y, R, gamma):
+    # two-loop recursion; gamma = s.y / y.y of the newest pair, R[i] = 1 / s.y
     if not S:
         return -g
     q = g.copy()
-    alphas = []
-    for s, y, r in zip(reversed(S), reversed(Y), reversed(R)):
-        a = r * float(s @ q)
-        alphas.append(a)
-        q -= a * y
-    q *= float(S[-1] @ Y[-1]) / float(Y[-1] @ Y[-1])
-    for (s, y, r), a in zip(zip(S, Y, R), reversed(alphas)):
-        b = r * float(y @ q)
-        q += s * (a - b)
+    m = len(S)
+    alphas = [0.0] * m
+    for i in range(m - 1, -1, -1):
+        a = R[i] * float(S[i].dot(q))
+        alphas[i] = a
+        q -= a * Y[i]
+    q *= gamma
+    for i in range(m):
+        b = R[i] * float(Y[i].dot(q))
+        q += S[i] * (alphas[i] - b)
     return -q
 
 
@@ -300,32 +304,34 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
     :class:`EvaluationError` (it left the objective's domain, or its
     gradient is undefined there) counts as rejected.  Floor steps may
     raise f by rounding noise, so a final value above the start's
-    returns the start instead.  Returns a :class:`RestrictedResult` over
-    the coordinates of ``x0``.
+    returns the start instead.  A secant pair's s.y and y.y are computed
+    once, when the pair is stored.  Returns a :class:`RestrictedResult`
+    over the coordinates of ``x0``.
     """
     x = x_start = np.array(x0, dtype=float)
     f, g = value_and_grad(x)
     f_start = f
-    grad_inf = grad_start = float(np.max(np.abs(g))) if len(g) else 0.0
-    S, Y, R = [], [], []
+    grad_inf = grad_start = float(abs(g).max()) if len(g) else 0.0
+    S, Y, R = [], [], []  # secant pairs s, y and their 1 / s.y, oldest first
+    gamma = None  # s.y / y.y of the newest pair
     last_step = None
     converged = grad_inf <= tol
     reason = "max_iter"
     it = 0
     while not converged and it < max_iter:
         it += 1
-        d = _lbfgs_direction(g, S, Y, R)
-        gtd = float(g @ d)
+        d = _lbfgs_direction(g, S, Y, R, gamma)
+        gtd = float(g.dot(d))
         if gtd >= 0.0:  # curvature went bad; fall back to steepest descent
             d = -g
-            gtd = -float(g @ g)
+            gtd = -float(g.dot(g))
         if -gtd <= 1e-18 * (1.0 + abs(f)):
             reason = "no_descent"
             break
         if S:
             alpha = 1.0
         else:
-            alpha = min(1.0, 1.0 / max(np.sqrt(-gtd), 1e-12))
+            alpha = min(1.0, 1.0 / max(math.sqrt(-gtd), 1e-12))
         floor = 4.0 * _EPS * max(1.0, abs(f))
         step = None
         for _ in range(_MAX_HALVINGS + 1):
@@ -339,10 +345,10 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
                 break
             if abs(ft - f) <= floor:
                 # f cannot resolve this step: keep it if the gradient shrank
-                if float(np.max(np.abs(gt))) < grad_inf:
+                if float(abs(gt).max()) < grad_inf:
                     step = ft, gt
                 break
-            if np.isfinite(ft) and alpha * -gtd <= floor:
+            if math.isfinite(ft) and alpha * -gtd <= floor:
                 break  # smaller steps promise decreases f cannot show
             alpha *= 0.5
         else:
@@ -354,18 +360,20 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
         f_new, g_new = step
         s = x_new - x
         y = g_new - g
-        sy = float(s @ y)
-        if sy > 1e-12 * (float(np.linalg.norm(s)) * float(np.linalg.norm(y)) + 1e-300):
+        sy = float(s.dot(y))
+        yy = float(y.dot(y))
+        if sy > 1e-12 * (math.sqrt(float(s.dot(s))) * math.sqrt(yy) + 1e-300):
             S.append(s)
             Y.append(y)
             R.append(1.0 / sy)
+            gamma = sy / yy
             if len(S) > _MEMORY:
                 S.pop(0)
                 Y.pop(0)
                 R.pop(0)
         x, f, g = x_new, f_new, g_new
         last_step = alpha
-        grad_inf = float(np.max(np.abs(g)))
+        grad_inf = float(abs(g).max())
         converged = grad_inf <= tol
     if f > f_start:  # gradient-judged steps wiggled f up at the floor
         if converged:
@@ -411,16 +419,16 @@ def restricted_minimize(problem, support, init=None, config=None):
         if init.shape != (problem.p,):
             raise ValueError(f"init must be a vector of length p={problem.p}, "
                              f"got shape {init.shape}")
-        off = np.ones(problem.p, dtype=bool)
-        off[free] = False
-        if np.any(init[off] != 0.0):
+        # NaN counts as nonzero and -0.0 as zero
+        if np.count_nonzero(init) != np.count_nonzero(init[free]):
             raise ValueError("init must be zero off support and preselected coordinates")
     sub = problem.oracle.restricted(free)
     x0 = init[free] if init is not None else np.zeros(len(free))
     res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter)
     params = np.zeros(problem.p)
     params[free] = res.params
-    return replace(res, params=params)
+    return RestrictedResult(params, res.objective, res.grad_inf, res.iterations, res.converged,
+                            res.last_step, res.reason)
 
 
 def validate_solution(problem, solution, tol=1e-12):

@@ -128,6 +128,15 @@ def test_domain_errors():
         h.gradient([-2.0])
 
 
+def test_finite_gradient_whose_sum_overflows():
+    # every entry is finite, so this is a gradient, though its sum is not
+    f = build_objective(lambda th: 1e308 * th[0] + 1e308 * th[1], 2)
+    for _ in range(2):  # the recording call and a replay
+        value, g = f.value_and_grad([0.1, 0.1])
+        assert value == 1e308 * 0.1 + 1e308 * 0.1
+        assert np.array_equal(g, [1e308, 1e308])
+
+
 _CONSTANTS = [0.7, [0.25, 1.0, 3.5], np.array([0.5, 2.0, 4.0])]
 
 

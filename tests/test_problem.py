@@ -11,6 +11,8 @@ from sco.problem import (
     GroupView,
     ScoProblem,
     SolverConfig,
+    _lbfgs,
+    _lbfgs_direction,
     hard_threshold,
     project_feasible,
     restricted_minimize,
@@ -40,6 +42,14 @@ def test_hard_threshold_singletons():
 def test_hard_threshold_groups():
     view = GroupView(4, groups=[0, 0, 1, 1])
     assert np.array_equal(hard_threshold([1.0, 1.0, 9.0, 0.0], 1, view), [1])
+
+
+def test_group_view_dimension_must_be_an_integer():
+    # a fractional p would be cut down to 3 coordinates
+    for p in (3.7, 3.0, "3"):
+        with pytest.raises(ValueError, match="p must be an integer"):
+            GroupView(p)
+    assert GroupView(np.int64(3)).p == 3
 
 
 def test_hard_threshold_tie_breaks_low():
@@ -177,6 +187,81 @@ def test_restricted_minimize_where_the_gradient_is_undefined():
     assert np.all(np.isfinite(res.params)) and np.isfinite(res.objective)
     assert res.objective < 1.0
     assert res.params[1] == 0.0
+
+
+def test_restricted_minimize_init_off_the_free_coordinates():
+    # NaN off the free coordinates is not zero and is refused; -0.0 is zero
+    prob = models.build_problem(models.generate(models.ModelSpec("linear", 40, 12, 3, 5.0)))
+    init = np.zeros(12)
+    init[[0, 1]] = [0.5, -0.25]
+    plain = restricted_minimize(prob, [0, 1], init)
+    init[5] = np.nan
+    with pytest.raises(ValueError, match="zero off support"):
+        restricted_minimize(prob, [0, 1], init)
+    init[5] = -0.0
+    signed = restricted_minimize(prob, [0, 1], init)
+    assert signed.params.tobytes() == plain.params.tobytes()
+    assert signed.objective == plain.objective
+
+
+def _two_loop_reference(g, S, Y):
+    # textbook two-loop recursion (Nocedal & Wright, Algorithm 7.4), its
+    # initial matrix scaled by s.y / y.y of the newest pair
+    q = g.copy()
+    rho = [1.0 / float(s @ y) for s, y in zip(S, Y)]
+    alpha = [0.0] * len(S)
+    for i in reversed(range(len(S))):
+        alpha[i] = rho[i] * float(S[i] @ q)
+        q -= alpha[i] * Y[i]
+    if S:
+        q *= float(S[-1] @ Y[-1]) / float(Y[-1] @ Y[-1])
+    for i in range(len(S)):
+        beta = rho[i] * float(Y[i] @ q)
+        q += S[i] * (alpha[i] - beta)
+    return -q
+
+
+@pytest.mark.parametrize("pairs", [0, 1, 5, 12])
+def test_lbfgs_direction_matches_the_textbook_two_loop(pairs):
+    rng = np.random.default_rng(pairs)
+    M = rng.standard_normal((7, 7))
+    H = M @ M.T + np.eye(7)
+    S = [rng.standard_normal(7) for _ in range(pairs)]
+    Y = [H @ s for s in S]
+    R = [1.0 / float(s.dot(y)) for s, y in zip(S, Y)]
+    gamma = float(S[-1].dot(Y[-1])) / float(Y[-1].dot(Y[-1])) if S else None
+    for _ in range(3):
+        g = rng.standard_normal(7)
+        assert np.array_equal(_lbfgs_direction(g, S, Y, R, gamma), _two_loop_reference(g, S, Y))
+
+
+def test_lbfgs_carries_the_scaling_of_the_newest_stored_pair(monkeypatch):
+    # a double well: negative curvature makes the curvature test skip pairs,
+    # and the run stores more pairs than the memory keeps; every direction
+    # must equal the textbook recursion over the pairs the minimizer kept
+    rng = np.random.default_rng(0)
+    M = rng.standard_normal((12, 12))
+    A = M @ M.T / 12
+
+    def value_and_grad(x):
+        return float(0.5 * x @ A @ x + np.sum(x**4 / 4 - x**2)), A @ x + x**3 - 2.0 * x
+
+    newest = []
+
+    def checked(g, S, Y, R, gamma):
+        assert R == [1.0 / float(s @ y) for s, y in zip(S, Y)]
+        d = _lbfgs_direction(g, S, Y, R, gamma)
+        assert np.array_equal(d, _two_loop_reference(g, S, Y))
+        newest.append(S[-1] if S else None)
+        return d
+
+    monkeypatch.setattr("sco.problem._lbfgs_direction", checked)
+    res = _lbfgs(value_and_grad, rng.standard_normal(12) * 0.1, 1e-10, 200)
+    assert res.iterations == len(newest) > 20
+    stored = [s for i, s in enumerate(newest) if s is not None and (i == 0 or s is not newest[i - 1])]
+    skipped = sum(s is not None and s is prev for prev, s in zip(newest, newest[1:]))
+    assert skipped >= 1
+    assert len(stored) > 10  # the memory of 10 pairs was full and dropped its oldest
 
 
 def test_group_and_preselect_validation():

@@ -29,6 +29,15 @@ def test_bic_reference_value():
     assert v == pytest.approx(29.21034, abs=5e-6)
 
 
+def test_counts_must_be_integers():
+    # fractional counts would be cut down: s=2.5, n=100.9 scored as s=2, n=100
+    for s, n in ((2.5, 100), (2, 100.9), (2.5, 100.9), (2.0, 100), (2, 100.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            information_criterion(BIC, 10.0, s, n, 50)
+    v = information_criterion(BIC, 10.0, np.int64(2), np.int64(100), 50)
+    assert v == information_criterion(BIC, 10.0, 2, 100, 50) and type(v) is float
+
+
 def test_penalties_strictly_increase_with_s():
     for crit in (AIC, BIC, GIC):
         vals = [information_criterion(crit, 5.0, s, 200, 100) for s in range(1, 8)]
