@@ -21,7 +21,10 @@ program.  ``value`` stops at the recorded root; one reverse sweep, planned
 once per recording, then yields the full gradient at a small constant
 multiple of the cost of one evaluation, which is what makes
 high-dimensional solves viable.  Tape nodes are append-only and reference
-only earlier nodes, so the sweep visits each node at most once.
+only earlier nodes, so the sweep visits each node at most once.  The
+restricted oracles an oracle derives share one recording: the first to
+record keeps it as a template, and each later one re-binds it to its own
+coordinates.
 
 Replay relies on a contract: a program computes only through the exported
 operations, and applies the same operations to the same constants on every
@@ -648,14 +651,30 @@ def _sweep(steps, partials, root, dim):
 class _Recording:
     """The op list of one recorded evaluation, rooted at a scalar node, and
     its reverse sweep plan.  It keeps the op structure and constants, never
-    an evaluation's values, so any number of evaluations can replay it."""
+    an evaluation's values, so any number of evaluations can replay it.
+    ``bindings`` lists ``(position, make)`` for each op whose constant is
+    ``make(coords)`` of a derived restricted oracle's coordinates (see
+    :class:`_PlacedVar`); it is empty for every other recording."""
 
-    __slots__ = ("ops", "root", "steps")
+    __slots__ = ("ops", "root", "steps", "bindings")
 
-    def __init__(self, tape, root):
-        self.ops = tuple(tape.ops)
+    def __init__(self, ops, root, steps, bindings):
+        self.ops = ops
         self.root = root
-        self.steps = _plan(tape, root)
+        self.steps = steps
+        self.bindings = bindings
+
+    def rebind(self, coords):
+        """This recording over other coordinates of the same placed program:
+        the bound constants are made again from ``coords`` and the rest is
+        shared.  The sweep plan reads no coordinates (the input is used only
+        by ``C[:, coords] @ z`` and the scatter, whose adjoints read none), so
+        it is shared too."""
+        ops = list(self.ops)
+        for k, make in self.bindings:
+            rule, i, j, c, shape = ops[k]
+            ops[k] = rule, i, j, make(coords), shape
+        return _Recording(tuple(ops), self.root, self.steps, self.bindings)
 
     def replay(self, theta):
         """Node values and partials at ``theta``, the recorded rules rerun."""
@@ -708,7 +727,7 @@ class _Evaluator:
                 recording = self.recording
                 if recording is None:
                     tape = Tape()
-                    out = self.program(tape.input(theta))
+                    out, bindings = self._run(tape.input(theta))
                     if not isinstance(out, Var):
                         if isinstance(out, numbers.Real):
                             # program ignored its argument: constant objective, zero gradient
@@ -718,7 +737,8 @@ class _Evaluator:
                         raise ProgramError("program returned a variable from a foreign tape")
                     if np.ndim(out.val) != 0:
                         raise ProgramError("objective must evaluate to a scalar")
-                    recording = _Recording(tape, out.idx)
+                    recording = _Recording(tuple(tape.ops), out.idx, _plan(tape, out.idx),
+                                           tuple(bindings))
                     values, partials = tape.values, tape.partials
                 else:
                     values, partials = recording.replay(theta)
@@ -735,20 +755,39 @@ class _Evaluator:
             raise EvaluationError(f"non-finite value during evaluation: {e}") from e
         except (TypeError, AttributeError) as e:
             raise ProgramError(f"unsupported operation in objective program: {e}") from e
-        self.recording = recording
+        if self.recording is None:
+            self._keep(recording)
         return value
+
+    def _run(self, x):
+        # the program's output on the tape input x, and the bindings of its
+        # coordinate-dependent constants
+        return self.program(x), ()
+
+    def _keep(self, recording):
+        self.recording = recording
 
 
 # -- restriction --------------------------------------------------------------
+
+
+def _columns(C, coords):
+    return C[:, coords]
+
+
+def _placement(p, coords):
+    return coords, p
 
 
 class _PlacedVar(Var):
     """The input z placed at ``coords`` of a zero p-vector, as a derived
     restricted oracle's program sees it.  ``C @ x`` records one product with
     ``C[:, coords]``, sliced when the program is recorded; every other use
-    reads one ``scatter`` node, emitted at the first such use."""
+    reads one ``scatter`` node, emitted at the first such use.  ``bindings``
+    lists each of those ops' positions with the function that makes its
+    constant from ``coords``."""
 
-    __slots__ = ("coords", "p", "z", "_dense")
+    __slots__ = ("coords", "p", "z", "_dense", "bindings")
 
     def __init__(self, coords, p, z):
         self.tape = z.tape
@@ -756,10 +795,13 @@ class _PlacedVar(Var):
         self.p = p
         self.z = z
         self._dense = None
+        self.bindings = []
 
     def _densify(self):
         if self._dense is None:
-            self._dense = self.tape.apply(_scatter, self.z, c=(self.coords, self.p))
+            make = partial(_placement, self.p)
+            self._dense = self.tape.apply(_scatter, self.z, c=make(self.coords))
+            self.bindings.append((self._dense.idx - 1, make))
         return self._dense
 
     @property
@@ -772,15 +814,64 @@ class _PlacedVar(Var):
 
     def __rmatmul__(self, other):
         if np.ndim(other) == 2 and np.shape(other)[1] == self.p:
-            return self.z.__rmatmul__(_const(other)[:, self.coords])
+            make = partial(_columns, _const(other))
+            out = self.z.__rmatmul__(make(self.coords))
+            self.bindings.append((out.idx - 1, make))
+            return out
         return super().__rmatmul__(other)
 
 
-def _derived_restriction(program, p, scale, coords):
-    def placed(z):
-        return program(_PlacedVar(coords, p, z))
+def _placed(program, coords, p, z):
+    return program(_PlacedVar(coords, p, z))
 
-    return _program_oracle(placed, len(coords), scale)
+
+class _PlacedEvaluator(_Evaluator):
+    """The evaluator of a derived restricted oracle: the parent's program on
+    z placed at ``coords``.  It starts from the restriction's template,
+    re-bound to ``coords``, when there is one; otherwise its first
+    successful recording becomes the template."""
+
+    __slots__ = ("restriction", "coords")
+
+    def __init__(self, restriction, coords):
+        super().__init__(restriction.program, len(coords))
+        self.restriction = restriction
+        self.coords = coords
+        template = restriction.template
+        if template is not None:
+            self.recording = template.rebind(coords)
+
+    def _run(self, x):
+        placed = _PlacedVar(self.coords, self.restriction.p, x)
+        return self.program(placed), placed.bindings
+
+    def _keep(self, recording):
+        self.recording = recording
+        if self.restriction.template is None:
+            self.restriction.template = recording
+
+
+class _Restriction:
+    """The derived ``restrict`` hook of a program oracle over R^p.  Its
+    restricted oracles run the program on z placed at ``coords`` of a zero
+    p-vector, where ``C @ theta`` costs O(n k) on ``C[:, coords]``.  The
+    first of them to record keeps its recording as the template, and every
+    later one re-binds the template instead of calling the program."""
+
+    __slots__ = ("program", "p", "scale", "template")
+
+    def __init__(self, program, p, scale):
+        self.program = program
+        self.p = p
+        self.scale = scale
+        self.template = None
+
+    def __call__(self, coords):
+        evaluator = _PlacedEvaluator(self, coords)
+        nested = _Restriction(partial(_placed, self.program, coords, self.p), len(coords),
+                              self.scale)
+        return ObjectiveOracle(len(coords), evaluator.value, evaluator.value_and_grad,
+                               scale=self.scale, restrict=nested)
 
 
 def _zero_padded(oracle, coords):
@@ -864,15 +955,6 @@ class ObjectiveOracle:
         return f"ObjectiveOracle(dim={self.dim}{tag})"
 
 
-def _program_oracle(program, dim, scale, restrict=None):
-    # the one constructor of program oracles: full, derived restricted and nested
-    if restrict is None:
-        restrict = partial(_derived_restriction, program, dim, scale)
-    evaluator = _Evaluator(program, dim)
-    return ObjectiveOracle(dim, evaluator.value, evaluator.value_and_grad, scale=scale,
-                           restrict=restrict)
-
-
 def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
     """Wrap a differentiable program into an :class:`ObjectiveOracle`.
 
@@ -905,11 +987,18 @@ def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
         over a coordinate subset (others pinned to zero).  By default it is
         derived, unprobed: the program runs on z placed at ``coords`` of a
         zero vector, where ``C @ theta`` costs O(n k) on ``C[:, coords]``.
+        It is recorded once, by the first restricted oracle whose evaluation
+        succeeds; later restricted oracles re-slice that recording's
+        ``C[:, coords]`` constants and never call the program.
     probe : bool
         Run one recorded evaluation up front so unsupported operations
         surface as a construction error rather than at solve time.
     """
-    oracle = _program_oracle(program, dim, scale, restrict)
+    if restrict is None:
+        restrict = _Restriction(program, dim, scale)
+    evaluator = _Evaluator(program, dim)
+    oracle = ObjectiveOracle(dim, evaluator.value, evaluator.value_and_grad, scale=scale,
+                             restrict=restrict)
     if probe:
         try:
             oracle.value_and_grad(np.full(dim, 0.5))

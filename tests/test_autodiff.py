@@ -508,6 +508,16 @@ def test_oracle_calls_its_program_once():
         sub.value(rng.standard_normal(2))
         sub.value_and_grad(rng.standard_normal(2))
     assert len(calls) == 2  # the restricted oracle recorded the program once
+    # nine more restricted oracles re-bind the first one's recording to their coordinates
+    for coords in ([0], [], [5, 2], [0, 1, 2, 3, 4, 5], [3, 4], [2], [4, 0, 1], [1, 4], [5]):
+        sub = oracle.restricted(coords)
+        for _ in range(2):
+            z = rng.standard_normal(len(coords))
+            full = np.zeros(6)
+            full[coords] = z
+            assert sub.value(z) == pytest.approx(oracle.value(full), rel=1e-12)
+            sub.value_and_grad(z)
+    assert len(calls) == 2
 
     # the Ising objective restricts through its own hook, as models.objective builds it
     ds = models.generate(models.ModelSpec("ising", 30, 10, 3, 0.4, seed=0))
@@ -549,6 +559,10 @@ def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
                                   label="theta") for _ in range(3)]
     coords = np.sort(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
                                         unique=True), label="coords"))
+    # restricted oracles made after the first one recorded re-bind its recording
+    others = [np.array(data.draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True),
+                                 label="other coords"), dtype=int) for _ in range(2)]
+    others.append(np.array([], dtype=int))
     oracle = build_objective(program, p)
     sub = oracle.restricted(coords)
     for point in points:
@@ -558,6 +572,13 @@ def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
             for method in ("value", "value_and_grad"):
                 fresh = _outcome(getattr(fresh_oracle(), method), x)
                 _same_outcome(_outcome(getattr(replaying, method), x), fresh)
+    for other in others:
+        rebound = oracle.restricted(other)
+        for point in points:
+            for method in ("value", "value_and_grad"):
+                fresh = build_objective(program, p).restricted(other)
+                _same_outcome(_outcome(getattr(rebound, method), point[other]),
+                              _outcome(getattr(fresh, method), point[other]))
 
 
 @pytest.mark.parametrize("program, valid, invalid, op, node", [
@@ -595,8 +616,27 @@ def test_failed_first_call_keeps_no_recording():
     assert len(calls) == 2
 
 
+def test_failed_first_restricted_call_leaves_no_template():
+    calls = []
+    oracle = build_objective(_counting(lambda th: sco.log(th[0]) + sco.sqnorm(th), calls), 3,
+                             probe=False)
+    failed = oracle.restricted([0, 2])
+    with pytest.raises(EvaluationError):
+        failed.value_and_grad(np.array([-1.0, 1.0]))
+    assert len(calls) == 1
+    first = oracle.restricted([0, 1])  # no template yet: it records
+    assert first.value(np.array([2.0, 1.0])) == np.log(2.0) + 5.0
+    assert len(calls) == 2
+    failed.value(np.array([2.0, 1.0]))  # made before the template existed: it records too
+    assert len(calls) == 3
+    value, grad = oracle.restricted([2, 0]).value_and_grad(np.array([1.0, 2.0]))
+    assert value == np.log(2.0) + 5.0 and np.array_equal(grad, [2.0, 0.5 + 4.0])
+    assert len(calls) == 3  # re-bound from the first successful recording
+
+
 def test_concurrent_first_calls_agree():
-    # several threads record one fresh oracle at once; each gets the serial result
+    # several threads record one fresh oracle, and restricted oracles derived
+    # from it, at once; each gets the serial result
     rng = np.random.default_rng(12)
     X = rng.standard_normal((30, 8))
     y = rng.standard_normal(30)
@@ -610,6 +650,10 @@ def test_concurrent_first_calls_agree():
 
     theta = 0.2 * rng.standard_normal(8)
     serial = build_objective(program, 8, probe=False).value_and_grad(theta)
+    # each thread also restricts the shared oracle to coordinates of its own
+    supports = ([0, 3], [7, 1, 2], [], [5])
+    serial_subs = [build_objective(program, 8, probe=False).restricted(coords)
+                   .value_and_grad(theta[coords]) for coords in supports]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -620,7 +664,9 @@ def test_concurrent_first_calls_agree():
 
             def first_call(slot, oracle=oracle, barrier=barrier, results=results):
                 barrier.wait(timeout=10)
-                results[slot] = [oracle.value_and_grad(theta) for _ in range(3)]
+                coords = supports[slot]
+                results[slot] = [oracle.value_and_grad(theta) for _ in range(3)] + [
+                    oracle.restricted(coords).value_and_grad(theta[coords]) for _ in range(3)]
 
             threads = [threading.Thread(target=first_call, args=(slot,)) for slot in range(4)]
             for thread in threads:
@@ -628,11 +674,12 @@ def test_concurrent_first_calls_agree():
             for thread in threads:
                 thread.join(timeout=30)
                 assert not thread.is_alive()
-            for calls in results:
+            for slot, calls in enumerate(results):
                 assert calls is not None
-                for value, grad in calls:
-                    assert value == serial[0]
-                    assert np.array_equal(grad, serial[1])
+                for i, (value, grad) in enumerate(calls):
+                    expected = serial if i < 3 else serial_subs[slot]
+                    assert value == expected[0]
+                    assert np.array_equal(grad, expected[1])
     finally:
         sys.setswitchinterval(interval)
 
