@@ -247,22 +247,25 @@ def _sqrt(x, y, c):
     return v, 0.5 / v, None
 
 
-def _logistic_plain(t):
-    e = np.exp(-np.abs(t))
-    return np.where(np.asarray(t) >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+def _logistic_of(t, e):
+    # the sigmoid of t, given e = exp(-|t|)
+    one_e = 1.0 + e
+    return np.where(t >= 0.0, 1.0 / one_e, e / one_e)
 
 
 @_adjoint("product")
 def _logistic(x, y, c):
-    v = _logistic_plain(x)
+    t = np.asarray(x)
+    v = _logistic_of(t, np.exp(-np.abs(t)))
     return v, v * (1.0 - v), None
 
 
 @_adjoint("product")
 def _log1pexp(x, y, c):
     t = np.asarray(x)
-    v = np.where(t > 0.0, t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    return v, _logistic_plain(x), None
+    e = np.exp(-np.abs(t))
+    v = np.where(t > 0.0, t, 0.0) + np.log1p(e)
+    return v, _logistic_of(t, e), None
 
 
 @_adjoint("product")

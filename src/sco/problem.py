@@ -290,23 +290,28 @@ def _lbfgs_direction(g, S, Y, R, gamma):
 _EPS = float(np.finfo(float).eps)
 _MEMORY = 10  # secant pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant
-_MAX_HALVINGS = 50
+_MAX_BACKTRACKS = 50
 
 
 def _lbfgs(value_and_grad, x0, tol, max_iter):
-    """Limited-memory secant updates with Armijo halving line search.
+    """Limited-memory secant updates with a backtracking Armijo line search.
 
     Each trial costs one ``value_and_grad`` call, whose value and
     gradient both decide it.  A trial is accepted on Armijo sufficient
     decrease together with a strict decrease of f, or, within the
     precision floor (see :func:`restricted_minimize`), on a smaller
-    gradient infinity norm.  A trial whose evaluation raises
-    :class:`EvaluationError` (it left the objective's domain, or its
-    gradient is undefined there) counts as rejected.  Floor steps may
-    raise f by rounding noise, so a final value above the start's
-    returns the start instead.  A secant pair's s.y and y.y are computed
-    once, when the pair is stored.  Returns a :class:`RestrictedResult`
-    over the coordinates of ``x0``.
+    gradient infinity norm.  After a rejected trial with a finite value
+    the step shrinks to the minimizer of the quadratic through f, the
+    slope g.d and the trial's value, kept within [0.1, 0.5] of the
+    rejected step (safeguarded quadratic interpolation, Nocedal & Wright,
+    *Numerical Optimization*, 2006, section 3.5).  A trial whose
+    evaluation raises :class:`EvaluationError` (it left the objective's
+    domain, or its gradient is undefined there) counts as rejected and
+    halves the step; a search makes at most ``_MAX_BACKTRACKS``
+    backtracks.  Floor steps may raise f by rounding noise, so a final
+    value above the start's returns the start instead.  A secant pair's
+    s.y and y.y are computed once, when the pair is stored.  Returns a
+    :class:`RestrictedResult` over the coordinates of ``x0``.
     """
     x = x_start = np.array(x0, dtype=float)
     f, g = value_and_grad(x)
@@ -334,7 +339,7 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
             alpha = min(1.0, 1.0 / max(math.sqrt(-gtd), 1e-12))
         floor = 4.0 * _EPS * max(1.0, abs(f))
         step = None
-        for _ in range(_MAX_HALVINGS + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             x_new = x + alpha * d
             try:
                 ft, gt = value_and_grad(x_new)
@@ -348,9 +353,14 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
                 if float(abs(gt).max()) < grad_inf:
                     step = ft, gt
                 break
-            if math.isfinite(ft) and alpha * -gtd <= floor:
+            if not math.isfinite(ft):
+                alpha *= 0.5  # no value to interpolate
+            elif alpha * -gtd <= floor:
                 break  # smaller steps promise decreases f cannot show
-            alpha *= 0.5
+            else:
+                # the quadratic's minimizer: a rejected trial lies above the
+                # Armijo line, so the denominator is positive
+                alpha *= min(max(-gtd * alpha / (2.0 * (ft - f - gtd * alpha)), 0.1), 0.5)
         else:
             reason = "line_search"
             break
@@ -391,17 +401,20 @@ def restricted_minimize(problem, support, init=None, config=None):
     All other coordinates stay pinned at zero: f is the oracle's
     ``restricted`` oracle over the free coordinates.  Runs limited-memory
     quasi-Newton iterations (memory 10) with an Armijo backtracking line
-    search (sufficient-decrease constant 1e-4, halving steps, one
-    ``value_and_grad`` call per trial), stopping when the infinity norm
-    of the gradient over the free coordinates drops to
-    ``config.inner_tol`` or after ``config.inner_max_iter`` iterations.
-    It also stops at the precision floor ``4 eps max(1, |f|)``: a trial
-    whose value lies within the floor of the current value is kept only
-    if it lowers the gradient's infinity norm, and halving ends once the
-    predicted decrease falls below the floor (trials whose evaluation
-    raises :class:`~sco.autodiff.EvaluationError` keep halving, at most
-    50 times).  The result's ``reason`` records which rule ended the
-    search.
+    search (sufficient-decrease constant 1e-4, one ``value_and_grad``
+    call per trial; each rejected trial shrinks the step to the
+    minimizer of the quadratic interpolating f, its slope and the
+    trial's value, kept within [0.1, 0.5] of the rejected step),
+    stopping when the infinity norm of the gradient over the free
+    coordinates drops to ``config.inner_tol`` or after
+    ``config.inner_max_iter`` iterations.  It also stops at the
+    precision floor ``4 eps max(1, |f|)``: a trial whose value lies
+    within the floor of the current value is kept only if it lowers the
+    gradient's infinity norm, and backtracking ends once the predicted
+    decrease falls below the floor (trials whose evaluation raises
+    :class:`~sco.autodiff.EvaluationError` halve the step; a search
+    makes at most 50 backtracks).  The result's ``reason`` records which
+    rule ended the search.
 
     ``support`` holds integer coordinate indices; fractional or boolean
     entries raise ValueError.  ``init``, a length-p vector, must be zero
@@ -413,7 +426,10 @@ def restricted_minimize(problem, support, init=None, config=None):
     support = _integer_indices(support, "support indices")
     if len(support) and (support.min() < 0 or support.max() >= problem.p):
         raise ValueError("support indices out of range")
-    free = np.union1d(support, problem.preselect).astype(int)
+    if support.ndim == 1 and not len(problem.preselect) and (support[1:] > support[:-1]).all():
+        free = support  # already sorted and unique
+    else:
+        free = np.union1d(support, problem.preselect).astype(int)
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.shape != (problem.p,):

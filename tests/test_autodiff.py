@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import sco
-from sco import models
+from sco import autodiff, models
 from sco.autodiff import (
     EvaluationError,
     ObjectiveOracle,
@@ -157,6 +157,26 @@ def test_constants_go_through_the_rules(fn, reference, x):
         assert np.array_equal(fn(x), reference(t))
     else:  # the stable forms round differently from the textbook ones
         assert np.allclose(fn(x), reference(t), rtol=1e-14, atol=0.0)
+
+
+def _log1pexp_two_pass(x):
+    # the rule's value and partial, each computing exp(-|t|) of its own
+    t = np.asarray(x)
+    value = np.where(t > 0.0, t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    e = np.exp(-np.abs(x))
+    return value, np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def test_log1pexp_rule_matches_the_two_pass_formula():
+    edges = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320]
+    points = [*edges, np.array(edges),
+              *np.random.default_rng(3).standard_normal(5) * 30.0,
+              np.random.default_rng(4).standard_normal((3, 4)) * 30.0]
+    for x in points:
+        value, partial, _ = autodiff._log1pexp(x, None, None)
+        ref_value, ref_partial = _log1pexp_two_pass(x)
+        assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes(), x
+        assert np.asarray(partial).tobytes() == np.asarray(ref_partial).tobytes(), x
 
 
 def test_constant_domain_errors_match_the_rules():

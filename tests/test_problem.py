@@ -108,6 +108,11 @@ def test_restricted_minimize_orthonormal_is_exact():
     assert np.max(np.abs(res.params[support] - target[support])) <= 1e-8
     off = np.setdiff1d(np.arange(10), support)
     assert np.all(res.params[off] == 0.0)
+    # an unsorted or repeated support is refit over its sorted unique set
+    for listed in ([7, 1, 4], [4, 1, 7, 4]):
+        again = restricted_minimize(prob, listed, None)
+        assert again.params.tobytes() == res.params.tobytes()
+        assert again.objective == res.objective and again.iterations == res.iterations
 
 
 def test_restricted_minimize_empty_support():
@@ -262,6 +267,25 @@ def test_lbfgs_carries_the_scaling_of_the_newest_stored_pair(monkeypatch):
     skipped = sum(s is not None and s is prev for prev, s in zip(newest, newest[1:]))
     assert skipped >= 1
     assert len(stored) > 10  # the memory of 10 pairs was full and dropped its oldest
+
+
+def test_line_search_interpolates_after_an_overshooting_first_trial():
+    # f = 50 (x - 0.01)^2 from 0: the first trial, a unit step along -g,
+    # lands at x = 1, a hundred times too far.  Halving rejected six trials;
+    # the quadratic through f, g.d and the trial value needs at most two
+    prob = _ols_problem(np.array([[10.0]]), np.array([0.1]), 1)
+    sub = prob.oracle.restricted([0])
+    trials = []
+
+    def counted(x):
+        trials.append(float(x[0]))
+        return sub.value_and_grad(x)
+
+    res = _lbfgs(counted, np.zeros(1), 1e-8, 1)
+    assert res.iterations == 1 and res.last_step is not None
+    assert trials[:2] == [0.0, 1.0]
+    rejected = len(trials) - 2  # less the start and the accepted trial
+    assert rejected <= 2, trials
 
 
 def test_group_and_preselect_validation():
