@@ -579,10 +579,14 @@ def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
                                   label="theta") for _ in range(3)]
     coords = np.sort(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
                                         unique=True), label="coords"))
-    # restricted oracles made after the first one recorded re-bind its recording
-    others = [np.array(data.draw(st.lists(st.integers(0, p - 1), max_size=p, unique=True),
-                                 label="other coords"), dtype=int) for _ in range(2)]
-    others.append(np.array([], dtype=int))
+    # restricted oracles made after the first one recorded re-bind its
+    # recording, and so do restrictions of a restricted oracle
+    def subsets(size, label):
+        return [np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=size,
+                                            unique=True), label=label), dtype=int)
+                for _ in range(2)] + [np.array([], dtype=int)]
+
+    others, nested = subsets(p, "other coords"), subsets(len(coords), "nested coords")
     oracle = build_objective(program, p)
     sub = oracle.restricted(coords)
     for point in points:
@@ -592,13 +596,20 @@ def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
             for method in ("value", "value_and_grad"):
                 fresh = _outcome(getattr(fresh_oracle(), method), x)
                 _same_outcome(_outcome(getattr(replaying, method), x), fresh)
-    for other in others:
-        rebound = oracle.restricted(other)
+
+    def check(rebound, fresh_oracle, pick):
         for point in points:
             for method in ("value", "value_and_grad"):
-                fresh = build_objective(program, p).restricted(other)
-                _same_outcome(_outcome(getattr(rebound, method), point[other]),
-                              _outcome(getattr(fresh, method), point[other]))
+                _same_outcome(_outcome(getattr(rebound, method), point[pick]),
+                              _outcome(getattr(fresh_oracle(), method), point[pick]))
+
+    for other in others:
+        check(oracle.restricted(other),
+              lambda other=other: build_objective(program, p).restricted(other), other)
+    for inner in nested:
+        check(sub.restricted(inner),
+              lambda inner=inner: build_objective(program, p).restricted(coords).restricted(inner),
+              coords[inner])
 
 
 @pytest.mark.parametrize("program, valid, invalid, op, node", [
