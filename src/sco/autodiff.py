@@ -22,9 +22,10 @@ once per recording, then yields the full gradient at a small constant
 multiple of the cost of one evaluation, which is what makes
 high-dimensional solves viable.  Tape nodes are append-only and reference
 only earlier nodes, so the sweep visits each node at most once.  The
-restricted oracles an oracle derives share one recording: the first to
-record keeps it as a template, and each later one re-binds it to its own
-coordinates.
+restricted oracles an oracle derives never call the program: each replays
+its oracle's recording re-bound to z placed at its coordinates (``C @
+theta`` becomes ``C[:, coords] @ z``), and names the program's own node
+in the errors it raises.
 
 Replay relies on a contract: a program computes only through the exported
 operations, and applies the same operations to the same constants on every
@@ -68,7 +69,8 @@ class EvaluationError(ArithmeticError):
     Raised for log of a nonpositive value, division by zero, fractional
     powers of negative numbers, and any non-finite intermediate, instead of
     silently propagating nan/inf.  ``node`` is the index of the offending
-    tape node when the failure happened on a recorded tape.
+    node of the program's recording when the failure happened on a tape:
+    the same for a restricted oracle as for the oracle it derives from.
     """
 
     def __init__(self, message, op=None, node=None):
@@ -87,9 +89,10 @@ def _domain(ok, message, op):
         raise EvaluationError(message, op=op)
 
 
-def _blame(error, i, j):
-    # a rule checks its last variable operand: the divisor, or its one operand
-    error.node = j if j >= 0 else i
+def _blame(error, i, j, offset=0):
+    # a rule checks its last variable operand: the divisor, or its one operand,
+    # named as the program's own node
+    error.node = max((j if j >= 0 else i) - offset, 0)
 
 
 def _const(x):
@@ -655,29 +658,57 @@ class _Recording:
     """The op list of one recorded evaluation, rooted at a scalar node, and
     its reverse sweep plan.  It keeps the op structure and constants, never
     an evaluation's values, so any number of evaluations can replay it.
-    ``bindings`` lists ``(position, make)`` for each op whose constant is
-    ``make(coords)`` of a derived restricted oracle's coordinates (see
-    :class:`_PlacedVar`); it is empty for every other recording."""
 
-    __slots__ = ("ops", "root", "steps", "bindings")
+    Each restricted oracle replays its oracle's recording made over its own
+    coordinates (see :meth:`placed`).  ``bindings`` lists the positions of
+    a template's ops whose constants the coordinates make: a product's
+    ``C``, bound as ``C[:, coords]``, and a scatter's p, bound as
+    ``(coords, p)``.  ``offset`` counts the scatter nodes inserted before
+    the program's own, so node k is the program's node max(k - offset, 0)."""
 
-    def __init__(self, ops, root, steps, bindings):
+    __slots__ = ("ops", "root", "steps", "bindings", "offset")
+
+    def __init__(self, ops, root, steps, bindings=(), offset=0):
         self.ops = ops
         self.root = root
         self.steps = steps
         self.bindings = bindings
+        self.offset = offset
+
+    def placed(self, p):
+        """The template of this recording's restrictions, over z placed at
+        some coordinates of a zero p-vector.  A product ``C @ x`` of the
+        input binds ``C[:, coords]`` and reads z, at O(n k); every other
+        reader of the input reads one scatter node inserted at position 1,
+        whose adjoint step comes last."""
+        sliced = [rule is _matvec and i == 0 for rule, i, j, c, shape in self.ops]
+        lift = int(any((i == 0 and not cut) or j == 0
+                       for (rule, i, j, c, shape), cut in zip(self.ops, sliced)))
+        ops, bindings = [], []
+        if lift:
+            bindings.append(len(ops))
+            ops.append((_scatter, 0, -1, p, (p,)))
+        for (rule, i, j, c, shape), cut in zip(self.ops, sliced):
+            if cut:
+                bindings.append(len(ops))
+            ops.append((rule, i if cut else i + lift, j + lift if j >= 0 else j, c, shape))
+        steps = [(k + lift, t if t == 0 and sliced[k - 1] else t + lift, back, fix)
+                 for k, t, back, fix in self.steps]
+        if lift and any(t == 1 for k, t, back, fix in steps):
+            steps.append((1, 0, _scatter_adjoint, None))
+        return _Recording(tuple(ops), self.root + lift, tuple(steps), tuple(bindings),
+                          self.offset + lift)
 
     def rebind(self, coords):
-        """This recording over other coordinates of the same placed program:
-        the bound constants are made again from ``coords`` and the rest is
-        shared.  The sweep plan reads no coordinates (the input is used only
-        by ``C[:, coords] @ z`` and the scatter, whose adjoints read none), so
-        it is shared too."""
+        """This template bound to ``coords``: the bound constants are made
+        from ``coords`` and the rest is shared.  The sweep plan reads no
+        coordinates (the input is read only by ``C[:, coords] @ z`` and the
+        scatter, whose adjoints read none), so it is shared too."""
         ops = list(self.ops)
-        for k, make in self.bindings:
+        for k in self.bindings:
             rule, i, j, c, shape = ops[k]
-            ops[k] = rule, i, j, make(coords), shape
-        return _Recording(tuple(ops), self.root, self.steps, self.bindings)
+            ops[k] = rule, i, j, c[:, coords] if rule is _matvec else (coords, c), shape
+        return _Recording(tuple(ops), self.root, self.steps, (), self.offset)
 
     def replay(self, theta):
         """Node values and partials at ``theta``, the recorded rules rerun."""
@@ -689,7 +720,7 @@ class _Recording:
                 # values[j] with j = -1 is a stand-in that one-operand rules ignore
                 value, pa, pb = rule(values[i], values[j], c)
             except EvaluationError as e:
-                _blame(e, i, j)
+                _blame(e, i, j, self.offset)
                 raise
             keep_value(value if shape else float(value))
             keep_partials((pa, pb))
@@ -705,14 +736,16 @@ class _Evaluator:
     program oracles.  The recording is never changed after it is made, and
     each evaluation fills lists of its own, so concurrent evaluations need no
     lock; racing first calls each record, and one of their identical
-    recordings is kept."""
+    recordings is kept.  ``template`` caches the recording's
+    :meth:`_Recording.placed` once a restricted oracle needs it."""
 
-    __slots__ = ("program", "dim", "recording")
+    __slots__ = ("program", "dim", "recording", "template")
 
     def __init__(self, program, dim):
         self.program = program
         self.dim = dim
         self.recording = None
+        self.template = None
 
     def value(self, theta):
         return self.evaluate(theta, False)
@@ -722,159 +755,88 @@ class _Evaluator:
 
     def evaluate(self, theta, grad):
         """The value, and with ``grad`` the gradient, at ``theta``: the
-        recording replayed, or the program recorded when there is none.
-        Floating-point faults surface as EvaluationError, type faults as
-        ProgramError, and an evaluation that raises keeps no recording."""
+        recording replayed, or recorded when there is none.  Floating-point
+        faults surface as EvaluationError, type faults as ProgramError, and
+        an evaluation that raises keeps no recording."""
         try:
             with np.errstate(**_ERRSTATE):
                 recording = self.recording
                 if recording is None:
-                    tape = Tape()
-                    out, bindings = self._run(tape.input(theta))
-                    if not isinstance(out, Var):
-                        if isinstance(out, numbers.Real):
-                            # program ignored its argument: constant objective, zero gradient
-                            return (float(out), np.zeros(self.dim)) if grad else float(out)
-                        raise ProgramError("program must return a scalar")
-                    if out.tape is not tape:
-                        raise ProgramError("program returned a variable from a foreign tape")
-                    if np.ndim(out.val) != 0:
-                        raise ProgramError("objective must evaluate to a scalar")
-                    recording = _Recording(tuple(tape.ops), out.idx, _plan(tape, out.idx),
-                                           tuple(bindings))
-                    values, partials = tape.values, tape.partials
+                    recording, values, partials = self._record(theta)
+                    if recording is None:
+                        # program ignored its argument: constant objective, zero gradient
+                        return (values, np.zeros(self.dim)) if grad else values
                 else:
                     values, partials = recording.replay(theta)
                 root = recording.root
                 value = values[root]
                 if not math.isfinite(value):
-                    raise EvaluationError("non-finite objective value", node=root)
+                    raise EvaluationError("non-finite objective value",
+                                          node=root - recording.offset)
                 if grad:
                     g = _sweep(recording.steps, partials, root, self.dim)
                     if not np.isfinite(g).all():
-                        raise EvaluationError("non-finite gradient", node=root)
+                        raise EvaluationError("non-finite gradient", node=root - recording.offset)
                     value = value, g
         except FloatingPointError as e:
             raise EvaluationError(f"non-finite value during evaluation: {e}") from e
+        except ProgramError:
+            raise
         except (TypeError, AttributeError) as e:
             raise ProgramError(f"unsupported operation in objective program: {e}") from e
         if self.recording is None:
-            self._keep(recording)
+            self.recording = recording
         return value
 
-    def _run(self, x):
-        # the program's output on the tape input x, and the bindings of its
-        # coordinate-dependent constants
-        return self.program(x), ()
-
-    def _keep(self, recording):
-        self.recording = recording
+    def _record(self, theta):
+        # the program recorded at theta, with the values and partials of its
+        # nodes; a constant program gives no recording and its value
+        tape = Tape()
+        out = self.program(tape.input(theta))
+        if not isinstance(out, Var):
+            if isinstance(out, numbers.Real):
+                return None, float(out), None
+            raise ProgramError("program must return a scalar")
+        if out.tape is not tape:
+            raise ProgramError("program returned a variable from a foreign tape")
+        if np.ndim(out.val) != 0:
+            raise ProgramError("objective must evaluate to a scalar")
+        recording = _Recording(tuple(tape.ops), out.idx, _plan(tape, out.idx))
+        return recording, tape.values, tape.partials
 
 
 # -- restriction --------------------------------------------------------------
 
 
-def _columns(C, coords):
-    return C[:, coords]
-
-
-def _placement(p, coords):
-    return coords, p
-
-
-class _PlacedVar(Var):
-    """The input z placed at ``coords`` of a zero p-vector, as a derived
-    restricted oracle's program sees it.  ``C @ x`` records one product with
-    ``C[:, coords]``, sliced when the program is recorded; every other use
-    reads one ``scatter`` node, emitted at the first such use.  ``bindings``
-    lists each of those ops' positions with the function that makes its
-    constant from ``coords``."""
-
-    __slots__ = ("coords", "p", "z", "_dense", "bindings")
-
-    def __init__(self, coords, p, z):
-        self.tape = z.tape
-        self.coords = coords
-        self.p = p
-        self.z = z
-        self._dense = None
-        self.bindings = []
-
-    def _densify(self):
-        if self._dense is None:
-            make = partial(_placement, self.p)
-            self._dense = self.tape.apply(_scatter, self.z, c=make(self.coords))
-            self.bindings.append((self._dense.idx - 1, make))
-        return self._dense
-
-    @property
-    def idx(self):
-        return self._densify().idx
-
-    @property
-    def val(self):
-        return self._densify().val
-
-    def __rmatmul__(self, other):
-        if np.ndim(other) == 2 and np.shape(other)[1] == self.p:
-            make = partial(_columns, _const(other))
-            out = self.z.__rmatmul__(make(self.coords))
-            self.bindings.append((out.idx - 1, make))
-            return out
-        return super().__rmatmul__(other)
-
-
-def _placed(program, coords, p, z):
-    return program(_PlacedVar(coords, p, z))
-
-
 class _PlacedEvaluator(_Evaluator):
-    """The evaluator of a derived restricted oracle: the parent's program on
-    z placed at ``coords``.  It starts from the restriction's template,
-    re-bound to ``coords``, when there is one; otherwise its first
-    successful recording becomes the template."""
+    """The evaluator of a derived restricted oracle: its parent's recording
+    re-bound to z placed at ``coords``.  It never calls the program.  A
+    parent with no recording yet is recorded at the placed point first."""
 
-    __slots__ = ("restriction", "coords")
+    __slots__ = ("parent", "coords")
 
-    def __init__(self, restriction, coords):
-        super().__init__(restriction.program, len(coords))
-        self.restriction = restriction
+    def __init__(self, parent, coords):
+        super().__init__(None, len(coords))
+        self.parent = parent
         self.coords = coords
-        template = restriction.template
-        if template is not None:
-            self.recording = template.rebind(coords)
 
-    def _run(self, x):
-        placed = _PlacedVar(self.coords, self.restriction.p, x)
-        return self.program(placed), placed.bindings
+    def _record(self, theta):
+        parent = self.parent
+        if parent.recording is None:
+            value = parent.evaluate(_dense(self.coords, parent.dim, theta), False)
+            if parent.recording is None:
+                return None, value, None  # a constant program
+        if parent.template is None:
+            parent.template = parent.recording.placed(parent.dim)
+        recording = parent.template.rebind(self.coords)
+        return (recording, *recording.replay(theta))
 
-    def _keep(self, recording):
-        self.recording = recording
-        if self.restriction.template is None:
-            self.restriction.template = recording
 
-
-class _Restriction:
-    """The derived ``restrict`` hook of a program oracle over R^p.  Its
-    restricted oracles run the program on z placed at ``coords`` of a zero
-    p-vector, where ``C @ theta`` costs O(n k) on ``C[:, coords]``.  The
-    first of them to record keeps its recording as the template, and every
-    later one re-binds the template instead of calling the program."""
-
-    __slots__ = ("program", "p", "scale", "template")
-
-    def __init__(self, program, p, scale):
-        self.program = program
-        self.p = p
-        self.scale = scale
-        self.template = None
-
-    def __call__(self, coords):
-        evaluator = _PlacedEvaluator(self, coords)
-        nested = _Restriction(partial(_placed, self.program, coords, self.p), len(coords),
-                              self.scale)
-        return ObjectiveOracle(len(coords), evaluator.value, evaluator.value_and_grad,
-                               scale=self.scale, restrict=nested)
+def _derived(parent, scale, coords):
+    # the derived restricted oracle of a program oracle's evaluator
+    evaluator = _PlacedEvaluator(parent, coords)
+    return ObjectiveOracle(len(coords), evaluator.value, evaluator.value_and_grad, scale=scale,
+                           restrict=partial(_derived, evaluator, scale))
 
 
 def _zero_padded(oracle, coords):
@@ -980,7 +942,8 @@ def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
     ----------
     program : callable
         Maps the parameter vector, received as a :class:`Var`, to a scalar
-        using the supported operation set.  It is called once per recording.
+        using the supported operation set.  It is called once per successful
+        recording of the oracle, never by its restricted oracles.
     dim : int
         Parameter dimension p.
     scale : {"rss", "nll", None}
@@ -988,18 +951,20 @@ def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
     restrict : callable, optional
         ``restrict(coords) -> ObjectiveOracle`` building the same objective
         over a coordinate subset (others pinned to zero).  By default it is
-        derived, unprobed: the program runs on z placed at ``coords`` of a
-        zero vector, where ``C @ theta`` costs O(n k) on ``C[:, coords]``.
-        It is recorded once, by the first restricted oracle whose evaluation
-        succeeds; later restricted oracles re-slice that recording's
-        ``C[:, coords]`` constants and never call the program.
+        derived from the oracle's recording, which is re-bound to z placed
+        at ``coords`` of a zero vector: ``C @ theta`` becomes
+        ``C[:, coords] @ z`` at O(n k), and every other use of theta reads
+        the placed vector.  No restricted oracle, at any depth, calls the
+        program; an oracle with no recording yet records at the placed
+        point on its first restricted call.  A restricted oracle raises the
+        :class:`EvaluationError` its oracle would, naming the same node.
     probe : bool
         Run one recorded evaluation up front so unsupported operations
         surface as a construction error rather than at solve time.
     """
-    if restrict is None:
-        restrict = _Restriction(program, dim, scale)
     evaluator = _Evaluator(program, dim)
+    if restrict is None:
+        restrict = partial(_derived, evaluator, scale)
     oracle = ObjectiveOracle(dim, evaluator.value, evaluator.value_and_grad, scale=scale,
                              restrict=restrict)
     if probe:

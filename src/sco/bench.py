@@ -20,6 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import models
+from .autodiff import _integer_indices
 from .problem import ScoSolution, SolverConfig, restricted_minimize, validate_solution
 from .selection import BIC, GIC, SIC, select_by_ic
 from .solvers import SolverKind, solve
@@ -54,10 +55,11 @@ def support_metrics(true_support, est_support, p):
 
     accuracy = recall = |S* ∩ Ŝ| / |S*|; precision = |S* ∩ Ŝ| / |Ŝ|
     (zero when Ŝ is empty); f1 is the harmonic mean of precision and
-    recall (zero when either is zero).
+    recall (zero when either is zero).  Supports hold integer indices;
+    fractional or boolean entries raise ValueError.
     """
-    t = np.unique(np.asarray(true_support, dtype=int))
-    e = np.unique(np.asarray(est_support, dtype=int))
+    t = np.unique(_integer_indices(true_support, "support indices"))
+    e = np.unique(_integer_indices(est_support, "support indices"))
     if len(t) == 0:
         raise ValueError("true support must be non-empty")
     for s in (t, e):
@@ -197,7 +199,7 @@ def run_suite(suite, scale=1.0, seeds=range(20), out_dir="."):
             dataset = models.generate(spec)
             problem = models.build_problem(dataset)
             for kind in SolverKind:
-                records.append(_run_one(kind, dataset, problem, task.criterion))
+                records.append(_bench_record(kind, dataset, problem, task.criterion))
     records.sort(key=lambda r: (r.solver, r.seed, r.model))
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, f"{suite}.csv")
@@ -208,7 +210,7 @@ def run_suite(suite, scale=1.0, seeds=range(20), out_dir="."):
     return {"csv": csv_path, "markdown": md_path, "records": records}
 
 
-def _run_one(kind, dataset, problem, criterion):
+def _bench_record(kind, dataset, problem, criterion):
     spec = dataset.spec
     if criterion is None:
         sol = solve(kind, problem)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import build_objective, dot, log1pexp, sqnorm, vsum
+from .autodiff import _integer_indices, build_objective, dot, log1pexp, sqnorm, vsum
 from .problem import ScoProblem
 
 __all__ = [
@@ -117,8 +117,9 @@ class Dataset:
         return self.spec.p
 
     def subset(self, rows):
-        """Same dataset restricted to the given sample rows (for CV folds)."""
-        rows = np.asarray(rows, dtype=int)
+        """Same dataset restricted to the given sample rows (for CV folds);
+        ``rows`` holds integer indices, and a boolean mask raises ValueError."""
+        rows = _integer_indices(rows, "rows")
         y = None if self.y is None else self.y[rows]
         return Dataset(self.spec, self.X[rows], y, self.theta_true, self.support_true)
 

@@ -74,12 +74,15 @@ class GroupView:
     A unit is a group of coordinates (or a single coordinate when the
     problem is ungrouped); units partition {0..p-1} minus the preselected
     coordinates, and the sparsity budget counts units.  ``p`` must be an
-    integer.
+    integer, and ``groups`` and ``preselect`` integer arrays; preselected
+    coordinates must lie in 0..p-1.
     """
 
     def __init__(self, p, groups=None, preselect=None):
         self.p = int(_require_integer(p, "p"))
-        pre = np.asarray([] if preselect is None else preselect, dtype=int)
+        pre = _integer_indices([] if preselect is None else preselect, "preselect indices")
+        if len(pre) and (pre.min() < 0 or pre.max() >= self.p):
+            raise ValueError("preselect indices out of range")
         selectable = np.ones(self.p, dtype=bool)
         selectable[pre] = False
         self._sel = np.flatnonzero(selectable)
@@ -91,7 +94,7 @@ class GroupView:
             unit_of[self._sel] = np.arange(self.n_units)
             self.unit_of = unit_of
         else:
-            groups = np.asarray(groups, dtype=int)
+            groups = _integer_indices(groups, "group ids")
             self.singleton = False
             gids = sorted(set(int(g) for g in groups[self._sel]))
             self._unit_coords = []
@@ -133,7 +136,8 @@ class ScoProblem:
 
     ``preselect`` coordinates are always active and exempt from the
     budget; ``groups`` (array of group ids over all p coordinates) makes
-    whole groups enter or leave the support atomically.  ``n`` is the
+    whole groups enter or leave the support atomically.  Both hold
+    integers; fractional or boolean entries raise ValueError.  ``n`` is the
     sample size, needed only by the information criteria.
     """
 
@@ -152,8 +156,8 @@ class ScoProblem:
             raise ValueError("dimension p must be at least 1")
         if self.oracle.dim != self.p:
             raise ValueError(f"oracle dimension {self.oracle.dim} != p {self.p}")
-        pre = np.asarray([] if self.preselect is None else self.preselect, dtype=int)
-        pre = np.unique(pre)
+        pre = np.unique(_integer_indices([] if self.preselect is None else self.preselect,
+                                         "preselect indices"))
         if len(pre) and (pre[0] < 0 or pre[-1] >= self.p):
             raise ValueError("preselect indices out of range")
         if len(pre) >= self.p:
@@ -161,7 +165,7 @@ class ScoProblem:
         object.__setattr__(self, "preselect", pre)
         groups = self.groups
         if groups is not None:
-            groups = np.asarray(groups, dtype=int)
+            groups = _integer_indices(groups, "group ids")
             if groups.shape != (self.p,):
                 raise ValueError("groups must assign one id per coordinate")
             ids = np.unique(groups)

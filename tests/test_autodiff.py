@@ -303,8 +303,12 @@ def test_unsupported_shapes_raise_program_error(program, op):
     with pytest.raises(ProgramError, match=op):
         build_objective(program, 3)
     oracle = build_objective(program, 3, probe=False)
-    with pytest.raises(ProgramError, match=op):
+    with pytest.raises(ProgramError, match=op) as full:
         oracle.value_and_grad(np.array([0.3, -0.2, 0.7]))
+    # a restricted oracle that records its oracle raises the same error
+    with pytest.raises(ProgramError) as restricted:
+        oracle.restricted([2, 0, 1]).restricted([1, 2, 0]).value(np.array([0.3, -0.2, 0.7]))
+    assert str(restricted.value) == str(full.value)
 
 
 def test_matrix_gather_and_constant_product():
@@ -527,17 +531,19 @@ def test_oracle_calls_its_program_once():
     for _ in range(5):
         sub.value(rng.standard_normal(2))
         sub.value_and_grad(rng.standard_normal(2))
-    assert len(calls) == 2  # the restricted oracle recorded the program once
-    # nine more restricted oracles re-bind the first one's recording to their coordinates
+    assert len(calls) == 1  # the restricted oracle re-binds the oracle's recording
+    # so do nine more, and restrictions of a restricted oracle
     for coords in ([0], [], [5, 2], [0, 1, 2, 3, 4, 5], [3, 4], [2], [4, 0, 1], [1, 4], [5]):
         sub = oracle.restricted(coords)
-        for _ in range(2):
-            z = rng.standard_normal(len(coords))
+        for evaluated, inner in ((sub, np.arange(len(coords))),
+                                 (sub.restricted(np.arange(len(coords))[::-2]),
+                                  np.arange(len(coords))[::-2])):
+            z = rng.standard_normal(len(inner))
             full = np.zeros(6)
-            full[coords] = z
-            assert sub.value(z) == pytest.approx(oracle.value(full), rel=1e-12)
-            sub.value_and_grad(z)
-    assert len(calls) == 2
+            full[np.asarray(coords, dtype=int)[inner]] = z
+            assert evaluated.value(z) == pytest.approx(oracle.value(full), rel=1e-12)
+            evaluated.value_and_grad(z)
+    assert len(calls) == 1
 
     # the Ising objective restricts through its own hook, as models.objective builds it
     ds = models.generate(models.ModelSpec("ising", 30, 10, 3, 0.4, seed=0))
@@ -579,8 +585,9 @@ def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
                                   label="theta") for _ in range(3)]
     coords = np.sort(data.draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=p,
                                         unique=True), label="coords"))
-    # restricted oracles made after the first one recorded re-bind its
-    # recording, and so do restrictions of a restricted oracle
+    # every restricted oracle re-binds its oracle's recording, and so does a
+    # restriction of a restricted oracle; a fresh unprobed oracle records
+    # through its first restriction instead
     def subsets(size, label):
         return [np.array(data.draw(st.lists(st.integers(0, size - 1), max_size=size,
                                             unique=True), label=label), dtype=int)
@@ -591,35 +598,43 @@ def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
     sub = oracle.restricted(coords)
     for point in points:
         for replaying, fresh_oracle, x in (
-                (oracle, lambda: build_objective(program, p, probe=False), point),
-                (sub, lambda: build_objective(program, p).restricted(coords), point[coords])):
+                (oracle, lambda probe: build_objective(program, p, probe=probe), point),
+                (sub, lambda probe: build_objective(program, p, probe=probe).restricted(coords),
+                 point[coords])):
             for method in ("value", "value_and_grad"):
-                fresh = _outcome(getattr(fresh_oracle(), method), x)
-                _same_outcome(_outcome(getattr(replaying, method), x), fresh)
+                for probe in (True, False):
+                    fresh = _outcome(getattr(fresh_oracle(probe), method), x)
+                    _same_outcome(_outcome(getattr(replaying, method), x), fresh)
 
     def check(rebound, fresh_oracle, pick):
         for point in points:
             for method in ("value", "value_and_grad"):
-                _same_outcome(_outcome(getattr(rebound, method), point[pick]),
-                              _outcome(getattr(fresh_oracle(), method), point[pick]))
+                for probe in (True, False):
+                    _same_outcome(_outcome(getattr(rebound, method), point[pick]),
+                                  _outcome(getattr(fresh_oracle(probe), method), point[pick]))
 
     for other in others:
         check(oracle.restricted(other),
-              lambda other=other: build_objective(program, p).restricted(other), other)
+              lambda probe, other=other: build_objective(program, p, probe=probe)
+              .restricted(other), other)
     for inner in nested:
         check(sub.restricted(inner),
-              lambda inner=inner: build_objective(program, p).restricted(coords).restricted(inner),
-              coords[inner])
+              lambda probe, inner=inner: build_objective(program, p, probe=probe)
+              .restricted(coords).restricted(inner), coords[inner])
 
 
-@pytest.mark.parametrize("program, valid, invalid, op, node", [
+_DOMAIN_ERRORS = [
     # node is the operand the failing operation checks: log's argument, the divisor
     (lambda th: sco.sqnorm(th) + sco.log(th[0] - 1.0), [2.0, 1.0], [0.5, 1.0], "log", 3),
     (lambda th: sco.vsum(th * th) + th[0] / (th[1] - 1.0), [2.0, 3.0], [2.0, 1.0], "div", 5),
     (lambda th: sco.vsum(3.0 / th), [2.0, 3.0], [2.0, 0.0], "div", 0),
     (lambda th: sco.sqrt(th @ th) + sco.vsum((th + 1.0) ** 0.5), [2.0, 3.0], [-4.0, 3.0],
      "pow", 3),
-], ids=["log", "div", "rdiv", "pow"])
+]
+_DOMAIN_IDS = ["log", "div", "rdiv", "pow"]
+
+
+@pytest.mark.parametrize("program, valid, invalid, op, node", _DOMAIN_ERRORS, ids=_DOMAIN_IDS)
 def test_replay_raises_the_recorded_domain_error(program, valid, invalid, op, node):
     oracle = build_objective(program, 2, probe=False)
     oracle.value_and_grad(np.array(valid))
@@ -632,6 +647,29 @@ def test_replay_raises_the_recorded_domain_error(program, valid, invalid, op, no
         assert (expected.value.op, expected.value.node) == (op, node)
         assert (replayed.value.op, replayed.value.node) == (op, node)
         assert str(replayed.value) == str(expected.value)
+
+
+_C2 = np.array([[1.0, 0.0], [0.5, 1.0], [1.0, 1.0]])
+
+
+@pytest.mark.parametrize("program, valid, invalid", [case[:3] for case in _DOMAIN_ERRORS] + [
+    (lambda th: sco.vsum(sco.log(_C2 @ th)), [2.0, 3.0], [-1.0, 0.5])],
+    ids=_DOMAIN_IDS + ["log-matvec"])
+def test_restricted_errors_name_the_programs_node(program, valid, invalid):
+    # a restricted oracle's error names the node of the program's own
+    # recording, at any depth, whether it records its oracle or re-binds
+    valid, invalid = np.array(valid), np.array(invalid)
+    expected = _outcome(build_objective(program, 2, probe=False).value_and_grad, invalid)
+    assert expected[0] == "EvaluationError"
+    for probe in (True, False):
+        oracle = build_objective(program, 2, probe=probe)
+        for warm in (False, True):
+            if warm:
+                oracle.restricted([0, 1]).value_and_grad(valid)  # records the oracle
+            for sub, pick in ((oracle.restricted([1, 0]), [1, 0]),
+                              (oracle.restricted([1, 0]).restricted([1, 0]), [0, 1])):
+                for method in ("value", "value_and_grad"):
+                    assert _outcome(getattr(sub, method), invalid[pick]) == expected
 
 
 def test_failed_first_call_keeps_no_recording():
@@ -647,7 +685,9 @@ def test_failed_first_call_keeps_no_recording():
     assert len(calls) == 2
 
 
-def test_failed_first_restricted_call_leaves_no_template():
+def test_failed_first_restricted_call_keeps_no_recording():
+    # an unrecorded oracle is recorded at the placed point by the first
+    # restricted call that succeeds; every restricted oracle then re-binds it
     calls = []
     oracle = build_objective(_counting(lambda th: sco.log(th[0]) + sco.sqnorm(th), calls), 3,
                              probe=False)
@@ -655,14 +695,14 @@ def test_failed_first_restricted_call_leaves_no_template():
     with pytest.raises(EvaluationError):
         failed.value_and_grad(np.array([-1.0, 1.0]))
     assert len(calls) == 1
-    first = oracle.restricted([0, 1])  # no template yet: it records
+    first = oracle.restricted([0, 1])  # no recording yet: the oracle records
     assert first.value(np.array([2.0, 1.0])) == np.log(2.0) + 5.0
     assert len(calls) == 2
-    failed.value(np.array([2.0, 1.0]))  # made before the template existed: it records too
-    assert len(calls) == 3
+    failed.value(np.array([2.0, 1.0]))  # made before the recording existed: it re-binds
+    assert len(calls) == 2
     value, grad = oracle.restricted([2, 0]).value_and_grad(np.array([1.0, 2.0]))
     assert value == np.log(2.0) + 5.0 and np.array_equal(grad, [2.0, 0.5 + 4.0])
-    assert len(calls) == 3  # re-bound from the first successful recording
+    assert len(calls) == 2
 
 
 def test_concurrent_first_calls_agree():

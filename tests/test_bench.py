@@ -3,6 +3,7 @@ trips, and the demo artifacts."""
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -125,7 +126,7 @@ def test_run_suite_row_count_and_revalidation(tmp_path):
     records = out["records"]
     assert len(records) == len(SolverKind) * 2
     assert read_records(out["csv"]) == records
-    md = open(out["markdown"]).read()
+    md = Path(out["markdown"]).read_text()
     assert "| model | solver |" in md
     assert "linear" in md
 
@@ -169,7 +170,7 @@ def test_demo_compressive_sensing(tmp_path, capsys):
     demo("compressive-sensing", tmp_path)
     out = capsys.readouterr().out
     assert "Estimated variables: [3 4 7]" in out
-    text = open(tmp_path / "compressive_sensing.txt").read()
+    text = (tmp_path / "compressive_sensing.txt").read_text()
     assert "Effective variables: [3 4 7]" in text
     assert "[ 9.71 19.16 13.53]" in text
 
@@ -177,12 +178,12 @@ def test_demo_compressive_sensing(tmp_path, capsys):
 def test_demo_trend_filter(tmp_path):
     n, s = 500, 10
     out = demo("trend-filter", tmp_path, n=n, s=s)
-    rows = open(out["csv"]).read().strip().split("\n")
+    rows = Path(out["csv"]).read_text().strip().split("\n")
     assert len(rows) == n + 1  # header + n data rows
     assert rows[0] == "observation,fitted"
     fitted = np.array([float(r.split(",")[1]) for r in rows[1:]])
     assert np.count_nonzero(np.diff(fitted)) <= s
-    svg = open(out["svg"]).read()
+    svg = Path(out["svg"]).read_text()
     assert svg.startswith("<svg") and "polyline" in svg
 
 

@@ -1,15 +1,46 @@
-"""Every script under demos/ runs to completion."""
+"""Every script under demos/ runs to completion, with the counts its
+docstring states."""
 
+import ast
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
+import sco.solvers
+from sco.problem import restricted_minimize
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+# where a docstring states the outer iterations of the demo's solve and its
+# restricted refits: how many, their L-BFGS iterations and how many stopped
+# short of the tolerance
+STATED = {"trend_filtering": r"(?P<outer>[\d,]+) outer iterations and (?P<refits>[\d,]+) "
+                             r"restricted refits \((?P<lbfgs>[\d,]+) L-BFGS iterations, "
+                             r"(?P<unconverged>[\d,]+) of the refits stopping short"}
+
+
+def _stated(path):
+    text = " ".join(ast.get_docstring(ast.parse(path.read_text())).split())
+    found = re.search(STATED[path.stem], text)
+    assert found, f"{path.name} no longer states its counts"
+    return {key: int(value.replace(",", "")) for key, value in found.groupdict().items()}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[path.stem for path in DEMOS])
 def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    runpy.run_path(str(path), run_name="__main__")
+    refits = []
+
+    def recorded(*args, **kwargs):
+        refits.append(restricted_minimize(*args, **kwargs))
+        return refits[-1]
+
+    monkeypatch.setattr(sco.solvers, "restricted_minimize", recorded)
+    namespace = runpy.run_path(str(path), run_name="__main__")
     assert capsys.readouterr().out
+    if path.stem in STATED:
+        assert {"outer": namespace["solution"].iterations, "refits": len(refits),
+                "lbfgs": sum(res.iterations for res in refits),
+                "unconverged": sum(not res.converged for res in refits)} == _stated(path)

@@ -7,6 +7,7 @@ import pytest
 import sco
 from sco import models
 from sco.autodiff import build_objective, fd_gradient
+from sco.bench import support_metrics
 from sco.problem import (
     GroupView,
     ScoProblem,
@@ -316,6 +317,35 @@ def test_group_and_preselect_validation():
     ds = models.generate(models.ModelSpec("linear", 20, 6, 2, 5.0, seed=0))
     with pytest.raises(ValueError, match="s must be an integer"):
         models.build_problem(ds, s=2.5)
+
+
+def _problem(**kw):
+    return ScoProblem(p=4, s=1, oracle=build_objective(sco.sqnorm, 4), **kw)
+
+
+def _rows(rows):
+    return models.generate(models.ModelSpec("linear", 6, 5, 2, 5.0, seed=0)).subset(rows)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: _problem(preselect=[True, False, True, False]), "integers"),
+    (lambda: _problem(preselect=[1.7]), "integers"),
+    (lambda: _problem(groups=[0.2, 0.9, 1.5, 1.1]), "integers"),
+    (lambda: GroupView(5, preselect=[-1]), "out of range"),
+    (lambda: GroupView(5, preselect=[5]), "out of range"),
+    (lambda: GroupView(3, preselect=[True, False, True]), "integers"),
+    (lambda: GroupView(2, groups=[0.5, 1.5]), "integers"),
+    (lambda: _rows([True, False, True, False, False, False]), "integers"),
+    (lambda: support_metrics([0, 2], [True, False, True], 3), "integers"),
+    (lambda: support_metrics([0.5, 2.0], [0, 2], 3), "integers"),
+], ids=["preselect-mask", "preselect-fraction", "groups-fraction", "view-preselect-negative",
+        "view-preselect-beyond", "view-preselect-mask", "view-groups-fraction", "subset-mask",
+        "support-mask", "support-fraction"])
+def test_index_inputs_refuse_what_they_would_misread(make, match):
+    # a boolean mask read as 0/1 indices, a fraction cut down, or a negative
+    # index wrapped round would each go on silently with other indices
+    with pytest.raises(ValueError, match=match):
+        make()
 
 
 def test_preselect_budget_excludes_preselected():
