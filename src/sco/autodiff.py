@@ -213,8 +213,20 @@ def _dot_const(x, y, c):
     return float(np.dot(x, c)), c, None
 
 
+# A product C @ x reads only the columns of x's nonzeros when x is a vector
+# with at most one nonzero in _SPARSE_SHARE of its entries and C has at least
+# _SPARSE_SIZE entries; below either bound the gather costs more than the
+# columns it skips (measured, one BLAS thread).  Its adjoint reads all of C.
+_SPARSE_SHARE = 32
+_SPARSE_SIZE = 1 << 17
+
+
 @_adjoint("mv")
 def _matvec(x, y, c):
+    if (x.ndim == 1 and c.size >= _SPARSE_SIZE
+            and np.count_nonzero(x) * _SPARSE_SHARE <= len(x)):
+        nz = x.nonzero()[0]
+        return c[:, nz] @ x[nz], c, None
     return c @ x, c, None
 
 
@@ -250,24 +262,38 @@ def _sqrt(x, y, c):
     return v, 0.5 / v, None
 
 
+def _exp_neg_abs(t):
+    # exp(-|t|) in one fresh buffer, a 0-d array for a 0-d t
+    e = np.abs(t, out=np.empty(t.shape))
+    np.negative(e, out=e)
+    return np.exp(e, out=e)
+
+
 def _logistic_of(t, e):
-    # the sigmoid of t, given e = exp(-|t|)
-    one_e = 1.0 + e
-    return np.where(t >= 0.0, 1.0 / one_e, e / one_e)
+    # the sigmoid of t, given e = exp(-|t|) in a buffer it may overwrite:
+    # where(t >= 0, 1, e) / (1 + e), one division; as 0 <= e <= 1 the
+    # numerator is max(e, t >= 0), which branches on no entry
+    v = np.maximum(e, t >= 0.0)
+    e += 1.0
+    v /= e
+    return v
 
 
 @_adjoint("product")
 def _logistic(x, y, c):
     t = np.asarray(x)
-    v = _logistic_of(t, np.exp(-np.abs(t)))
-    return v, v * (1.0 - v), None
+    v = _logistic_of(t, _exp_neg_abs(t))
+    pa = np.subtract(1.0, v)
+    pa *= v
+    return v, pa, None
 
 
 @_adjoint("product")
 def _log1pexp(x, y, c):
     t = np.asarray(x)
-    e = np.exp(-np.abs(t))
-    v = np.where(t > 0.0, t, 0.0) + np.log1p(e)
+    e = _exp_neg_abs(t)
+    v = np.maximum(t, 0.0)
+    v += np.log1p(e)
     return v, _logistic_of(t, e), None
 
 

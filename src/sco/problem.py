@@ -95,6 +95,8 @@ class GroupView:
             self.unit_of = unit_of
         else:
             groups = _integer_indices(groups, "group ids")
+            if groups.shape != (self.p,):
+                raise ValueError("groups must assign one id per coordinate")
             self.singleton = False
             gids = sorted(set(int(g) for g in groups[self._sel]))
             self._unit_coords = []
@@ -128,6 +130,14 @@ class GroupView:
     def units_with_support(self, v):
         """Units whose sub-vector of ``v`` is not identically zero."""
         return np.flatnonzero(self.unit_norms(v) > 0.0)
+
+
+def _with_preselect(coords, preselect):
+    # the sorted union of coords and preselect; coords already strictly
+    # increasing are returned as they are when there is nothing to add
+    if coords.ndim == 1 and not len(preselect) and (coords[1:] > coords[:-1]).all():
+        return coords
+    return np.union1d(coords, preselect).astype(int)
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +205,7 @@ class ScoProblem:
     def mask(self, x, units):
         """Copy of x zeroed outside the given units plus preselection, and
         the coordinates it keeps."""
-        keep = np.union1d(self.view.coords_of(units), self.preselect)
+        keep = _with_preselect(self.view.coords_of(units), self.preselect)
         out = np.zeros(self.p)
         out[keep] = x[keep]
         return out, keep
@@ -244,12 +254,28 @@ class RestrictedResult:
 
 
 def top_units(scores, k):
-    """Indices of the k largest scores; ties resolved to the lower index."""
+    """Sorted indices of the k largest scores; ties resolved to the lower
+    index, and NaN ranked below every number (the first k of a stable sort
+    of -scores).  Selects by partition, in O(len(scores))."""
     scores = np.asarray(scores, dtype=float)
-    if not 0 <= _require_integer(k, "count") <= len(scores):
-        raise ValueError(f"count k={k} must lie in 0..{len(scores)}")
-    order = np.argsort(-scores, kind="stable")
-    return np.sort(order[:k])
+    n = len(scores)
+    if not 0 <= _require_integer(k, "count") <= n:
+        raise ValueError(f"count k={k} must lie in 0..{n}")
+    if k == 0 or k == n:
+        return np.arange(k)
+    key = -scores
+    kth = np.partition(key, k - 1)[k - 1]  # partition sorts NaN last
+    if kth == kth:
+        top = key <= kth
+        if np.count_nonzero(top) == k:
+            return top.nonzero()[0]
+        top = key < kth
+        tied = (key == kth).nonzero()[0]
+    else:
+        top = ~np.isnan(key)
+        tied = (~top).nonzero()[0]
+    top[tied[:k - np.count_nonzero(top)]] = True
+    return top.nonzero()[0]
 
 
 def hard_threshold(v, s, view):
@@ -430,10 +456,7 @@ def restricted_minimize(problem, support, init=None, config=None):
     support = _integer_indices(support, "support indices")
     if len(support) and (support.min() < 0 or support.max() >= problem.p):
         raise ValueError("support indices out of range")
-    if support.ndim == 1 and not len(problem.preselect) and (support[1:] > support[:-1]).all():
-        free = support  # already sorted and unique
-    else:
-        free = np.union1d(support, problem.preselect).astype(int)
+    free = _with_preselect(support, problem.preselect)
     if init is not None:
         init = np.asarray(init, dtype=float)
         if init.shape != (problem.p,):

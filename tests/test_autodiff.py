@@ -163,20 +163,33 @@ def _log1pexp_two_pass(x):
     # the rule's value and partial, each computing exp(-|t|) of its own
     t = np.asarray(x)
     value = np.where(t > 0.0, t, 0.0) + np.log1p(np.exp(-np.abs(t)))
-    e = np.exp(-np.abs(x))
-    return value, np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return value, _logistic_two_pass(x)[0]
+
+
+def _logistic_two_pass(x):
+    # the sigmoid by two divisions and a select, and its derivative
+    t = np.asarray(x)
+    e = np.exp(-np.abs(t))
+    value = np.where(t >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return value, value * (1.0 - value)
 
 
 def test_log1pexp_rule_matches_the_two_pass_formula():
-    edges = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320]
-    points = [*edges, np.array(edges),
+    # and the logistic rule its textbook-stable form, byte for byte, on
+    # 0-d, 1-D and 2-D inputs
+    edges = [0.0, -0.0, 800.0, -800.0, 1e-320, -1e-320, 745.5, -745.5]
+    points = [*edges, np.float64(-3.5), np.array(2.5), np.array(edges),
               *np.random.default_rng(3).standard_normal(5) * 30.0,
-              np.random.default_rng(4).standard_normal((3, 4)) * 30.0]
-    for x in points:
-        value, partial, _ = autodiff._log1pexp(x, None, None)
-        ref_value, ref_partial = _log1pexp_two_pass(x)
-        assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes(), x
-        assert np.asarray(partial).tobytes() == np.asarray(ref_partial).tobytes(), x
+              np.random.default_rng(4).standard_normal((3, 4)) * 30.0,
+              np.random.default_rng(5).standard_normal((50, 20)) * 3.0]
+    for rule, reference in ((autodiff._log1pexp, _log1pexp_two_pass),
+                            (autodiff._logistic, _logistic_two_pass)):
+        for x in points:
+            value, partial, _ = rule(x, None, None)
+            ref_value, ref_partial = reference(x)
+            assert np.shape(value) == np.shape(partial) == np.shape(x), x
+            assert np.asarray(value).tobytes() == np.asarray(ref_value).tobytes(), x
+            assert np.asarray(partial).tobytes() == np.asarray(ref_partial).tobytes(), x
 
 
 def test_constant_domain_errors_match_the_rules():
@@ -324,6 +337,71 @@ def test_matrix_gather_and_constant_product():
     value, grad = f.value_and_grad(theta)
     assert value == pytest.approx(np.sum(np.logaddexp(0.0, t)), rel=1e-14)
     _fd_close(f, theta)
+
+
+def _columns_product_case(n, p, nnz, seed=0):
+    rng = np.random.default_rng(seed)
+    C = rng.standard_normal((n, p))
+    x = np.zeros(p)
+    x[rng.choice(p, nnz, replace=False)] = rng.standard_normal(nnz)
+    return C, x
+
+
+def test_sparse_point_reads_only_its_columns():
+    # a 10-sparse a2-sized point: C @ x is C[:, nz] @ x[nz], which rounds
+    # differently from the dense product, and the gradient is still C.T @ a
+    C, theta = _columns_product_case(500, 1000, 10)
+    y = np.random.default_rng(1).standard_normal(500)
+    f = build_objective(lambda th: 0.5 * sco.sqnorm(y - C @ th), 1000)
+    f.value(np.ones(1000))  # recorded at a dense point
+    nz = np.flatnonzero(theta)
+    assert autodiff._matvec(theta, None, C)[0].tobytes() == (C[:, nz] @ theta[nz]).tobytes()
+    value, grad = f.value_and_grad(theta)
+    r = y - C @ theta
+    assert value == pytest.approx(0.5 * (r @ r), rel=1e-14, abs=0.0)
+    assert np.max(np.abs(grad + C.T @ r)) <= 1e-14 * np.max(np.abs(C.T @ r))
+    assert f.value(theta) == value
+    # x @ D records the view D.T, whose column slice is a row slice of D
+    D = np.ascontiguousarray(C.T)
+    g = build_objective(lambda th: 0.5 * sco.sqnorm(y - th @ D), 1000)
+    assert g.value_and_grad(theta)[0] == pytest.approx(value, rel=1e-14, abs=0.0)
+    # the skipped columns are not read: an infinite one leaves the product finite
+    C[:, np.flatnonzero(theta == 0.0)[0]] = np.inf
+    assert np.isfinite(autodiff._matvec(theta, None, C)[0]).all()
+
+
+@pytest.mark.parametrize("n, p, nnz, operand", [
+    (500, 1000, 40, "vector"),  # more than one nonzero in 32
+    (100, 200, 3, "vector"),  # a matrix too small for the gather to pay
+    (400, 400, 2, "matrix"),  # a 2-D operand
+], ids=["dense-point", "small-matrix", "matrix-operand"])
+def test_dense_product_where_the_columns_would_not_pay(n, p, nnz, operand):
+    # an infinite column where x is zero tells the paths apart: the dense
+    # product reads it (0 * inf is NaN), the column product skips it
+    C, x = _columns_product_case(n, p, nnz)
+    C[:, np.flatnonzero((x == 0.0) & (np.roll(x, 1) == 0.0))[0]] = np.inf
+    if operand == "matrix":
+        x = np.stack([x, np.roll(x, 1)], axis=1)
+    with np.errstate(invalid="ignore"):
+        value = autodiff._matvec(x, None, C)[0]
+        assert value.tobytes() == (C @ x).tobytes()
+    assert np.isnan(value).all()
+
+
+def test_restricted_oracle_takes_the_dense_product():
+    # z is dense on the coordinates it lives on, so a restriction wide enough
+    # for the column gather to pay still multiplies C[:, coords] @ z
+    C, _ = _columns_product_case(400, 600, 1)
+    y = np.random.default_rng(2).standard_normal(400)
+    f = build_objective(lambda th: 0.5 * sco.sqnorm(y - C @ th), 600)
+    coords = np.sort(np.random.default_rng(3).choice(600, 400, replace=False))
+    z = np.random.default_rng(4).standard_normal(400)
+    value, grad = f.restricted(coords).value_and_grad(z)
+    sub = C[:, coords]
+    assert sub.size >= autodiff._SPARSE_SIZE
+    r = y - sub @ z
+    assert value == 0.5 * float(np.dot(r, r))
+    assert grad.tobytes() == (sub.T @ -(0.5 * (2.0 * r))).tobytes()
 
 
 def test_broadcast_operands_fold_back():

@@ -3,6 +3,8 @@ and the solution validator."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sco
 from sco import models
@@ -38,6 +40,23 @@ def test_hard_threshold_singletons():
         with pytest.raises(ValueError):
             top_units([1.0, 2.0, 3.0], count)
     assert len(top_units([1.0, 2.0, 3.0], 0)) == 0
+
+
+_EDGE_SCORES = st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_EDGE_SCORES, st.floats(-3.0, 3.0)), min_size=1, max_size=4)
+       .flatmap(lambda palette: st.lists(st.sampled_from(palette), min_size=1, max_size=40)))
+def test_top_units_is_the_head_of_a_stable_sort(values):
+    # a palette of at most four values makes ties common; NaN ranks last
+    # and -0.0 ties 0.0
+    scores = np.array(values)
+    for k in range(len(scores) + 1):
+        expected = np.sort(np.argsort(-scores, kind="stable")[:k])
+        chosen = top_units(scores, k)
+        assert chosen.dtype == expected.dtype
+        assert np.array_equal(chosen, expected), (scores, k)
 
 
 def test_hard_threshold_groups():
@@ -335,11 +354,14 @@ def _rows(rows):
     (lambda: GroupView(5, preselect=[5]), "out of range"),
     (lambda: GroupView(3, preselect=[True, False, True]), "integers"),
     (lambda: GroupView(2, groups=[0.5, 1.5]), "integers"),
+    (lambda: GroupView(5, groups=[0, 1]), "one id per coordinate"),
+    (lambda: GroupView(5, groups=[0, 0, 1, 1, 1, 2]), "one id per coordinate"),
     (lambda: _rows([True, False, True, False, False, False]), "integers"),
     (lambda: support_metrics([0, 2], [True, False, True], 3), "integers"),
     (lambda: support_metrics([0.5, 2.0], [0, 2], 3), "integers"),
 ], ids=["preselect-mask", "preselect-fraction", "groups-fraction", "view-preselect-negative",
-        "view-preselect-beyond", "view-preselect-mask", "view-groups-fraction", "subset-mask",
+        "view-preselect-beyond", "view-preselect-mask", "view-groups-fraction",
+        "view-groups-short", "view-groups-long", "subset-mask",
         "support-mask", "support-fraction"])
 def test_index_inputs_refuse_what_they_would_misread(make, match):
     # a boolean mask read as 0/1 indices, a fraction cut down, or a negative
