@@ -9,9 +9,11 @@ plain Euclidean norms, cumulative sums, sum reduction and indexing.
 Tape values are scalars, vectors or matrices.  Gathers (``theta[idx]`` with
 a 1-D or 2-D integer index), elementwise operations (with numpy
 broadcasting), :func:`vsum` and products ``C @ V`` of a constant matrix
-with a variable vector or matrix accept any of them; :func:`sqnorm`,
-:func:`norm`, :func:`cumsum`, ``V @ c`` with a constant ``c`` and boolean
-masks stay vector-only and raise :class:`ProgramError` on a matrix.
+with a variable vector or matrix accept any of them; :func:`sqnorm` and
+:func:`norm` take a scalar or a vector, and :func:`cumsum`, ``V @ c`` with
+a constant ``c`` and boolean masks a vector.  Other shapes raise
+:class:`ProgramError`, for a constant operand of these functions as for a
+variable: a constant is evaluated by the rule a variable records.
 
 An oracle built from a program records it once: its first successful
 evaluation calls the program with a :class:`Var`, and each operation
@@ -121,11 +123,14 @@ def _dense(coords, p, z):
 # ``a * pa`` to operand i and ``a * pb`` to operand j, where a linear rule's
 # partials depend on its constant alone; "mv" adds ``pa.T @ a``; "sum",
 # "cumsum", "scatter" and "gather" are the adjoints of those operations.
+# ``rule.ranks`` declares the ranks its operand may have (None: any); the
+# one-operand functions check a variable and a constant against it alike.
 
 
-def _adjoint(kind):
+def _adjoint(kind, ranks=None):
     def mark(rule):
         rule.adjoint = kind
+        rule.ranks = ranks
         return rule
 
     return mark
@@ -297,13 +302,13 @@ def _log1pexp(x, y, c):
     return v, _logistic_of(t, e), None
 
 
-@_adjoint("product")
+@_adjoint("product", ranks=(0, 1))
 def _sqnorm(x, y, c):
     pa = 2.0 * x
     return float(np.dot(x, x)), pa, None
 
 
-@_adjoint("product")
+@_adjoint("product", ranks=(0, 1))
 def _norm(x, y, c):
     # gradient pinned to 0 at the origin
     value = float(np.sqrt(np.dot(x, x)))
@@ -315,7 +320,7 @@ def _sum(x, y, c):
     return float(np.sum(x)), None, None
 
 
-@_adjoint("cumsum")
+@_adjoint("cumsum", ranks=(1,))
 def _cumsum(x, y, c):
     return np.cumsum(x), None, None
 
@@ -330,7 +335,7 @@ class Tape:
     c, shape)``: ``rule`` applied to the values of nodes i and j (j is -1
     when absent) and the constant c.  ``values[k]`` is the node's value, a
     float when ``shape`` is ``()`` and a float array of that shape otherwise
-    (the module docstring lists the operations that stay vector-only), and
+    (the module docstring lists the shapes each operation takes), and
     ``partials[k]`` the pair of partials its adjoint reads.
     """
 
@@ -483,22 +488,25 @@ class Var:
 
 # -- supported elementwise / reduction functions ---------------------------
 # Each records a node for a Var; a plain input is a constant (say ``log(w)``
-# of a fixed weight vector), which the elementwise functions evaluate by
-# their rule, domain checks included, and the reductions directly.
+# of a fixed weight vector), which the same rule evaluates, domain checks
+# included.  Either way the operand must have a rank the rule declares.
 
 
-def _elementwise(rule, x):
+def _unary(rule, x):
+    value = x.val if isinstance(x, Var) else _const(x)
+    if rule.ranks is not None and np.ndim(value) not in rule.ranks:
+        raise ProgramError(f"{rule.__name__[1:]} requires a vector, got shape {np.shape(value)}")
     if isinstance(x, Var):
         return x.tape.apply(rule, x)
-    return rule(_const(x), None, None)[0]
+    return rule(value, None, None)[0]
 
 
 def exp(x):
-    return _elementwise(_exp, x)
+    return _unary(_exp, x)
 
 
 def log(x):
-    return _elementwise(_log, x)
+    return _unary(_log, x)
 
 
 def sqrt(x):
@@ -512,12 +520,12 @@ def sqrt(x):
 
 def logistic(x):
     """Stable sigmoid 1 / (1 + e^-x)."""
-    return _elementwise(_logistic, x)
+    return _unary(_logistic, x)
 
 
 def log1pexp(x):
     """Stable log(1 + e^x)."""
-    return _elementwise(_log1pexp, x)
+    return _unary(_log1pexp, x)
 
 
 def dot(a, b):
@@ -526,45 +534,26 @@ def dot(a, b):
     return float(np.dot(a, b))
 
 
-def _vector_only(v, op):
-    if np.ndim(v.val) > 1:
-        raise ProgramError(f"{op} requires a vector, got shape {np.shape(v.val)}")
-
-
 def sqnorm(v):
     """Squared Euclidean norm of a vector."""
-    if isinstance(v, Var):
-        _vector_only(v, "sqnorm")
-        return v.tape.apply(_sqnorm, v)
-    return float(np.dot(v, v))
+    return _unary(_sqnorm, v)
 
 
 def norm(v):
     """Euclidean norm; gradient pinned to 0 at the origin."""
-    if isinstance(v, Var):
-        _vector_only(v, "norm")
-        return v.tape.apply(_norm, v)
-    return float(np.sqrt(np.dot(v, v)))
+    return _unary(_norm, v)
 
 
 def vsum(v):
     """Sum of all entries of a vector or matrix."""
-    if isinstance(v, Var):
-        if np.ndim(v.val) == 0:
-            return v
-        return v.tape.apply(_sum, v)
-    return float(np.sum(v))
+    if isinstance(v, Var) and not np.ndim(v.val):
+        return v
+    return _unary(_sum, v)
 
 
 def cumsum(v):
     """Running sums of a vector's entries."""
-    if isinstance(v, Var):
-        if np.ndim(v.val) != 1:
-            raise ProgramError(f"cumsum requires a vector, got shape {np.shape(v.val)}")
-        return v.tape.apply(_cumsum, v)
-    if np.ndim(v) > 1:
-        raise ProgramError(f"cumsum requires a vector, got shape {np.shape(v)}")
-    return np.cumsum(v)
+    return _unary(_cumsum, v)
 
 
 # -- reverse sweep ----------------------------------------------------------
@@ -880,13 +869,32 @@ def _zero_padded(oracle, coords):
 # -- oracle -----------------------------------------------------------------
 
 
-def _integer_indices(values, what):
-    # an index array is cast to int only when it holds integers: a fractional
-    # index would be cut down and a boolean mask read as 0/1 indices
+def _integer_indices(values, what, size, distinct=False):
+    # indices into 0..size-1 as a 1-D int array: a fraction would be cut down,
+    # a boolean mask read as 0/1 indices, a 2-D array flattened and a negative
+    # index wrapped round, so each raises ValueError instead; with
+    # ``distinct`` so does a repeated index, which would be counted twice
     given = np.asarray(values)
-    if given.size and given.dtype.kind not in "iu":
+    if given.dtype.kind not in "iu" and given.size:
         raise ValueError(f"{what} must be integers")
+    if given.ndim != 1:
+        raise ValueError(f"{what} must be a 1-D array, got shape {given.shape}")
+    listed = given.tolist()
+    if listed and not 0 <= min(listed) <= max(listed) < size:
+        raise ValueError(f"{what} out of range: each must lie in 0..{size - 1}")
+    if distinct and len(set(listed)) != len(listed):
+        raise ValueError(f"{what} must be distinct")
     return given.astype(int)
+
+
+def _vector(x, p, what):
+    # x as a float vector of shape (p,): a vector of another length would be
+    # read in part or fail deep inside, and a matrix be read row by row
+    x = np.asarray(x, dtype=float)
+    if x.shape != (p,):
+        raise ValueError(f"{what} has the wrong shape: expected a vector of length p={p}, "
+                         f"got shape {x.shape}")
+    return x
 
 
 class ObjectiveOracle:
@@ -912,34 +920,24 @@ class ObjectiveOracle:
         self._restrict = restrict
 
     def value(self, theta):
-        return self._value(self._coerce(theta))
+        return self._value(_vector(theta, self.dim, "theta"))
 
     def gradient(self, theta):
-        return self._vag(self._coerce(theta))[1]
+        return self._vag(_vector(theta, self.dim, "theta"))[1]
 
     def value_and_grad(self, theta):
-        return self._vag(self._coerce(theta))
+        return self._vag(_vector(theta, self.dim, "theta"))
 
     def restricted(self, coords):
-        """Oracle over distinct in-range integer ``coords``; raises ValueError otherwise."""
-        coords = _integer_indices(coords, "restricted coordinates")
-        listed = coords.tolist()
-        if coords.ndim != 1 or len(set(listed)) != len(listed):
-            raise ValueError("restricted coordinates must be distinct, in a 1-D array")
-        if listed and not 0 <= min(listed) <= max(listed) < self.dim:
-            raise ValueError(f"restricted coordinates must lie in 0..{self.dim - 1}")
+        """Oracle over ``coords``: distinct integers in 0..dim-1, in a 1-D
+        array; raises ValueError otherwise."""
+        coords = _integer_indices(coords, "restricted coordinates", self.dim, distinct=True)
         if self._restrict is None:
             return _zero_padded(self, coords)
         sub = self._restrict(coords)
         if sub.dim != len(coords):
             raise ValueError("restricted oracle has the wrong dimension")
         return sub
-
-    def _coerce(self, theta):
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (self.dim,):
-            raise ValueError(f"expected a parameter vector of shape ({self.dim},), got {theta.shape}")
-        return theta
 
     def __repr__(self):
         tag = f", scale={self.scale!r}" if self.scale else ""

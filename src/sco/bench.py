@@ -55,16 +55,14 @@ def support_metrics(true_support, est_support, p):
 
     accuracy = recall = |S* ∩ Ŝ| / |S*|; precision = |S* ∩ Ŝ| / |Ŝ|
     (zero when Ŝ is empty); f1 is the harmonic mean of precision and
-    recall (zero when either is zero).  Supports hold integer indices;
-    fractional or boolean entries raise ValueError.
+    recall (zero when either is zero).  Each support is a 1-D integer
+    array of coordinates in 0..p-1, repeats counted once; anything else
+    (a fraction, a boolean mask, a 2-D array) raises ValueError.
     """
-    t = np.unique(_integer_indices(true_support, "support indices"))
-    e = np.unique(_integer_indices(est_support, "support indices"))
+    t = np.unique(_integer_indices(true_support, "true support", p))
+    e = np.unique(_integer_indices(est_support, "estimated support", p))
     if len(t) == 0:
         raise ValueError("true support must be non-empty")
-    for s in (t, e):
-        if len(s) and (s.min() < 0 or s.max() >= p):
-            raise ValueError("support indices out of range")
     hit = len(np.intersect1d(t, e))
     recall = hit / len(t)
     precision = hit / len(e) if len(e) else 0.0

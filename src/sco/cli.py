@@ -24,7 +24,7 @@ import numpy as np
 
 from . import bench, models
 from .problem import SolverConfig
-from .selection import AIC, BIC, GIC, SIC, cross_validate, select_by_ic
+from .selection import Criterion, cross_validate, select_by_ic
 from .solvers import SolverKind, solve
 
 _DEFAULT_SIGNAL = {"linear": 5.0, "logistic": 1.0, "trend": 10.0, "ising": 0.4}
@@ -97,8 +97,7 @@ def _cmd_select(args):
         criterion_name = f"cv{args.k_folds}"
     else:
         problem = models.build_problem(dataset, s=grid[-1])
-        criterion = {"aic": AIC, "bic": BIC, "gic": GIC, "sic": SIC}[args.criterion]
-        result = select_by_ic(problem, grid, args.solver, config, criterion)
+        result = select_by_ic(problem, grid, args.solver, config, Criterion(args.criterion))
         criterion_name = args.criterion
     payload = {
         "criterion": criterion_name,

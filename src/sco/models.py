@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from .autodiff import _integer_indices, build_objective, dot, log1pexp, sqnorm, vsum
-from .problem import ScoProblem
+from .problem import ScoProblem, _require_integer
 
 __all__ = [
     "KINDS",
@@ -76,6 +76,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        for name in ("n", "p", "s_true"):
+            _require_integer(getattr(self, name), name)
         if self.n < 1 or self.p < 1 or self.s_true < 1:
             raise ValueError("n, p and s_true must be positive")
         if self.s_true > self.p:
@@ -118,8 +120,9 @@ class Dataset:
 
     def subset(self, rows):
         """Same dataset restricted to the given sample rows (for CV folds);
-        ``rows`` holds integer indices, and a boolean mask raises ValueError."""
-        rows = _integer_indices(rows, "rows")
+        ``rows`` is a 1-D integer array of rows in 0..n-1, and a boolean
+        mask, a fraction, a 2-D array or a negative row raises ValueError."""
+        rows = _integer_indices(rows, "rows", self.n)
         y = None if self.y is None else self.y[rows]
         return Dataset(self.spec, self.X[rows], y, self.theta_true, self.support_true)
 

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import EvaluationError, ObjectiveOracle, _integer_indices
+from .autodiff import EvaluationError, ObjectiveOracle, _integer_indices, _vector
 
 __all__ = [
     "SolverConfig",
@@ -64,8 +64,6 @@ class SolverConfig:
             raise ValueError("inner_max_iter must be at least 1")
         if not self.tol > 0.0 or not self.inner_tol > 0.0:
             raise ValueError("tolerances must be positive")
-        if self.warm_start is not None:
-            object.__setattr__(self, "warm_start", np.asarray(self.warm_start, dtype=float))
 
 
 class GroupView:
@@ -74,45 +72,44 @@ class GroupView:
     A unit is a group of coordinates (or a single coordinate when the
     problem is ungrouped); units partition {0..p-1} minus the preselected
     coordinates, and the sparsity budget counts units.  ``p`` must be an
-    integer, and ``groups`` and ``preselect`` integer arrays; preselected
-    coordinates must lie in 0..p-1.
+    integer; ``preselect`` (coordinates) and ``groups`` (one id per
+    coordinate) must be 1-D integer arrays with entries in 0..p-1, else
+    ValueError.  The view keeps them as ``preselect``, sorted and unique,
+    and ``groups`` (None when ungrouped).
     """
 
     def __init__(self, p, groups=None, preselect=None):
         self.p = int(_require_integer(p, "p"))
-        pre = _integer_indices([] if preselect is None else preselect, "preselect indices")
-        if len(pre) and (pre.min() < 0 or pre.max() >= self.p):
-            raise ValueError("preselect indices out of range")
+        pre = _integer_indices([] if preselect is None else preselect, "preselect indices", self.p)
         selectable = np.ones(self.p, dtype=bool)
         selectable[pre] = False
         self._sel = np.flatnonzero(selectable)
+        self.preselect = np.flatnonzero(~selectable)
+        self.unit_of = unit_of = np.full(self.p, -1, dtype=int)
         if groups is None:
             self.singleton = True
             self.n_units = len(self._sel)
             self._unit_coords = None
-            unit_of = np.full(self.p, -1, dtype=int)
             unit_of[self._sel] = np.arange(self.n_units)
-            self.unit_of = unit_of
         else:
-            groups = _integer_indices(groups, "group ids")
-            if groups.shape != (self.p,):
+            groups = _integer_indices(groups, "group ids", self.p)
+            if len(groups) != self.p:
                 raise ValueError("groups must assign one id per coordinate")
             self.singleton = False
             gids = sorted(set(int(g) for g in groups[self._sel]))
             self._unit_coords = []
-            unit_of = np.full(self.p, -1, dtype=int)
             for u, gid in enumerate(gids):
                 coords = np.flatnonzero((groups == gid) & selectable)
                 self._unit_coords.append(coords)
                 unit_of[coords] = u
-            gsel = unit_of[self._sel]
-            self._gsel = gsel
+            self._gsel = unit_of[self._sel]
             self.n_units = len(gids)
-            self.unit_of = unit_of
+        self.groups = groups
 
     def unit_norms(self, v):
-        """Euclidean norm of ``v`` restricted to each unit's coordinates."""
-        v = np.asarray(v, dtype=float)
+        """Euclidean norm of ``v``, a length-p vector, restricted to each
+        unit's coordinates."""
+        v = _vector(v, self.p, "v")
         if self.singleton:
             return np.abs(v[self._sel])
         sq = np.bincount(self._gsel, weights=np.square(v[self._sel]), minlength=self.n_units)
@@ -135,7 +132,7 @@ class GroupView:
 def _with_preselect(coords, preselect):
     # the sorted union of coords and preselect; coords already strictly
     # increasing are returned as they are when there is nothing to add
-    if coords.ndim == 1 and not len(preselect) and (coords[1:] > coords[:-1]).all():
+    if not len(preselect) and (coords[1:] > coords[:-1]).all():
         return coords
     return np.union1d(coords, preselect).astype(int)
 
@@ -146,9 +143,11 @@ class ScoProblem:
 
     ``preselect`` coordinates are always active and exempt from the
     budget; ``groups`` (array of group ids over all p coordinates) makes
-    whole groups enter or leave the support atomically.  Both hold
-    integers; fractional or boolean entries raise ValueError.  ``n`` is the
-    sample size, needed only by the information criteria.
+    whole groups enter or leave the support atomically.  Both are checked
+    by :class:`GroupView` and read back from the problem's ``view``:
+    ``preselect`` sorted and unique, ``groups`` an int array whose ids
+    must be 0..G-1, each group wholly preselected or wholly selectable.
+    ``n`` is the sample size, needed only by the information criteria.
     """
 
     p: int
@@ -166,30 +165,20 @@ class ScoProblem:
             raise ValueError("dimension p must be at least 1")
         if self.oracle.dim != self.p:
             raise ValueError(f"oracle dimension {self.oracle.dim} != p {self.p}")
-        pre = np.unique(_integer_indices([] if self.preselect is None else self.preselect,
-                                         "preselect indices"))
-        if len(pre) and (pre[0] < 0 or pre[-1] >= self.p):
-            raise ValueError("preselect indices out of range")
-        if len(pre) >= self.p:
+        view = GroupView(self.p, self.groups, self.preselect)
+        if len(view.preselect) >= self.p:
             raise ValueError("preselect cannot cover every coordinate")
-        object.__setattr__(self, "preselect", pre)
-        groups = self.groups
-        if groups is not None:
-            groups = _integer_indices(groups, "group ids")
-            if groups.shape != (self.p,):
-                raise ValueError("groups must assign one id per coordinate")
-            ids = np.unique(groups)
-            if not np.array_equal(ids, np.arange(len(ids))):
+        if view.groups is not None:
+            size = np.bincount(view.groups)
+            if not size.all():
                 raise ValueError("group ids must be 0..G-1 with every id present")
             # every group must be entirely selectable or entirely preselected
-            pre_mask = np.zeros(self.p, dtype=bool)
-            pre_mask[pre] = True
-            for gid in ids:
-                members = pre_mask[groups == gid]
-                if members.any() and not members.all():
-                    raise ValueError(f"group {gid} mixes preselected and selectable coordinates")
-            object.__setattr__(self, "groups", groups)
-        view = GroupView(self.p, groups, pre)
+            held = np.bincount(view.groups[view.preselect], minlength=len(size))
+            mixed = np.flatnonzero((held > 0) & (held < size))
+            if len(mixed):
+                raise ValueError(f"group {mixed[0]} mixes preselected and selectable coordinates")
+        object.__setattr__(self, "preselect", view.preselect)
+        object.__setattr__(self, "groups", view.groups)
         if view.n_units < 1:
             raise ValueError("no selectable units remain")
         if not 0 < self.s <= view.n_units:
@@ -289,10 +278,9 @@ def hard_threshold(v, s, view):
 
 
 def project_feasible(v, problem):
-    """Zero every coordinate outside the top-s units plus preselection."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (problem.p,):
-        raise ValueError(f"expected a vector of shape ({problem.p},), got {v.shape}")
+    """Zero every coordinate of ``v``, a length-p vector, outside the top-s
+    units plus preselection."""
+    v = _vector(v, problem.p, "v")
     return problem.mask(v, hard_threshold(v, problem.s, problem.view))[0]
 
 
@@ -446,22 +434,17 @@ def restricted_minimize(problem, support, init=None, config=None):
     makes at most 50 backtracks).  The result's ``reason`` records which
     rule ended the search.
 
-    ``support`` holds integer coordinate indices; fractional or boolean
-    entries raise ValueError.  ``init``, a length-p vector, must be zero
+    ``support`` holds coordinate indices, a 1-D integer array in 0..p-1
+    (see :class:`GroupView`).  ``init``, a length-p vector, must be zero
     off the free coordinates; the search never increases the objective relative to
     it.  Returns a :class:`RestrictedResult` whose ``params`` is the
     full-length vector.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
-    support = _integer_indices(support, "support indices")
-    if len(support) and (support.min() < 0 or support.max() >= problem.p):
-        raise ValueError("support indices out of range")
+    support = _integer_indices(support, "support indices", problem.p)
     free = _with_preselect(support, problem.preselect)
     if init is not None:
-        init = np.asarray(init, dtype=float)
-        if init.shape != (problem.p,):
-            raise ValueError(f"init must be a vector of length p={problem.p}, "
-                             f"got shape {init.shape}")
+        init = _vector(init, problem.p, "init")
         # NaN counts as nonzero and -0.0 as zero
         if np.count_nonzero(init) != np.count_nonzero(init[free]):
             raise ValueError("init must be zero off support and preselected coordinates")
@@ -477,29 +460,25 @@ def restricted_minimize(problem, support, init=None, config=None):
 def validate_solution(problem, solution, tol=1e-12):
     """Check a solution against the ScoSolution invariants; raises ValueError.
 
-    Verifies that the support is a sorted in-range union of whole units
+    Verifies that the support is a 1-D integer array of coordinates in
+    0..p-1 (see :class:`GroupView`), sorted, a union of whole units and
     disjoint from the preselection, that at most s units are selected,
-    that the parameters vanish off support plus preselection, and that the
-    stored objective matches a fresh oracle evaluation.
+    that the parameters are a length-p vector vanishing off support plus
+    preselection, and that the stored objective matches a fresh oracle
+    evaluation.
     """
-    sup = np.asarray(solution.support, dtype=int)
+    sup = _integer_indices(solution.support, "support", problem.p)
     if len(sup):
-        if sup.min() < 0 or sup.max() >= problem.p:
-            raise ValueError("support out of range")
         if np.any(np.diff(sup) <= 0):
             raise ValueError("support must be sorted and unique")
-        if np.intersect1d(sup, problem.preselect).size:
-            raise ValueError("support must not list preselected coordinates")
         units = np.unique(problem.view.unit_of[sup])
-        if units.min() < 0:
-            raise ValueError("support touches a non-selectable coordinate")
+        if units.min() < 0:  # only preselected coordinates belong to no unit
+            raise ValueError("support must not list preselected coordinates")
         if not np.array_equal(problem.view.coords_of(units), sup):
             raise ValueError("support must cover whole units")
         if len(units) > problem.s:
             raise ValueError(f"{len(units)} selected units exceed the budget s={problem.s}")
-    params = np.asarray(solution.params, dtype=float)
-    if params.shape != (problem.p,):
-        raise ValueError("params has the wrong shape")
+    params = _vector(solution.params, problem.p, "params")
     off = np.ones(problem.p, dtype=bool)
     off[sup] = False
     off[problem.preselect] = False

@@ -121,8 +121,8 @@ def information_criterion(criterion, objective_value, s, n, p, objective_scale="
     expected best spurious improvement at moderate n (the largest of ~p
     squared noise correlations concentrates near 2 log p, while
     log p log log n passes that level only for n beyond e^(e^2)), which
-    makes the criterion over-select at benchmark sizes.  ``s`` and ``n``
-    must be integers; a fractional count raises ValueError.
+    makes the criterion over-select at benchmark sizes.  ``s``, ``n`` and
+    ``p`` must be integers; a fractional count raises ValueError.
     """
     if isinstance(criterion, Criterion):
         kind = criterion.kind
@@ -131,6 +131,7 @@ def information_criterion(criterion, objective_value, s, n, p, objective_scale="
     f = float(objective_value)
     s = int(_require_integer(s, "s"))
     n = int(_require_integer(n, "n"))
+    p = int(_require_integer(p, "p"))
     if n < 2:
         raise ValueError("information criteria need n >= 2")
     if p < 1:

@@ -38,7 +38,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .autodiff import EvaluationError
+from .autodiff import EvaluationError, _vector
 from .problem import (
     ScoProblem,
     ScoSolution,
@@ -90,9 +90,7 @@ class _Run:
         if cfg.warm_start is None:
             self.start = np.zeros(problem.p)
             return
-        if cfg.warm_start.shape != (problem.p,):
-            raise ValueError("warm_start has the wrong shape")
-        self.start = cfg.warm_start
+        self.start = _vector(cfg.warm_start, problem.p, "warm_start")
         w = project_feasible(self.start, problem)
         self.warm = (problem.oracle.value(w), w, problem.view.units_with_support(w))
         self.offer(*self.warm)

@@ -309,10 +309,16 @@ _IDX2 = np.array([[0, 1], [2, 0], [1, 1]])  # a 3 x 2 gather from a 3-vector
     (lambda th: sco.vsum(np.ones((2, 2)) @ th[0]), "@"),
     (lambda th: sco.vsum(th[_IDX2][_IDX2 > 0]), "boolean mask"),
     (lambda th: th[_IDX2][0, 1], "indexing"),
+    (lambda th: th[0] + sco.sqnorm(np.ones((2, 2))), "sqnorm"),
+    (lambda th: th[0] + sco.norm(np.ones((2, 2))), "norm"),
+    (lambda th: sco.vsum(sco.cumsum(th[0])), "cumsum"),
+    (lambda th: th[0] + sco.vsum(sco.cumsum(0.7)), "cumsum"),
 ], ids=["sqnorm", "norm", "cumsum", "matrix@vector", "matrix@matrix", "vector@matrix",
-        "matrix@scalar", "bool-mask", "tuple-index"])
+        "matrix@scalar", "bool-mask", "tuple-index", "constant-sqnorm", "constant-norm",
+        "scalar-cumsum", "constant-scalar-cumsum"])
 def test_unsupported_shapes_raise_program_error(program, op):
-    # matrix values reach every op; the vector-only ones must say so
+    # matrix values reach every op; the vector-only ones must say so, for a
+    # constant operand as for a variable, and cumsum refuses a scalar as well
     with pytest.raises(ProgramError, match=op):
         build_objective(program, 3)
     oracle = build_objective(program, 3, probe=False)

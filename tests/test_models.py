@@ -414,3 +414,11 @@ def test_spec_validation():
         models.ModelSpec("ising", 10, 44, 2, 1.0)  # non-triangular p
     with pytest.raises(ValueError):
         models.ModelSpec("gamma", 10, 5, 2, 1.0)
+    # fractional counts are refused when the spec is built, not inside generate
+    for kind, n, p, s_true, name in (("linear", 40.0, 12, 3, "n"), ("linear", 40, 12.0, 3, "p"),
+                                     ("linear", 40, 12, 3.0, "s_true"),
+                                     ("ising", 40, 10.0, 2, "p")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            models.ModelSpec(kind, n, p, s_true)
+    spec = models.ModelSpec("linear", np.int64(40), np.int32(12), np.int64(3))
+    assert models.generate(spec).X.shape == (40, 12)

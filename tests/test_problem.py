@@ -1,6 +1,8 @@
 """Hard thresholding, feasibility projection, the restricted minimizer,
 and the solution validator."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,6 +348,61 @@ def _rows(rows):
     return models.generate(models.ModelSpec("linear", 6, 5, 2, 5.0, seed=0)).subset(rows)
 
 
+def _solution(support=(0,), params=np.zeros(4)):
+    return sco.ScoSolution(params=params, support=support, objective=0.0, iterations=1,
+                           converged=True)
+
+
+# every entrance that takes an index array, as (size, call): indices lie in 0..size-1
+_INDEX_ENTRANCES = {
+    "restricted": (4, lambda idx: build_objective(sco.sqnorm, 4).restricted(idx)),
+    "preselect": (4, lambda idx: _problem(preselect=idx)),
+    "groups": (4, lambda idx: _problem(groups=idx)),
+    "view-preselect": (5, lambda idx: GroupView(5, preselect=idx)),
+    "view-groups": (5, lambda idx: GroupView(5, groups=idx)),
+    "refit": (4, lambda idx: restricted_minimize(_problem(), idx)),
+    "validate": (4, lambda idx: validate_solution(_problem(), _solution(support=idx))),
+    "support": (3, lambda idx: support_metrics([0, 2], idx, 3)),
+    "true-support": (3, lambda idx: support_metrics(idx, [0, 2], 3)),
+    "subset": (6, _rows),
+}
+_BAD_INDICES = {  # case: (index array for a size, refusal)
+    "fraction": (lambda size: [0.5, 1.5], "integers"),
+    "mask": (lambda size: [True] + [False] * (size - 1), "integers"),
+    "2d": (lambda size: [[0], [1]], "1-D"),
+    "negative": (lambda size: [-1, 0], "out of range"),
+    "beyond": (lambda size: [0, size], "out of range"),
+}
+# every entrance that takes a length-p vector, p = 4
+_VECTOR_ENTRANCES = {
+    "warm-start": (4, lambda v: sco.solve("omp", _problem(), SolverConfig(warm_start=v))),
+    "init": (4, lambda v: restricted_minimize(_problem(), [0], v)),
+    "project": (4, lambda v: project_feasible(v, _problem())),
+    "params": (4, lambda v: validate_solution(_problem(), _solution(params=v))),
+    "hard-threshold": (4, lambda v: hard_threshold(v, 1, GroupView(4))),
+    "unit-norms": (4, lambda v: GroupView(4, groups=[0, 0, 1, 1]).unit_norms(v)),
+    "value": (4, lambda v: build_objective(sco.sqnorm, 4).value(v)),
+    "value-and-grad": (4, lambda v: build_objective(sco.sqnorm, 4).value_and_grad(v)),
+    "restricted-value": (4, lambda v: build_objective(sco.sqnorm, 4).restricted([3, 2, 1, 0])
+                         .value(v)),
+}
+_BAD_VECTORS = {
+    "short": (lambda p: np.ones(p - 1), "wrong shape"),
+    "long": (lambda p: np.arange(p + 3.0), "wrong shape"),
+    "2d": (lambda p: np.ones((p, 1)), "wrong shape"),
+}
+_LISTED = ["preselect-mask", "preselect-fraction", "groups-fraction", "view-preselect-negative",
+           "view-preselect-beyond", "view-preselect-mask", "view-groups-fraction",
+           "view-groups-short", "view-groups-long", "subset-mask", "support-mask",
+           "support-fraction"]
+_CROSSED = [(partial(call, bad(size)), match, f"{name}-{case}")
+            for entrances, cases in ((_INDEX_ENTRANCES, _BAD_INDICES),
+                                     (_VECTOR_ENTRANCES, _BAD_VECTORS))
+            for name, (size, call) in entrances.items()
+            for case, (bad, match) in cases.items()
+            if f"{name}-{case}" not in _LISTED]
+
+
 @pytest.mark.parametrize("make, match", [
     (lambda: _problem(preselect=[True, False, True, False]), "integers"),
     (lambda: _problem(preselect=[1.7]), "integers"),
@@ -359,13 +416,12 @@ def _rows(rows):
     (lambda: _rows([True, False, True, False, False, False]), "integers"),
     (lambda: support_metrics([0, 2], [True, False, True], 3), "integers"),
     (lambda: support_metrics([0.5, 2.0], [0, 2], 3), "integers"),
-], ids=["preselect-mask", "preselect-fraction", "groups-fraction", "view-preselect-negative",
-        "view-preselect-beyond", "view-preselect-mask", "view-groups-fraction",
-        "view-groups-short", "view-groups-long", "subset-mask",
-        "support-mask", "support-fraction"])
+    *[(make, match) for make, match, _ in _CROSSED],
+], ids=_LISTED + [name for _, _, name in _CROSSED])
 def test_index_inputs_refuse_what_they_would_misread(make, match):
-    # a boolean mask read as 0/1 indices, a fraction cut down, or a negative
-    # index wrapped round would each go on silently with other indices
+    # a boolean mask read as 0/1 indices, a fraction cut down, a 2-D array
+    # flattened or a negative index wrapped round would each go on silently
+    # with other indices; so would a vector of another length, read in part
     with pytest.raises(ValueError, match=match):
         make()
 

@@ -36,6 +36,11 @@ def test_counts_must_be_integers():
             information_criterion(BIC, 10.0, s, n, 50)
     v = information_criterion(BIC, 10.0, np.int64(2), np.int64(100), 50)
     assert v == information_criterion(BIC, 10.0, 2, 100, 50) and type(v) is float
+    # so is p, which gic and sic read through log p: 50.5 would score as log 50.5
+    with pytest.raises(ValueError, match="p must be an integer"):
+        information_criterion(GIC, 10.0, 2, 100, 50.5)
+    assert information_criterion(GIC, 10.0, 2, 100, np.int64(50)) == \
+        information_criterion(GIC, 10.0, 2, 100, 50)
 
 
 def test_penalties_strictly_increase_with_s():
