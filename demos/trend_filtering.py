@@ -4,9 +4,11 @@ The parameters are the increments of the fitted series, so a sparsity
 budget of ten means the trend may jump at most ten times.  This is the
 higher-dimensional example (one parameter per observation): the objective
 below has 500 parameters, and the splicing solver spends 14 outer
-iterations and 97 restricted refits (8,303 L-BFGS iterations, 96 of the
-refits stopping short of the tolerance) on it.  These counts do not depend
-on the machine; the refits take most of the solve's time.
+iterations and 97 restricted refits (240 refit iterations, 33 of the
+refits stopping short of the tolerance) on it.  Each refit is quadratic,
+so after its first step it takes Newton steps with a Hessian from
+gradient differences.  These counts do not depend on the machine; the
+refits take most of the solve's time.
 """
 
 import numpy as np

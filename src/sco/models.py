@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .autodiff import _integer_indices, build_objective, dot, log1pexp, sqnorm, vsum
-from .problem import ScoProblem, _require_integer
+from .autodiff import (_integer_indices, _require_integer, build_objective, dot, log1pexp, sqnorm,
+                       vsum)
+from .problem import ScoProblem
 
 __all__ = [
     "KINDS",

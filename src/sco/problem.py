@@ -1,19 +1,22 @@
 """Problem and solution types plus the active-set building blocks every
 solver shares: selectable-unit bookkeeping (groups, preselected
 coordinates), hard thresholding onto the sparsity budget, and a
-limited-memory quasi-Newton minimizer over a fixed support.
+minimizer over a fixed support: limited-memory quasi-Newton steps, and
+Newton steps with a Hessian from gradient differences once the first
+step shows the restricted objective quadratic (least squares, trend
+filtering).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .autodiff import EvaluationError, ObjectiveOracle, _integer_indices, _vector
+from .autodiff import (EvaluationError, ObjectiveOracle, _integer_indices, _require_integer,
+                       _vector)
 
 __all__ = [
     "SolverConfig",
@@ -27,13 +30,6 @@ __all__ = [
     "restricted_minimize",
     "validate_solution",
 ]
-
-
-def _require_integer(value, name):
-    # a float count would be cut down, or fail later inside slicing or range
-    if not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,9 @@ class RestrictedResult:
 
     ``objective`` is the value computed by the restricted oracle;
     ``last_step`` is the most recently accepted line-search step, None
-    when no step was taken.  ``converged`` is exactly
+    when no step was taken; on a quadratic refit it is the last Newton
+    step's, usually 1.  The pdas solver reads it as its step size for
+    scoring inactive units.  ``converged`` is exactly
     ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
     stopped: ``"converged"``, ``"floor"`` (f could no longer resolve a
     decrease), ``"max_iter"``, ``"line_search"`` (every trial of the last
@@ -309,10 +307,57 @@ _EPS = float(np.finfo(float).eps)
 _MEMORY = 10  # secant pairs kept
 _ARMIJO = 1e-4  # sufficient-decrease constant
 _MAX_BACKTRACKS = 50
+_NEWTON_MAX_DIM = 40  # largest restriction whose Hessian is taken by differences
+
+
+def _is_quadratic(f, df, gs, sy):
+    # a step s from f with slope g.s = gs, f changing by df and the gradient
+    # by y: on a quadratic the trapezoid rule df = (g + g_new).s / 2 =
+    # gs + sy / 2 is exact up to rounding.  The gap is measured against the
+    # curvature term s.y, not against df: a nearly linear f (a logistic
+    # loss far out) passes the rule too, with almost no curvature to take
+    # by differences
+    return abs(df - gs - 0.5 * sy) <= 1e-6 * abs(sy) + 8.0 * _EPS * max(1.0, abs(f))
+
+
+def _difference_newton(value_and_grad, x, g):
+    # the inverse of H, whose column i is the forward difference
+    # (g(x + h_i e_i) - g) / h_i with h_i = 1e-4 (1 + |x_i|), symmetrized
+    # (Nocedal & Wright, section 8.1); None when a difference leaves the
+    # domain or H is not finite and positive definite
+    k = len(x)
+    H = np.empty((k, k))
+    for i in range(k):
+        xh = x.copy()
+        xh[i] += 1e-4 * (1.0 + abs(x[i]))
+        try:
+            gh = value_and_grad(xh)[1]
+        except EvaluationError:
+            return None
+        H[:, i] = (gh - g) / (xh[i] - x[i])  # the step as rounded
+    H = 0.5 * (H + H.T)
+    if not np.isfinite(H).all():
+        return None
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(H))
+    except np.linalg.LinAlgError:
+        return None
+    return L_inv.T @ L_inv
 
 
 def _lbfgs(value_and_grad, x0, tol, max_iter):
-    """Limited-memory secant updates with a backtracking Armijo line search.
+    """Limited-memory secant updates with a backtracking Armijo line search,
+    and Newton steps once the first step shows the objective quadratic.
+
+    After the first accepted step s, if the support has at most
+    ``_NEWTON_MAX_DIM`` coordinates and f_new - f = (g + g_new).s / 2
+    holds to rounding (within 1e-6 |s.(g_new - g)| + 8 eps max(1, |f|)),
+    as it does exactly on a quadratic, H is taken from k forward
+    differences of the gradient at the new point and symmetrized; if its
+    Cholesky factorization succeeds every later direction is -H^-1 g,
+    first tried at step 1.  When the test fails, a difference raises
+    :class:`EvaluationError` or H is not positive definite, the secant
+    directions go on unchanged.
 
     Each trial costs one ``value_and_grad`` call, whose value and
     gradient both decide it.  A trial is accepted on Armijo sufficient
@@ -337,13 +382,17 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
     grad_inf = grad_start = float(abs(g).max()) if len(g) else 0.0
     S, Y, R = [], [], []  # secant pairs s, y and their 1 / s.y, oldest first
     gamma = None  # s.y / y.y of the newest pair
+    newton = None  # H^-1 once the first step showed f quadratic
     last_step = None
     converged = grad_inf <= tol
     reason = "max_iter"
     it = 0
     while not converged and it < max_iter:
         it += 1
-        d = _lbfgs_direction(g, S, Y, R, gamma)
+        if newton is None:
+            d = _lbfgs_direction(g, S, Y, R, gamma)
+        else:
+            d = -(newton @ g)
         gtd = float(g.dot(d))
         if gtd >= 0.0:  # curvature went bad; fall back to steepest descent
             d = -g
@@ -351,7 +400,7 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
         if -gtd <= 1e-18 * (1.0 + abs(f)):
             reason = "no_descent"
             break
-        if S:
+        if S or newton is not None:
             alpha = 1.0
         else:
             alpha = min(1.0, 1.0 / max(math.sqrt(-gtd), 1e-12))
@@ -399,10 +448,14 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
                 S.pop(0)
                 Y.pop(0)
                 R.pop(0)
+        quadratic = (it == 1 and len(s) <= _NEWTON_MAX_DIM
+                     and _is_quadratic(f, f_new - f, float(g.dot(s)), sy))
         x, f, g = x_new, f_new, g_new
         last_step = alpha
         grad_inf = float(abs(g).max())
         converged = grad_inf <= tol
+        if quadratic and not converged and it < max_iter:
+            newton = _difference_newton(value_and_grad, x, g)
     if f > f_start:  # gradient-judged steps wiggled f up at the floor
         if converged:
             reason = "floor"
@@ -422,10 +475,19 @@ def restricted_minimize(problem, support, init=None, config=None):
     search (sufficient-decrease constant 1e-4, one ``value_and_grad``
     call per trial; each rejected trial shrinks the step to the
     minimizer of the quadratic interpolating f, its slope and the
-    trial's value, kept within [0.1, 0.5] of the rejected step),
-    stopping when the infinity norm of the gradient over the free
-    coordinates drops to ``config.inner_tol`` or after
-    ``config.inner_max_iter`` iterations.  It also stops at the
+    trial's value, kept within [0.1, 0.5] of the rejected step).  After
+    the first accepted step s, a support of at most 40 coordinates whose
+    step satisfies f_new - f = (g + g_new).s / 2 to rounding (within
+    1e-6 |s.(g_new - g)| + 8 eps max(1, |f|)), as every quadratic does,
+    takes its Hessian H from k more ``value_and_grad`` calls, forward
+    differences of the gradient (step 1e-4 (1 + |x_i|)), symmetrized;
+    if H has a Cholesky factor, every later direction is the Newton
+    direction -H^-1 g, first tried at step 1, under the same line search
+    and stopping rules.  Otherwise, or where a difference raises
+    :class:`~sco.autodiff.EvaluationError`, the quasi-Newton iterations
+    go on unchanged.  The iterations stop when the infinity norm of the
+    gradient over the free coordinates drops to ``config.inner_tol`` or
+    after ``config.inner_max_iter`` iterations.  It also stops at the
     precision floor ``4 eps max(1, |f|)``: a trial whose value lies
     within the floor of the current value is kept only if it lowers the
     gradient's infinity norm, and backtracking ends once the predicted

@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .problem import SolverConfig, _require_integer
+from .autodiff import _require_integer
+from .problem import SolverConfig
 from .solvers import solve
 
 __all__ = [

@@ -1,6 +1,7 @@
 """Tape gradients against the finite-difference oracle, domain errors,
 and the algebraic properties of the engine."""
 
+import math
 import sys
 import threading
 
@@ -345,6 +346,34 @@ def test_matrix_gather_and_constant_product():
     _fd_close(f, theta)
 
 
+@pytest.mark.parametrize("index", [[0.5, 1.7], np.array([1.0, 2.0]), np.array([[0.0, 1.0]])],
+                         ids=["fractions", "whole-floats", "2-D-floats"])
+def test_gather_refuses_non_integer_index_arrays(index):
+    # a cast to int read th[[0.5, 1.7]] as th[0] + th[1]
+    program = lambda th: sco.vsum(th[index])  # noqa: E731
+    with pytest.raises(ProgramError, match="integers"):
+        build_objective(program, 3)
+    with pytest.raises(ProgramError, match="integers"):
+        build_objective(program, 3, probe=False).value(np.array([10.0, 20.0, 30.0]))
+
+
+@pytest.mark.parametrize("index, expected", [([2, 2, 0], 80.0), (np.array([[0, 1], [1, 1]]), 80.0),
+                                             ([], 10.0)], ids=["repeated", "2-D", "empty"])
+def test_gather_reads_integer_index_arrays(index, expected):
+    f = build_objective(lambda th: sco.vsum(th[index]) + th[0], 3)
+    assert f.value(np.array([10.0, 20.0, 30.0])) == expected
+
+
+def test_oracle_dimension_must_be_an_integer():
+    # int(dim) cut 3.7 down to 3, and the probe then failed inside numpy
+    for probe in (True, False):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            build_objective(lambda th: sco.vsum(th), 3.7, probe=probe)
+    with pytest.raises(ValueError, match="dim must be an integer"):
+        ObjectiveOracle(2.0, lambda th: 0.0, lambda th: (0.0, np.zeros(2)))
+    assert build_objective(lambda th: sco.vsum(th), np.int64(3)).dim == 3
+
+
 def _columns_product_case(n, p, nnz, seed=0):
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((n, p))
@@ -422,6 +451,7 @@ _UNARY = {"exp": sco.exp, "log1pexp": sco.log1pexp, "logistic": sco.logistic}
 
 
 _DIVISORS = st.one_of(st.floats(-2.0, -0.5), st.floats(0.5, 2.0))
+_EXP_BOUND = 3.0  # the largest |x| a random program's exp is applied to
 
 
 @st.composite
@@ -432,7 +462,9 @@ def _random_programs(draw, project=False):
     # and divisions, constant-matrix products and row-broadcast products
     # with another gather.  A shift or division takes a scalar, an array of
     # the chain's shape or, on a vector, a two-row matrix the chain is
-    # broadcast up to
+    # broadcast up to.  ``bound`` caps |x| over the chain at theta in
+    # [-1, 1]; exp applies only while it is at most _EXP_BOUND, so chained
+    # exps stay finite (exp(exp(exp(exp(1)))) overflows)
     p = draw(st.integers(1, 5))
     unit = st.floats(-1.0, 1.0)
     chains = []
@@ -444,11 +476,16 @@ def _random_programs(draw, project=False):
         else:
             shape = draw(st.sampled_from([(1,), (3,), (4, 2), (2, 3), (1, 4)]))
             steps = [("gather", draw(hnp.arrays(int, shape, elements=st.integers(0, p - 1))))]
+        bound = 1.0
         for _ in range(draw(st.integers(0, 4))):
             op = draw(st.sampled_from(["unary", "neg", "scale", "scale-array", "sub", "rsub",
                                        "div", "matmul", "row"]))
             if op == "unary":
-                steps.append((op, _UNARY[draw(st.sampled_from(sorted(_UNARY)))]))
+                names = sorted(_UNARY) if bound <= _EXP_BOUND else ["log1pexp", "logistic"]
+                name = draw(st.sampled_from(names))
+                steps.append((op, _UNARY[name]))
+                bound = {"exp": math.exp(bound), "log1pexp": bound + math.log(2.0),
+                         "logistic": 1.0}[name]
             elif op == "neg":
                 steps.append((op, None))
             elif op == "scale":
@@ -457,6 +494,7 @@ def _random_programs(draw, project=False):
                 steps.append(("scale", draw(hnp.arrays(float, shape, elements=unit))))
             elif op in ("sub", "rsub", "div"):
                 cells = _DIVISORS if op == "div" else unit
+                bound = 2.0 * bound if op == "div" else bound + 1.0
                 const = draw(st.sampled_from(["scalar", "array", "lift"]))
                 if const == "scalar":
                     steps.append((op, draw(cells)))

@@ -14,10 +14,10 @@ from sco.problem import restricted_minimize
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 # where a docstring states the outer iterations of the demo's solve and its
-# restricted refits: how many, their L-BFGS iterations and how many stopped
-# short of the tolerance
+# restricted refits: how many, their iterations and how many stopped short
+# of the tolerance
 STATED = {"trend_filtering": r"(?P<outer>[\d,]+) outer iterations and (?P<refits>[\d,]+) "
-                             r"restricted refits \((?P<lbfgs>[\d,]+) L-BFGS iterations, "
+                             r"restricted refits \((?P<iterations>[\d,]+) refit iterations, "
                              r"(?P<unconverged>[\d,]+) of the refits stopping short"}
 
 
@@ -42,5 +42,5 @@ def test_demo_runs(path, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
     if path.stem in STATED:
         assert {"outer": namespace["solution"].iterations, "refits": len(refits),
-                "lbfgs": sum(res.iterations for res in refits),
+                "iterations": sum(res.iterations for res in refits),
                 "unconverged": sum(not res.converged for res in refits)} == _stated(path)

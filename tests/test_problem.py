@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import sco
 from sco import models
-from sco.autodiff import build_objective, fd_gradient
+from sco import problem as problem_module
+from sco.autodiff import EvaluationError, build_objective, fd_gradient
 from sco.bench import support_metrics
 from sco.problem import (
     GroupView,
@@ -572,3 +573,82 @@ def test_refit_matches_closed_form(spec, sizes, reference):
             err = np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))
             worst = max(worst, float(np.max(err)))
     assert worst <= 1e-8
+
+
+def _newton_builds(monkeypatch):
+    # every difference Hessian a refit builds, None where it fell back
+    built = []
+    build = problem_module._difference_newton
+
+    def recorded(*args):
+        built.append(build(*args))
+        return built[-1]
+
+    monkeypatch.setattr(problem_module, "_difference_newton", recorded)
+    return built
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_least_squares_refit_ends_in_one_newton_step(seed, monkeypatch):
+    """A quadratic refit takes one gradient step, k gradient differences
+    and one Newton step, and ends converged."""
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed))
+    support = np.sort(np.random.default_rng(seed).choice(ds.p, size=4, replace=False))
+    sub = models.build_problem(ds).oracle.restricted(support)
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return sub.value_and_grad(z)
+
+    built = _newton_builds(monkeypatch)
+    res = _lbfgs(counted, np.zeros(4), 1e-8, 100)
+    assert res.reason == "converged" and res.iterations <= 2
+    assert len(calls) <= len(support) + 4
+    assert len(built) == 1 and built[0] is not None
+    ref = np.linalg.lstsq(ds.X[:, support], ds.y, rcond=None)[0]
+    assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
+
+
+def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkeypatch):
+    # a zero column leaves f flat along its coordinate, so the difference
+    # Hessian has a zero pivot: the refit is the secant refit, bit for bit
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
+    X = ds.X.copy()
+    X[:, 3] = 0.0
+    prob = _ols_problem(X, ds.y, 4)
+    support = np.array([1, 3, 7, 20])
+    built = _newton_builds(monkeypatch)
+    res = restricted_minimize(prob, support)
+    assert built == [None]
+    ref = np.linalg.lstsq(X[:, support], ds.y, rcond=None)[0]  # 0 on the zero column
+    assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
+    monkeypatch.setattr(problem_module, "_NEWTON_MAX_DIM", 0)
+    secant = restricted_minimize(prob, support)
+    assert res.params.tobytes() == secant.params.tobytes()
+    assert (res.reason, res.iterations, res.last_step) == (secant.reason, secant.iterations,
+                                                           secant.last_step)
+
+
+def test_refit_whose_difference_leaves_the_domain_keeps_its_secant_steps(monkeypatch):
+    # f = x'Ax/2 - b'x on x_0 < u, minimized at (0, 2).  The first step,
+    # accepted at its first trial, lands at b/|b| = (0.6, 0.8), and u lies
+    # between that point and its forward difference in x_0
+    A = np.array([[2.0, 1.5], [1.5, 2.0]])
+    b = np.array([3.0, 4.0])
+    u = 0.6 + 0.5e-4 * 1.6
+
+    def value_and_grad(x):
+        if x[0] >= u:
+            raise EvaluationError("outside the domain")
+        return 0.5 * float(x @ A @ x) - float(b @ x), A @ x - b
+
+    built = _newton_builds(monkeypatch)
+    res = _lbfgs(value_and_grad, np.zeros(2), 1e-8, 100)
+    assert built == [None]
+    assert res.converged and np.max(np.abs(res.params - [0.0, 2.0])) <= 1e-8
+    monkeypatch.setattr(problem_module, "_NEWTON_MAX_DIM", 0)
+    secant = _lbfgs(value_and_grad, np.zeros(2), 1e-8, 100)
+    assert res.params.tobytes() == secant.params.tobytes()
+    assert (res.reason, res.iterations, res.last_step) == (secant.reason, secant.iterations,
+                                                           secant.last_step)
