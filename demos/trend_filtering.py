@@ -37,6 +37,6 @@ print("objective:", round(solution.objective, 3),
 
 with open("trend_filtering_fit.csv", "w") as fh:
     fh.write("observation,fitted\n")
-    for o, f in zip(data, fitted):
+    for o, f in zip(data.tolist(), fitted.tolist()):
         fh.write(f"{o!r},{f!r}\n")
 print("wrote trend_filtering_fit.csv (plot the two columns to see the fit)")

@@ -1,5 +1,5 @@
 """Benchmark harness: support-recovery metrics, the exhaustive small-p
-oracle, reproducible experiment suites, and the two demos.
+oracle and reproducible experiment suites.
 
 Suite runs are deterministic: data generation is seeded per replication,
 records are sorted (solver, seed, model) before writing, and every float
@@ -36,7 +36,6 @@ __all__ = [
     "write_records",
     "read_records",
     "summarize_markdown",
-    "demo",
 ]
 
 
@@ -284,92 +283,3 @@ def summarize_markdown(records):
             _mean_sd([r.runtime_s for r in rows]),
         ))
     return "\n".join(lines) + "\n"
-
-
-# -- demos --------------------------------------------------------------------
-
-
-def _svg_chart(series, path, width=900, height=320, pad=45):
-    """Minimal deterministic SVG line chart (one polyline per series)."""
-    lo = min(min(ys) for _, _, ys in series)
-    hi = max(max(ys) for _, _, ys in series)
-    if hi == lo:
-        hi = lo + 1.0
-    n = max(len(ys) for _, _, ys in series)
-
-    def sx(i):
-        return pad + i * (width - 2 * pad) / max(n - 1, 1)
-
-    def sy(v):
-        return height - pad - (v - lo) * (height - 2 * pad) / (hi - lo)
-
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-             f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" stroke="black"/>',
-             f'<line x1="{pad}" y1="{pad}" x2="{pad}" y2="{height - pad}" stroke="black"/>']
-    for idx, (name, color, ys) in enumerate(series):
-        pts = " ".join(f"{sx(i):.2f},{sy(v):.2f}" for i, v in enumerate(ys))
-        parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.2" points="{pts}"/>')
-        parts.append(f'<text x="{pad + 8}" y="{pad + 14 + 16 * idx}" fill="{color}" '
-                     f'font-family="monospace" font-size="12">{name}</text>')
-    parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def demo_compressive_sensing(out_dir, n=100, p=10, seed=0):
-    """Noiseless recovery of three planted coefficients; prints the planted
-    and estimated variables in the same two-line format."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, p))
-    coef = np.zeros(p)
-    coef[[3, 4, 7]] = [9.71, 19.16, 13.53]
-    y = X @ coef
-    spec = models.ModelSpec("linear", n, p, 3, float("inf"), seed)
-    dataset = models.Dataset(spec, X, y, coef, np.flatnonzero(coef))
-    problem = models.build_problem(dataset, s=3)
-    sol = solve(SolverKind.GRASP, problem)
-    nz = np.flatnonzero(coef)
-    lines = [
-        f"Effective variables: {nz} coefficients: {np.around(coef[nz], 2)}",
-        f"Estimated variables: {sol.support} estimated coefficients: {np.around(sol.params[sol.support], 2)}",
-    ]
-    os.makedirs(out_dir, exist_ok=True)
-    out = os.path.join(out_dir, "compressive_sensing.txt")
-    with open(out, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    for line in lines:
-        print(line)
-    return {"text": out, "lines": lines}
-
-
-def demo_trend_filter(out_dir, n=500, s=10, seed=0):
-    """Piecewise-constant fit of a random walk: writes an observation/
-    fitted CSV (n rows) and an SVG chart with both series."""
-    rng = np.random.default_rng(seed)
-    data = np.cumsum(rng.standard_normal(n))
-    spec = models.ModelSpec("trend", n, n, max(s, 1), 5.0, seed)
-    dataset = models.Dataset(spec, models.trend_design(n), data, np.zeros(n), np.asarray([0]))
-    problem = models.build_problem(dataset, s=s)
-    sol = solve(SolverKind.SCOPE, problem)
-    fitted = np.cumsum(sol.params)
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "trend_filter.csv")
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["observation", "fitted"])
-        for o, f in zip(data, fitted):
-            writer.writerow([repr(float(o)), repr(float(f))])
-    svg_path = os.path.join(out_dir, "trend_filter.svg")
-    _svg_chart([("observation", "#888888", data), ("fitted trend", "#d62728", fitted)], svg_path)
-    print(f"trend filter: {int(np.count_nonzero(sol.params))} jumps, objective {sol.objective:.4f}")
-    return {"csv": csv_path, "svg": svg_path, "solution": sol}
-
-
-def demo(name, out_dir, **kwargs):
-    """Run a named demo; one of compressive-sensing, trend-filter."""
-    if name == "compressive-sensing":
-        return demo_compressive_sensing(out_dir, **kwargs)
-    if name == "trend-filter":
-        return demo_trend_filter(out_dir, **kwargs)
-    raise ValueError(f"unknown demo {name!r}")

@@ -2,7 +2,6 @@
 
 Subcommands::
 
-    sco demo {compressive-sensing|trend-filter} --out DIR
     sco solve --model {linear|logistic|trend|ising} --n N --p P
               --s-true K --s S --solver NAME --seed INT --out result.json
     sco bench --suite NAME --scale F --seeds A..B --out DIR
@@ -59,11 +58,6 @@ def _solution_json(sol, kind):
         "converged": bool(sol.converged),
         "runtime_s": float(sol.runtime),
     }
-
-
-def _cmd_demo(args):
-    bench.demo(args.name, args.out)
-    return 0
 
 
 def _cmd_solve(args):
@@ -132,11 +126,6 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="sco",
                                      description="sparsity-constrained optimization toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_demo = sub.add_parser("demo", help="run a figure demo")
-    p_demo.add_argument("name", choices=["compressive-sensing", "trend-filter"])
-    p_demo.add_argument("--out", required=True)
-    p_demo.set_defaults(func=_cmd_demo)
 
     p_solve = sub.add_parser("solve", help="solve one generated instance")
     _add_model_args(p_solve)

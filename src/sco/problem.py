@@ -183,10 +183,6 @@ class ScoProblem:
             raise ValueError("sample size n must be positive")
         object.__setattr__(self, "view", view)
 
-    @property
-    def selectable_units(self):
-        return self.view.n_units
-
     def mask(self, x, units):
         """Copy of x zeroed outside the given units plus preselection, and
         the coordinates it keeps."""

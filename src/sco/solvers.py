@@ -361,12 +361,15 @@ def _foba(run):
     """Forward-backward greedy: exact forward steps recording their gain,
     then backward deletions accepted while the objective increase stays
     below half the last forward gain.  The trace records one entry per
-    forward round, net of its backward deletions."""
+    forward round, net of its backward deletions.  A round that ends on
+    the active set of an earlier round (or on the empty start) is a
+    cycle: foba stops without claiming convergence."""
     problem = run.problem
     base = run.refit(_EMPTY, run.start)
     theta = base.params
     f_cur = run.offer(base.objective, theta, _EMPTY)
     active = np.zeros(problem.view.n_units, dtype=bool)
+    visited = {active.tobytes()}
     delta_last = None
     rounds = 0
     while int(active.sum()) < problem.s and rounds < run.cfg.max_iter:
@@ -387,6 +390,10 @@ def _foba(run):
             theta = best_res.params
             f_cur = run.offer(best_res.objective, theta, np.flatnonzero(active))
         run.note(rounds, f_cur, np.flatnonzero(active))
+        key = active.tobytes()
+        if key in visited:
+            return rounds, False  # cycle: stop without claiming convergence
+        visited.add(key)
     return rounds, int(active.sum()) == problem.s or not (~active).any()
 
 

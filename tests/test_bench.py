@@ -1,5 +1,5 @@
-"""Metrics, the exhaustive oracle, suite runs at tiny scale, CSV round
-trips, and the demo artifacts."""
+"""Metrics, the exhaustive oracle, suite runs at tiny scale and CSV round
+trips."""
 
 import itertools
 import math
@@ -12,7 +12,6 @@ from sco import bench, models
 from sco.bench import (
     BenchRecord,
     Metrics,
-    demo,
     exhaustive_oracle,
     read_records,
     run_suite,
@@ -164,29 +163,3 @@ def test_summarize_markdown_format():
                for s in range(3)]
     md = summarize_markdown(records)
     assert "1.00 (0.00)" in md
-
-
-def test_demo_compressive_sensing(tmp_path, capsys):
-    demo("compressive-sensing", tmp_path)
-    out = capsys.readouterr().out
-    assert "Estimated variables: [3 4 7]" in out
-    text = (tmp_path / "compressive_sensing.txt").read_text()
-    assert "Effective variables: [3 4 7]" in text
-    assert "[ 9.71 19.16 13.53]" in text
-
-
-def test_demo_trend_filter(tmp_path):
-    n, s = 500, 10
-    out = demo("trend-filter", tmp_path, n=n, s=s)
-    rows = Path(out["csv"]).read_text().strip().split("\n")
-    assert len(rows) == n + 1  # header + n data rows
-    assert rows[0] == "observation,fitted"
-    fitted = np.array([float(r.split(",")[1]) for r in rows[1:]])
-    assert np.count_nonzero(np.diff(fitted)) <= s
-    svg = Path(out["svg"]).read_text()
-    assert svg.startswith("<svg") and "polyline" in svg
-
-
-def test_demo_unknown_name(tmp_path):
-    with pytest.raises(ValueError):
-        demo("nope", tmp_path)

@@ -322,7 +322,7 @@ def test_group_and_preselect_validation():
     with pytest.raises(ValueError):
         _ols_problem(X, y, 1, groups=[0, 0, 1, 1], preselect=[1])  # split group
     prob = _ols_problem(X, y, 1, groups=[0, 0, 1, 1], preselect=[0, 1])
-    assert prob.selectable_units == 1
+    assert prob.view.n_units == 1
     # counts must be integers; numpy integers are
     with pytest.raises(ValueError, match="s must be an integer"):
         _ols_problem(X, y, 2.5)
@@ -432,7 +432,7 @@ def test_preselect_budget_excludes_preselected():
     X = rng.standard_normal((6, 4))
     y = rng.standard_normal(6)
     prob = _ols_problem(X, y, 3, preselect=[0])
-    assert prob.selectable_units == 3
+    assert prob.view.n_units == 3
     with pytest.raises(ValueError):
         _ols_problem(X, y, 4, preselect=[0])
 

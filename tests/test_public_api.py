@@ -3,10 +3,11 @@
 import pytest
 
 import sco
-from sco import autodiff, models, selection, solvers
+from sco import autodiff, bench, models, selection, solvers
 
 REMOVED = {
     sco: ("oracle_from_functions", "cross_validation"),
+    bench: ("demo", "demo_compressive_sensing", "demo_trend_filter"),
     autodiff: ("oracle_from_functions",),
     selection: ("cross_validation",),
     models: ("objective_linear", "objective_logistic", "objective_trend", "objective_ising"),

@@ -333,3 +333,15 @@ def test_trials_outside_the_domain_are_rejected(kind):
     oracle = build_objective(lambda th: sco.vsum(th) + sco.log(1.0 - sco.sqnorm(th)), 4)
     prob = ScoProblem(p=4, s=2, oracle=oracle)
     validate_solution(prob, solve(kind, prob))
+
+
+def test_foba_stops_on_a_cycle():
+    """On an objective unbounded below at its domain's edge, foba's rounds
+    return to an earlier round's active set; it stops there instead of
+    running to max_iter, and does not claim convergence."""
+    oracle = build_objective(lambda th: sco.vsum(th) + sco.log(1.0 - sco.sqnorm(th)), 4)
+    prob = ScoProblem(p=4, s=2, oracle=oracle)
+    sol = solve("foba", prob)
+    validate_solution(prob, sol)
+    assert sol.iterations < SolverConfig().max_iter
+    assert not sol.converged
