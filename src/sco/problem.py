@@ -67,39 +67,50 @@ class GroupView:
 
     A unit is a group of coordinates (or a single coordinate when the
     problem is ungrouped); units partition {0..p-1} minus the preselected
-    coordinates, and the sparsity budget counts units.  ``p`` must be an
-    integer; ``preselect`` (coordinates) and ``groups`` (one id per
-    coordinate) must be 1-D integer arrays with entries in 0..p-1, else
-    ValueError.  The view keeps them as ``preselect``, sorted and unique,
-    and ``groups`` (None when ungrouped).
+    coordinates, numbered in order of group id, and the sparsity budget
+    counts units.  The view owns every rule on its inputs, and anything
+    else raises ValueError: ``p`` is an integer, at least 1; ``preselect``
+    (coordinates) and ``groups`` (one id per coordinate) are 1-D integer
+    arrays with entries in 0..p-1; the group ids are 0..G-1, each one
+    present; each group is wholly preselected or wholly selectable; and at
+    least one selectable unit remains.  The view keeps ``preselect``,
+    sorted and unique, and ``groups`` (None when ungrouped).
     """
 
     def __init__(self, p, groups=None, preselect=None):
         self.p = int(_require_integer(p, "p"))
+        if self.p < 1:
+            raise ValueError("dimension p must be at least 1")
         pre = _integer_indices([] if preselect is None else preselect, "preselect indices", self.p)
         selectable = np.ones(self.p, dtype=bool)
         selectable[pre] = False
         self._sel = np.flatnonzero(selectable)
+        if not len(self._sel):
+            raise ValueError("preselect must leave at least one selectable unit")
         self.preselect = np.flatnonzero(~selectable)
         self.unit_of = unit_of = np.full(self.p, -1, dtype=int)
-        if groups is None:
-            self.singleton = True
+        self.singleton = groups is None
+        if self.singleton:
             self.n_units = len(self._sel)
-            self._unit_coords = None
             unit_of[self._sel] = np.arange(self.n_units)
         else:
             groups = _integer_indices(groups, "group ids", self.p)
             if len(groups) != self.p:
                 raise ValueError("groups must assign one id per coordinate")
-            self.singleton = False
-            gids = sorted(set(int(g) for g in groups[self._sel]))
-            self._unit_coords = []
-            for u, gid in enumerate(gids):
-                coords = np.flatnonzero((groups == gid) & selectable)
-                self._unit_coords.append(coords)
-                unit_of[coords] = u
-            self._gsel = unit_of[self._sel]
-            self.n_units = len(gids)
+            size = np.bincount(groups)
+            if not size.all():
+                raise ValueError("group ids must be 0..G-1 with every id present")
+            held = np.bincount(groups[self.preselect], minlength=len(size))  # preselected per group
+            mixed = np.flatnonzero((held > 0) & (held < size))
+            if len(mixed):
+                raise ValueError(f"group {mixed[0]} mixes preselected and selectable coordinates")
+            free = held == 0
+            self._gsel = (np.cumsum(free) - 1)[groups[self._sel]]
+            unit_of[self._sel] = self._gsel
+            self.n_units = int(np.count_nonzero(free))
+            # each unit's coordinates, ascending, at _coords[_start[u]:_start[u + 1]]
+            self._coords = self._sel[np.argsort(self._gsel, kind="stable")]
+            self._start = np.concatenate([[0], np.cumsum(size[free])])
         self.groups = groups
 
     def unit_norms(self, v):
@@ -118,7 +129,8 @@ class GroupView:
             return np.sort(self._sel[units])
         if len(units) == 0:
             return np.asarray([], dtype=int)
-        return np.sort(np.concatenate([self._unit_coords[u] for u in units]))
+        start = self._start
+        return np.sort(np.concatenate([self._coords[start[u]:start[u + 1]] for u in units]))
 
     def units_with_support(self, v):
         """Units whose sub-vector of ``v`` is not identically zero."""
@@ -139,10 +151,10 @@ class ScoProblem:
 
     ``preselect`` coordinates are always active and exempt from the
     budget; ``groups`` (array of group ids over all p coordinates) makes
-    whole groups enter or leave the support atomically.  Both are checked
-    by :class:`GroupView` and read back from the problem's ``view``:
-    ``preselect`` sorted and unique, ``groups`` an int array whose ids
-    must be 0..G-1, each group wholly preselected or wholly selectable.
+    whole groups enter or leave the support atomically.  ``p``, ``groups``
+    and ``preselect`` follow the rules of :class:`GroupView`; the problem
+    keeps that view as ``view`` and reads the two arrays back from it.  The
+    oracle's dimension must be p and ``s`` must lie in 1..``view.n_units``.
     ``n`` is the sample size, needed only by the information criteria.
     """
 
@@ -155,29 +167,12 @@ class ScoProblem:
     view: GroupView = field(init=False, repr=False)
 
     def __post_init__(self):
-        _require_integer(self.p, "p")
-        _require_integer(self.s, "s")
-        if self.p < 1:
-            raise ValueError("dimension p must be at least 1")
+        view = GroupView(self.p, self.groups, self.preselect)
         if self.oracle.dim != self.p:
             raise ValueError(f"oracle dimension {self.oracle.dim} != p {self.p}")
-        view = GroupView(self.p, self.groups, self.preselect)
-        if len(view.preselect) >= self.p:
-            raise ValueError("preselect cannot cover every coordinate")
-        if view.groups is not None:
-            size = np.bincount(view.groups)
-            if not size.all():
-                raise ValueError("group ids must be 0..G-1 with every id present")
-            # every group must be entirely selectable or entirely preselected
-            held = np.bincount(view.groups[view.preselect], minlength=len(size))
-            mixed = np.flatnonzero((held > 0) & (held < size))
-            if len(mixed):
-                raise ValueError(f"group {mixed[0]} mixes preselected and selectable coordinates")
         object.__setattr__(self, "preselect", view.preselect)
         object.__setattr__(self, "groups", view.groups)
-        if view.n_units < 1:
-            raise ValueError("no selectable units remain")
-        if not 0 < self.s <= view.n_units:
+        if not 0 < _require_integer(self.s, "s") <= view.n_units:
             raise ValueError(f"sparsity budget s={self.s} must lie in 1..{view.n_units}")
         if self.n is not None and _require_integer(self.n, "n") < 1:
             raise ValueError("sample size n must be positive")

@@ -40,6 +40,8 @@ import numpy as np
 
 from .autodiff import EvaluationError, _vector
 from .problem import (
+    _ARMIJO,
+    _MAX_BACKTRACKS,
     ScoProblem,
     ScoSolution,
     SolverConfig,
@@ -71,7 +73,7 @@ _FOBA_BACKWARD_RATIO = 0.5  # share of the last forward gain a deletion may cost
 
 class _Run:
     """One solve: its problem and config, the start point, the wall clock,
-    the iteration trace and the best candidate seen.
+    the iteration trace, the best candidate and the unit sets seen.
 
     ``start`` is the warm start as given (zero without one).  With a warm
     start, ``warm`` holds its projection onto the budget as
@@ -86,6 +88,7 @@ class _Run:
         self.trace = []
         self.best = None  # (objective, params, units)
         self.prev_units = None
+        self.seen = set()
         self.warm = None
         if cfg.warm_start is None:
             self.start = np.zeros(problem.p)
@@ -116,6 +119,14 @@ class _Run:
         f = self.offer(res.objective, res.params, units)
         self.note(iteration, f, units)
         return f
+
+    def revisits(self, units):
+        """Record a unit set; True when it was recorded before."""
+        key = np.asarray(units, dtype=int).tobytes()
+        if key in self.seen:
+            return True
+        self.seen.add(key)
+        return False
 
     def solution(self, iterations, converged):
         _, x, units = self.best
@@ -214,14 +225,14 @@ def _backtrack_threshold(problem, theta, f, g):
 
     Halves the step, from 1.0, until the hard-thresholded point satisfies
     an Armijo decrease measured by the gradient restricted to the new
-    support, or gives up after 50 halvings.  Each trial is evaluated on
-    its support; consecutive trials on the same support share one
-    restricted oracle.  A trial whose evaluation raises
+    support, or gives up after ``_MAX_BACKTRACKS`` halvings.  Each trial is
+    evaluated on its support; consecutive trials on the same support share
+    one restricted oracle.  A trial whose evaluation raises
     :class:`~sco.autodiff.EvaluationError` counts as rejected.
     """
     eta = 1.0
     keep_prev = None
-    for _ in range(51):
+    for _ in range(_MAX_BACKTRACKS + 1):
         trial = theta - eta * g
         units = hard_threshold(trial, problem.s, problem.view)
         point, keep = problem.mask(trial, units)
@@ -232,8 +243,8 @@ def _backtrack_threshold(problem, theta, f, g):
         except EvaluationError:
             f_trial = np.inf
         g_restricted = g[keep]
-        if f_trial <= f - 1e-4 * eta * float(g_restricted @ g_restricted):
-            return eta, units, point, f_trial
+        if f_trial <= f - _ARMIJO * eta * float(g_restricted @ g_restricted):
+            return units, point, f_trial
         eta *= 0.5
     return None
 
@@ -251,7 +262,7 @@ def _iht(run):
         step = _backtrack_threshold(problem, theta, f, g)
         if step is None:
             break  # line search exhausted; keep the best iterate
-        _, units_new, theta_new, f_new = step
+        units_new, theta_new, f_new = step
         run.note(it, f_new, units_new)
         gap = abs(f - f_new)
         theta, f, units = theta_new, f_new, units_new
@@ -270,7 +281,7 @@ def _htp(run):
     stabilizes (revisiting an older support counts as a failed cycle)."""
     problem = run.problem
     f, theta, units = run.warm or (problem.oracle.value(run.start), run.start, _EMPTY)
-    visited = {units.tobytes()}
+    run.revisits(units)
     converged = False
     it = 0
     while it < run.cfg.max_iter:
@@ -279,14 +290,10 @@ def _htp(run):
         step = _backtrack_threshold(problem, theta, f, g)
         if step is None:
             break
-        _, units_new, point, _ = step
-        if np.array_equal(units_new, units):
-            converged = True
+        units_new, point, _ = step
+        if run.revisits(units_new):  # unchanged, or a cycle back to an older set
+            converged = np.array_equal(units_new, units)
             break
-        key = units_new.tobytes()
-        if key in visited:
-            break  # support cycle: stop without claiming convergence
-        visited.add(key)
         res = run.refit(units_new, point)
         theta = res.params
         f = run.accept(it, res, units_new)
@@ -299,10 +306,12 @@ def _htp(run):
 
 def _grasp(run):
     """Gradient support pursuit: merge the top-2s gradient units with the
-    current support, refit, prune back to s units, then debias."""
+    current support, refit, prune back to s units, then debias; stops when
+    the support stabilizes (an older support coming back is a cycle)."""
     problem = run.problem
     view = problem.view
     _, theta, units = run.warm or (None, run.start, _EMPTY)
+    run.revisits(units)
     converged = False
     it = 0
     while it < run.cfg.max_iter:
@@ -315,8 +324,8 @@ def _grasp(run):
         res = run.refit(units_new, res_merged.params)
         theta = res.params
         run.accept(it, res, units_new)
-        if np.array_equal(units_new, units):
-            converged = True
+        if run.revisits(units_new):  # unchanged, or a cycle back to an older set
+            converged = np.array_equal(units_new, units)
             break
         units = units_new
     return it, converged
@@ -330,7 +339,7 @@ def _pdas(run):
     view = problem.view
     units = _initial_units(run)
     theta = run.start
-    visited = {units.tobytes()}
+    run.revisits(units)
     eta = 1.0
     converged = False
     it = 0
@@ -346,13 +355,9 @@ def _pdas(run):
         active[units] = True
         scores = np.where(active, view.unit_norms(theta), eta * view.unit_norms(g))
         units_new = top_units(scores, problem.s)
-        if np.array_equal(units_new, units):
-            converged = True
+        if run.revisits(units_new):  # unchanged, or a cycle back to an older set
+            converged = np.array_equal(units_new, units)
             break
-        key = units_new.tobytes()
-        if key in visited:
-            break  # revisited an earlier active set: cycle, stop
-        visited.add(key)
         units = units_new
     return it, converged
 
@@ -369,7 +374,7 @@ def _foba(run):
     theta = base.params
     f_cur = run.offer(base.objective, theta, _EMPTY)
     active = np.zeros(problem.view.n_units, dtype=bool)
-    visited = {active.tobytes()}
+    run.revisits(_EMPTY)
     delta_last = None
     rounds = 0
     while int(active.sum()) < problem.s and rounds < run.cfg.max_iter:
@@ -389,11 +394,10 @@ def _foba(run):
             active[best_u] = False
             theta = best_res.params
             f_cur = run.offer(best_res.objective, theta, np.flatnonzero(active))
-        run.note(rounds, f_cur, np.flatnonzero(active))
-        key = active.tobytes()
-        if key in visited:
-            return rounds, False  # cycle: stop without claiming convergence
-        visited.add(key)
+        units = np.flatnonzero(active)
+        run.note(rounds, f_cur, units)
+        if run.revisits(units):
+            return rounds, False
     return rounds, int(active.sum()) == problem.s or not (~active).any()
 
 

@@ -1,6 +1,7 @@
 """Hard thresholding, feasibility projection, the restricted minimizer,
 and the solution validator."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -73,6 +74,37 @@ def test_group_view_dimension_must_be_an_integer():
         with pytest.raises(ValueError, match="p must be an integer"):
             GroupView(p)
     assert GroupView(np.int64(3)).p == 3
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_group_view_matches_a_plain_grouping(data):
+    # permuted group ids, some groups wholly preselected; ungrouped draws
+    # make every coordinate its own group
+    p = data.draw(st.integers(1, 40))
+    if data.draw(st.booleans()):
+        size = data.draw(st.integers(1, p))
+        extra = data.draw(st.lists(st.integers(0, size - 1), min_size=p - size, max_size=p - size))
+        ids = data.draw(st.permutations(list(range(size)) + extra))
+        groups = np.array(ids)
+    else:
+        size, ids, groups = p, list(range(p)), None
+    held = data.draw(st.sets(st.integers(0, size - 1), max_size=size - 1))
+    preselect = np.array([j for j in range(p) if ids[j] in held], dtype=int)
+    view = GroupView(p, groups, preselect)
+
+    free = [g for g in range(size) if g not in held]
+    members = [[j for j in range(p) if ids[j] == g] for g in free]
+    assert view.n_units == len(free)
+    assert view.unit_of.tolist() == [free.index(g) if g not in held else -1 for g in ids]
+    for u in range(view.n_units):
+        assert view.coords_of([u]).tolist() == members[u]
+    units = data.draw(st.lists(st.integers(0, len(free) - 1), unique=True))
+    assert view.coords_of(units).tolist() == sorted(j for u in units for j in members[u])
+    # eighths square and add exactly, so the norms must match to the bit
+    v = data.draw(st.lists(st.integers(-999, 999).map(lambda i: i / 8), min_size=p, max_size=p))
+    norms = [math.sqrt(sum(v[j] * v[j] for j in coords)) for coords in members]
+    assert view.unit_norms(v).tolist() == norms
 
 
 def test_hard_threshold_tie_breaks_low():
@@ -395,7 +427,8 @@ _BAD_VECTORS = {
 _LISTED = ["preselect-mask", "preselect-fraction", "groups-fraction", "view-preselect-negative",
            "view-preselect-beyond", "view-preselect-mask", "view-groups-fraction",
            "view-groups-short", "view-groups-long", "subset-mask", "support-mask",
-           "support-fraction"]
+           "support-fraction", "view-groups-gap", "view-groups-split", "view-preselect-all",
+           "view-preselect-all-groups", "view-p-zero"]
 _CROSSED = [(partial(call, bad(size)), match, f"{name}-{case}")
             for entrances, cases in ((_INDEX_ENTRANCES, _BAD_INDICES),
                                      (_VECTOR_ENTRANCES, _BAD_VECTORS))
@@ -417,12 +450,19 @@ _CROSSED = [(partial(call, bad(size)), match, f"{name}-{case}")
     (lambda: _rows([True, False, True, False, False, False]), "integers"),
     (lambda: support_metrics([0, 2], [True, False, True], 3), "integers"),
     (lambda: support_metrics([0.5, 2.0], [0, 2], 3), "integers"),
+    (lambda: GroupView(4, groups=[0, 0, 2, 2]), "0..G-1"),
+    (lambda: GroupView(4, groups=[0, 0, 1, 1], preselect=[1]), "group 0 mixes"),
+    (lambda: GroupView(3, preselect=[0, 1, 2]), "selectable"),
+    (lambda: GroupView(4, groups=[1, 1, 0, 0], preselect=[0, 1, 2, 3]), "selectable"),
+    (lambda: GroupView(0), "at least 1"),
     *[(make, match) for make, match, _ in _CROSSED],
 ], ids=_LISTED + [name for _, _, name in _CROSSED])
 def test_index_inputs_refuse_what_they_would_misread(make, match):
     # a boolean mask read as 0/1 indices, a fraction cut down, a 2-D array
     # flattened or a negative index wrapped round would each go on silently
-    # with other indices; so would a vector of another length, read in part
+    # with other indices; so would a vector of another length, read in part,
+    # group ids with a gap renumbered, a group split by preselection, or a
+    # view left with no selectable unit
     with pytest.raises(ValueError, match=match):
         make()
 

@@ -271,7 +271,7 @@ def test_backtracking_reuses_restricted_oracle(monkeypatch):
     for _ in range(5):
         restricts.clear()
         supports.clear()
-        _, _, theta, f = solvers._backtrack_threshold(prob, theta, f, oracle.gradient(theta))
+        _, theta, f = solvers._backtrack_threshold(prob, theta, f, oracle.gradient(theta))
         runs = [b for a, b in zip([None] + supports, supports) if not np.array_equal(a, b)]
         assert len(restricts) == len(runs)
         assert all(np.array_equal(c, u) for c, u in zip(restricts, runs))
@@ -342,6 +342,20 @@ def test_foba_stops_on_a_cycle():
     oracle = build_objective(lambda th: sco.vsum(th) + sco.log(1.0 - sco.sqnorm(th)), 4)
     prob = ScoProblem(p=4, s=2, oracle=oracle)
     sol = solve("foba", prob)
+    validate_solution(prob, sol)
+    assert sol.iterations < SolverConfig().max_iter
+    assert not sol.converged
+
+
+@pytest.mark.parametrize("spec", [models.ModelSpec("logistic", 200, 40, 5, 1.0, seed=13),
+                                  models.ModelSpec("trend", 200, 200, 5, 10.0, seed=19)],
+                         ids=["logistic", "trend"])
+def test_grasp_stops_on_a_cycle(spec):
+    """grasp's pruned support swings between two sets on these instances; it
+    stops when a support comes back instead of running to max_iter, and
+    does not claim convergence."""
+    prob = models.build_problem(models.generate(spec))
+    sol = solve("grasp", prob)
     validate_solution(prob, sol)
     assert sol.iterations < SolverConfig().max_iter
     assert not sol.converged
