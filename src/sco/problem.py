@@ -4,7 +4,8 @@ coordinates), hard thresholding onto the sparsity budget, and a
 minimizer over a fixed support: limited-memory quasi-Newton steps, and
 Newton steps with a Hessian from gradient differences once the first
 step shows the restricted objective quadratic (least squares, trend
-filtering).
+filtering), or from the first step on when the caller supplies a nearby
+support's Hessian.
 """
 
 from __future__ import annotations
@@ -212,9 +213,11 @@ class RestrictedResult:
 
     ``objective`` is the value computed by the restricted oracle;
     ``last_step`` is the most recently accepted line-search step, None
-    when no step was taken; on a quadratic refit it is the last Newton
-    step's, usually 1.  The pdas solver reads it as its step size for
-    scoring inactive units.  ``converged`` is exactly
+    when no step was taken.  A Newton step is tried first at 1, so on a
+    quadratic refit, and on a refit started from a Hessian
+    (``inverse_hessian`` of :func:`restricted_minimize`) that converges
+    in its first step, it is usually 1.  The pdas solver reads it as its
+    step size for scoring inactive units.  ``converged`` is exactly
     ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
     stopped: ``"converged"``, ``"floor"`` (f could no longer resolve a
     decrease), ``"max_iter"``, ``"line_search"`` (every trial of the last
@@ -311,22 +314,15 @@ def _is_quadratic(f, df, gs, sy):
     return abs(df - gs - 0.5 * sy) <= 1e-6 * abs(sy) + 8.0 * _EPS * max(1.0, abs(f))
 
 
-def _difference_newton(value_and_grad, x, g):
-    # the inverse of H, whose column i is the forward difference
-    # (g(x + h_i e_i) - g) / h_i with h_i = 1e-4 (1 + |x_i|), symmetrized
-    # (Nocedal & Wright, section 8.1); None when a difference leaves the
-    # domain or H is not finite and positive definite
-    k = len(x)
-    H = np.empty((k, k))
-    for i in range(k):
-        xh = x.copy()
-        xh[i] += 1e-4 * (1.0 + abs(x[i]))
-        try:
-            gh = value_and_grad(xh)[1]
-        except EvaluationError:
+def _spd_inverse(H):
+    # H^-1 through its Cholesky factor L, as (L^-1)' L^-1; None when H is not
+    # finite or has no factor.  A 1x1 H takes the same arithmetic in scalars
+    if H.shape == (1, 1):
+        a = float(H[0, 0])
+        if not 0.0 < a < math.inf:
             return None
-        H[:, i] = (gh - g) / (xh[i] - x[i])  # the step as rounded
-    H = 0.5 * (H + H.T)
+        r = 1.0 / math.sqrt(a)
+        return np.array([[r * r]])
     if not np.isfinite(H).all():
         return None
     try:
@@ -336,7 +332,56 @@ def _difference_newton(value_and_grad, x, g):
     return L_inv.T @ L_inv
 
 
-def _lbfgs(value_and_grad, x0, tol, max_iter):
+def _difference_newton(value_and_grad, x, g, known=None):
+    # the inverse of H, whose column i is the forward difference
+    # (g(x + h_i e_i) - g) / h_i with h_i = 1e-4 (1 + |x_i|), symmetrized
+    # (Nocedal & Wright, section 8.1); None when a difference leaves the
+    # domain or H is not finite and positive definite.  With known = (E,
+    # new), only the columns at the positions new are differenced: E holds
+    # the inverse of H's block over the other positions and zeros in the
+    # rows and columns new.  With D those columns, C their rows new and J
+    # the columns of the identity at new, H is positive definite exactly
+    # when the Schur complement S = C - D'ED is, and then
+    # H^-1 = E + Z S^-1 Z' with Z = ED - J (block elimination)
+    k = len(x)
+    E, new = known if known is not None else (None, np.arange(k))
+    D = np.empty((k, len(new)))
+    for j, i in enumerate(new):
+        xh = x.copy()
+        xh[i] += 1e-4 * (1.0 + abs(x[i]))
+        try:
+            gh = value_and_grad(xh)[1]
+        except EvaluationError:
+            return None
+        D[:, j] = (gh - g) / (xh[i] - x[i])  # the step as rounded
+    C = D[new]
+    C = 0.5 * (C + C.T)
+    if E is None:
+        return _spd_inverse(C)
+    if not len(new):
+        return E
+    Z = E @ D
+    S_inv = _spd_inverse(C - D.T @ Z)
+    if S_inv is None:
+        return None
+    Z[new, np.arange(len(new))] -= 1.0
+    return E + Z @ S_inv @ Z.T
+
+
+def _downdate(M, keep):
+    # the inverse of H's block over the positions keep, from M = H^-1:
+    # M_KK - M_KD M_DD^-1 M_DK, with D the other positions; None when M_DD
+    # has no Cholesky factor
+    drop = ~keep
+    M_K = M[keep]
+    M_DD_inv = _spd_inverse(M[drop][:, drop])
+    if M_DD_inv is None:
+        return None
+    M_KD = M_K[:, drop]
+    return M_K[:, keep] - M_KD @ M_DD_inv @ M_KD.T
+
+
+def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
     """Limited-memory secant updates with a backtracking Armijo line search,
     and Newton steps once the first step shows the objective quadratic.
 
@@ -349,6 +394,18 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
     first tried at step 1.  When the test fails, a difference raises
     :class:`EvaluationError` or H is not positive definite, the secant
     directions go on unchanged.
+
+    ``known``, a pair ``(E, new)``, starts the search from a Hessian: E,
+    k x k, holds the inverse of the Hessian's block over the positions of
+    x0 not in ``new``, taken earlier, and zeros in the rows and columns
+    ``new``.  After the first call the columns ``new`` are taken by
+    forward differences at x0 and E is bordered by them; if the whole H
+    has a Cholesky factor, the first direction is -H^-1 g, tried first at
+    step 1.  After that step H is kept for every later direction if the
+    quadratic identity above holds for the step, and dropped for the
+    secant directions otherwise; no other Hessian is built.  When H has
+    no factor or a difference raises :class:`EvaluationError`, the search
+    runs as without ``known``.
 
     Each trial costs one ``value_and_grad`` call, whose value and
     gradient both decide it.  A trial is accepted on Armijo sufficient
@@ -373,9 +430,12 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
     grad_inf = grad_start = float(abs(g).max()) if len(g) else 0.0
     S, Y, R = [], [], []  # secant pairs s, y and their 1 / s.y, oldest first
     gamma = None  # s.y / y.y of the newest pair
-    newton = None  # H^-1 once the first step showed f quadratic
-    last_step = None
     converged = grad_inf <= tol
+    # H^-1 from the start Hessian, or once the first step showed f quadratic
+    newton = None if known is None or converged else _difference_newton(value_and_grad, x, g,
+                                                                          known)
+    started = newton is not None
+    last_step = None
     reason = "max_iter"
     it = 0
     while not converged and it < max_iter:
@@ -445,7 +505,10 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
         last_step = alpha
         grad_inf = float(abs(g).max())
         converged = grad_inf <= tol
-        if quadratic and not converged and it < max_iter:
+        if started:
+            if it == 1 and not quadratic:
+                newton = None
+        elif quadratic and not converged and it < max_iter:
             newton = _difference_newton(value_and_grad, x, g)
     if f > f_start:  # gradient-judged steps wiggled f up at the floor
         if converged:
@@ -457,7 +520,46 @@ def _lbfgs(value_and_grad, x0, tol, max_iter):
     return RestrictedResult(x, f, grad_inf, it, converged, last_step, reason)
 
 
-def restricted_minimize(problem, support, init=None, config=None):
+def _start_hessian(problem, units, x):
+    # restricted_minimize's inverse_hessian for refits near the units: their
+    # coordinates plus preselection P and the inverse of f's Hessian over P
+    # at x, taken by |P| forward differences of the restricted gradient;
+    # None when P has _NEWTON_MAX_DIM or more coordinates, a difference
+    # leaves the domain or H has no Cholesky factor
+    coords = problem.mask(x, units)[1]
+    if len(coords) >= _NEWTON_MAX_DIM:
+        return None
+    if not len(coords):
+        return coords, np.empty((0, 0))
+    value_and_grad = problem.oracle.restricted(coords).value_and_grad
+    try:
+        g = value_and_grad(x[coords])[1]
+    except EvaluationError:
+        return None
+    M = _difference_newton(value_and_grad, x[coords], g)
+    return None if M is None else (coords, M)
+
+
+def _known_block(free, coords, M):
+    # _lbfgs's known = (E, new) for the coordinates free, M being H^-1 over
+    # coords: E holds the inverse of H's block over the coordinates free
+    # shares with coords, new the positions of the others; None when that
+    # block has no Cholesky factor
+    at = np.minimum(np.searchsorted(free, coords), len(free) - 1)
+    shared = free[at] == coords
+    if not shared.all():
+        M = _downdate(M, shared)
+        if M is None:
+            return None
+        at = at[shared]
+    E = np.zeros((len(free), len(free)))
+    E[at[:, None], at] = M
+    new = np.ones(len(free), dtype=bool)
+    new[at] = False
+    return E, new.nonzero()[0]
+
+
+def restricted_minimize(problem, support, init=None, config=None, inverse_hessian=None):
     """Minimize f over ``support`` plus preselected coordinates.
 
     All other coordinates stay pinned at zero: f is the oracle's
@@ -492,6 +594,25 @@ def restricted_minimize(problem, support, init=None, config=None):
     off the free coordinates; the search never increases the objective relative to
     it.  Returns a :class:`RestrictedResult` whose ``params`` is the
     full-length vector.
+
+    ``inverse_hessian``, optional, starts the search from a Hessian.  It
+    is a pair ``(coords, M)``: strictly increasing coordinate indices in
+    0..p-1 and the inverse of f's Hessian over them, a symmetric
+    |coords| x |coords| matrix, taken at or near ``init`` (the exact
+    greedy solvers take one per round; see :mod:`sco.solvers`).  With at
+    most 40 free coordinates, the refit takes the inverse of H's block
+    over the free coordinates that ``coords`` holds from M, with no
+    oracle call (block elimination), differences the columns of the
+    other free coordinates at ``init`` after the first call (the steps
+    above), and borders the block by them.  If the whole H has a
+    Cholesky factor, the first direction is -H^-1 g, tried first at step
+    1.  After that step H is kept for every later direction if the step
+    meets the quadratic identity above, and dropped for the quasi-Newton
+    directions otherwise; no other Hessian is built.  Where H has no
+    Cholesky factor or a difference raises
+    :class:`~sco.autodiff.EvaluationError`, the refit runs as it does
+    without the argument, after the difference calls it spent.  A refit
+    without it makes exactly the calls described above.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     support = _integer_indices(support, "support indices", problem.p)
@@ -501,9 +622,21 @@ def restricted_minimize(problem, support, init=None, config=None):
         # NaN counts as nonzero and -0.0 as zero
         if np.count_nonzero(init) != np.count_nonzero(init[free]):
             raise ValueError("init must be zero off support and preselected coordinates")
+    known = None
+    if inverse_hessian is not None:
+        coords, M = inverse_hessian
+        coords = _integer_indices(coords, "inverse_hessian coordinates", problem.p)
+        if not (coords[1:] > coords[:-1]).all():
+            raise ValueError("inverse_hessian coordinates must be strictly increasing")
+        M = np.asarray(M, dtype=float)
+        if M.shape != (len(coords), len(coords)):
+            raise ValueError(f"inverse_hessian matrix has shape {M.shape}, expected "
+                             f"{(len(coords), len(coords))}")
+        if 0 < len(free) <= _NEWTON_MAX_DIM:
+            known = _known_block(free, coords, M)
     sub = problem.oracle.restricted(free)
     x0 = init[free] if init is not None else np.zeros(len(free))
-    res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter)
+    res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, known)
     params = np.zeros(problem.p)
     params[free] = res.params
     return RestrictedResult(params, res.objective, res.grad_inf, res.iterations, res.converged,

@@ -55,7 +55,9 @@ class PathResult:
     """Per-budget solutions and scores plus the selected budget.
 
     ``chosen_s`` minimizes ``scores`` exactly; equal scores pick the
-    smaller budget.
+    smaller budget.  ``scores`` covers the whole grid; ``solutions`` does
+    too for :func:`select_by_ic`, and ends at ``chosen_s`` for
+    :func:`cross_validate`, whose full-data path stops there.
     """
 
     grid: tuple
@@ -184,7 +186,8 @@ def cross_validate(problem_factory, dataset, k, grid, kind, config=None):
     shuffled once with ``config.seed`` and dealt round-robin into K folds;
     for every budget the score is the mean over folds of the holdout
     objective at the parameters fitted on the complement.  The chosen
-    solution is re-fitted on the full data along a warm path.
+    solution is re-fitted on the full data along a warm path that stops
+    at the chosen budget, so the result's ``solutions`` end there.
     """
     cfg = config if config is not None else SolverConfig()
     if _require_integer(k, "k") < 2:
@@ -208,6 +211,6 @@ def cross_validate(problem_factory, dataset, k, grid, kind, config=None):
             losses[i, j] = holdout_oracle.value(sol.params)
     scores = losses.mean(axis=1)
     best = int(np.argmin(scores))
-    full_path = solve_path(full_problem, grid, kind, cfg)
+    full_path = solve_path(full_problem, grid[:best + 1], kind, cfg)
     return PathResult(tuple(grid), full_path, [float(v) for v in scores],
                       grid[best], full_path[best])

@@ -23,6 +23,11 @@ problem can be solved concurrently.  Every solver ends with a restricted
 refit of its final support and returns the best refit iterate it visited,
 so the reported objective is always attained by the reported parameters.
 
+Every round of forward and foba refits each change of one active set
+(each inactive unit added, or each active unit dropped), and all those
+refits start from one Hessian of the active set, taken once per round
+(see ``_best_refit``).
+
 Points known to be sparse are evaluated on their support through the
 oracle's ``restricted`` oracles: line-search trials of iht and htp, and
 refit iterates, whose objective the refit already holds.  Only start
@@ -45,6 +50,7 @@ from .problem import (
     ScoProblem,
     ScoSolution,
     SolverConfig,
+    _start_hessian,
     hard_threshold,
     project_feasible,
     restricted_minimize,
@@ -98,10 +104,10 @@ class _Run:
         self.warm = (problem.oracle.value(w), w, problem.view.units_with_support(w))
         self.offer(*self.warm)
 
-    def refit(self, units, x):
+    def refit(self, units, x, inverse_hessian=None):
         """Restricted refit over the units plus preselection, from x masked there."""
         init, keep = self.problem.mask(x, units)
-        return restricted_minimize(self.problem, keep, init, self.cfg)
+        return restricted_minimize(self.problem, keep, init, self.cfg, inverse_hessian)
 
     def offer(self, f, x, units):
         if self.best is None or f < self.best[0]:
@@ -167,12 +173,24 @@ def _initial_units(run):
     return top_units(view.unit_norms(g), s)
 
 
-def _best_refit(run, theta, changes):
-    """Refit each ``(unit, units)`` change from theta; the unit and refit
-    of the first lowest objective."""
+def _best_refit(run, theta, base, changes):
+    """Refit each ``(unit, units)`` change of the unit set ``base`` from
+    theta; the unit and refit of the first lowest objective.
+
+    Every refit starts from one Hessian: H over the coordinates P of
+    ``base`` plus preselection, taken once at theta by |P| forward
+    differences of the restricted gradient (see ``restricted_minimize``'s
+    ``inverse_hessian``).  A refit that adds a unit differences only that
+    unit's columns and borders H by them; one that drops a unit starts
+    from H's block over what is left, with no difference calls.  Each is
+    still a full refit under the same stop rule, so the choice is the one
+    plain refits make.  With |P| of ``_NEWTON_MAX_DIM`` or more, or no
+    Cholesky factor of H, the refits run without it.
+    """
+    start = _start_hessian(run.problem, base, theta)
     best_u, best_res = -1, None
     for u, units in changes:
-        res = run.refit(units, theta)
+        res = run.refit(units, theta, start)
         if best_res is None or res.objective < best_res.objective:
             best_u, best_res = int(u), res
     return best_u, best_res
@@ -181,8 +199,8 @@ def _best_refit(run, theta, changes):
 def _greedy_add(run, theta, active_mask):
     """Exact forward step: refit every inactive unit, keep the best one."""
     current = np.flatnonzero(active_mask)
-    return _best_refit(run, theta, ((u, np.sort(np.append(current, u)))
-                                    for u in np.flatnonzero(~active_mask)))
+    return _best_refit(run, theta, current, ((u, np.sort(np.append(current, u)))
+                                             for u in np.flatnonzero(~active_mask)))
 
 
 def _forward(run):
@@ -388,7 +406,8 @@ def _foba(run):
         # backward sweep: drop the cheapest active unit while cheap enough
         while active.any():
             units = np.flatnonzero(active)
-            best_u, best_res = _best_refit(run, theta, ((v, units[units != v]) for v in units))
+            best_u, best_res = _best_refit(run, theta, units,
+                                           ((v, units[units != v]) for v in units))
             if best_res.objective - f_cur > _FOBA_BACKWARD_RATIO * delta_last:
                 break
             active[best_u] = False

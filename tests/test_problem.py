@@ -2,6 +2,7 @@
 and the solution validator."""
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 import sco
 from sco import models
 from sco import problem as problem_module
-from sco.autodiff import EvaluationError, build_objective, fd_gradient
+from sco.autodiff import EvaluationError, ObjectiveOracle, build_objective, fd_gradient
 from sco.bench import support_metrics
 from sco.problem import (
     GroupView,
@@ -20,6 +21,7 @@ from sco.problem import (
     SolverConfig,
     _lbfgs,
     _lbfgs_direction,
+    _start_hessian,
     hard_threshold,
     project_feasible,
     restricted_minimize,
@@ -650,9 +652,116 @@ def test_least_squares_refit_ends_in_one_newton_step(seed, monkeypatch):
     assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
 
 
+def _same_refit(a, b):
+    assert a.params.tobytes() == b.params.tobytes()
+    assert (a.reason, a.iterations, a.last_step) == (b.reason, b.iterations, b.last_step)
+
+
+def _counted(problem):
+    # the problem with every value_and_grad call of its restricted oracles
+    # recorded, by the point it was made at
+    calls = []
+    oracle = problem.oracle
+
+    def restrict(coords):
+        sub = oracle.restricted(coords)
+
+        def value_and_grad(z):
+            calls.append(z.copy())
+            return sub.value_and_grad(z)
+
+        return ObjectiveOracle(len(coords), sub.value, value_and_grad)
+
+    counted = ObjectiveOracle(oracle.dim, oracle.value, oracle.value_and_grad,
+                              scale=oracle.scale, restrict=restrict)
+    return replace(problem, oracle=counted), calls
+
+
+def _round_start(ds, base):
+    # the least-squares refit of the base units and the start Hessian there
+    prob = models.build_problem(ds)
+    theta = restricted_minimize(prob, base).params
+    return prob, theta, _start_hessian(prob, base, theta)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_least_squares_add_candidate_takes_one_bordered_newton_step(seed, monkeypatch):
+    """An add candidate borders the round's Hessian by its new column: the
+    start call, one difference and one Newton step, converged."""
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed))
+    picked = np.random.default_rng(seed).choice(ds.p, size=4, replace=False)
+    base = np.sort(picked[:3])
+    prob, theta, start = _round_start(ds, base)
+    assert start is not None and np.array_equal(start[0], base)
+    counted, calls = _counted(prob)
+    built = _newton_builds(monkeypatch)
+    support = np.sort(picked)
+    res = restricted_minimize(counted, support, theta, None, start)
+    assert res.reason == "converged" and res.iterations == 1 and res.last_step == 1.0
+    assert len(calls) == 2 + 1
+    assert len(built) == 1 and built[0] is not None
+    ref = np.linalg.lstsq(ds.X[:, support], ds.y, rcond=None)[0]
+    assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
+
+
+def test_drop_candidate_starts_from_a_block_of_the_round_hessian(monkeypatch):
+    """A drop candidate's Hessian is a block of the round's: no difference
+    calls, and on least squares one exact Newton step."""
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
+    base = np.array([4, 11, 30, 52])
+    prob, theta, start = _round_start(ds, base)
+    counted, calls = _counted(prob)
+    built = _newton_builds(monkeypatch)
+    for dropped in base:
+        support = base[base != dropped]
+        init = prob.mask(theta, support)[0]
+        calls.clear()
+        res = restricted_minimize(counted, support, init, None, start)
+        assert res.reason == "converged" and res.iterations == 1
+        assert len(calls) == 2  # the start point and the accepted Newton trial
+        ref = np.linalg.lstsq(ds.X[:, support], ds.y, rcond=None)[0]
+        assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
+    assert len(built) == len(base) and all(b is not None for b in built)
+
+
+def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
+    """Off a quadratic, the start Hessian gives the first direction only;
+    secant directions take over and the refit still meets inner_tol."""
+    ds = models.generate(models.ModelSpec("logistic", 200, 40, 4, 1.0, seed=3))
+    prob = models.build_problem(ds)
+    base = np.array([2, 17, 25])
+    theta = restricted_minimize(prob, base).params
+    start = _start_hessian(prob, base, theta)
+    built = _newton_builds(monkeypatch)
+    secant = []
+
+    def recorded(*args):
+        secant.append(args[0])
+        return _lbfgs_direction(*args)
+
+    monkeypatch.setattr(problem_module, "_lbfgs_direction", recorded)
+    cfg = SolverConfig()
+    res = restricted_minimize(prob, np.array([2, 9, 17, 25]), theta, cfg, start)
+    assert res.converged and res.grad_inf <= cfg.inner_tol
+    assert res.iterations >= 2 and len(secant) == res.iterations - 1
+    assert len(built) == 1 and built[0] is not None
+
+
+def test_inverse_hessian_argument_is_checked():
+    ds = models.generate(models.ModelSpec("linear", 30, 8, 2, 5.0, seed=0))
+    prob = models.build_problem(ds)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        restricted_minimize(prob, [1, 2], None, None, ([2, 1], np.eye(2)))
+    with pytest.raises(ValueError, match="expected"):
+        restricted_minimize(prob, [1, 2], None, None, ([1, 2], np.eye(3)))
+    with pytest.raises(ValueError, match="out of range"):
+        restricted_minimize(prob, [1, 2], None, None, ([1, 8], np.eye(2)))
+
+
 def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkeypatch):
     # a zero column leaves f flat along its coordinate, so the difference
-    # Hessian has a zero pivot: the refit is the secant refit, bit for bit
+    # Hessian has a zero pivot: the refit is the secant refit, bit for bit,
+    # whether H was differenced after the first step or bordered at the start
     ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
     X = ds.X.copy()
     X[:, 3] = 0.0
@@ -663,11 +772,15 @@ def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkey
     assert built == [None]
     ref = np.linalg.lstsq(X[:, support], ds.y, rcond=None)[0]  # 0 on the zero column
     assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
+    zero = np.zeros(prob.p)
+    assert _start_hessian(prob, support, zero) is None
+    start = _start_hessian(prob, np.array([1, 7, 20]), zero)
+    built.clear()
+    bordered = restricted_minimize(prob, support, zero, None, start)
+    assert built[0] is None  # the Schur complement of the zero column is 0
+    _same_refit(bordered, res)
     monkeypatch.setattr(problem_module, "_NEWTON_MAX_DIM", 0)
-    secant = restricted_minimize(prob, support)
-    assert res.params.tobytes() == secant.params.tobytes()
-    assert (res.reason, res.iterations, res.last_step) == (secant.reason, secant.iterations,
-                                                           secant.last_step)
+    _same_refit(res, restricted_minimize(prob, support))
 
 
 def test_refit_whose_difference_leaves_the_domain_keeps_its_secant_steps(monkeypatch):
@@ -687,8 +800,11 @@ def test_refit_whose_difference_leaves_the_domain_keeps_its_secant_steps(monkeyp
     res = _lbfgs(value_and_grad, np.zeros(2), 1e-8, 100)
     assert built == [None]
     assert res.converged and np.max(np.abs(res.params - [0.0, 2.0])) <= 1e-8
+    # a start Hessian whose x_0 column is differenced there leaves it too
+    x0 = np.array([0.6, 0.8])
+    built.clear()
+    bordered = _lbfgs(value_and_grad, x0, 1e-8, 100, (np.diag([0.0, 0.5]), np.array([0])))
+    assert built[0] is None
+    _same_refit(bordered, _lbfgs(value_and_grad, x0, 1e-8, 100))
     monkeypatch.setattr(problem_module, "_NEWTON_MAX_DIM", 0)
-    secant = _lbfgs(value_and_grad, np.zeros(2), 1e-8, 100)
-    assert res.params.tobytes() == secant.params.tobytes()
-    assert (res.reason, res.iterations, res.last_step) == (secant.reason, secant.iterations,
-                                                           secant.last_step)
+    _same_refit(res, _lbfgs(value_and_grad, np.zeros(2), 1e-8, 100))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sco import models
+from sco import models, selection
 from sco.problem import SolverConfig
 from sco.selection import (
     AIC,
@@ -184,13 +184,26 @@ def test_cv_deterministic_in_seed():
     assert any(not np.array_equal(x, y) for x, y in zip(a, c))
 
 
-def test_cross_validate_selects_near_truth():
+def test_cross_validate_selects_near_truth(monkeypatch):
+    # the full-data path (the one problem with all n rows) stops at the choice
     spec = models.ModelSpec("linear", 120, 30, 4, 8.0, seed=2)
     ds = models.generate(spec)
+    full_data = []
+
+    def counted(kind, problem, config):
+        if problem.n == ds.n:
+            full_data.append(problem.s)
+        return solve(kind, problem, config)
+
+    monkeypatch.setattr(selection, "solve", counted)
+    grid = list(range(1, 8))
     result = cross_validate(lambda d: models.build_problem(d, s=1), ds, 5,
-                            list(range(1, 8)), "scope", SolverConfig(seed=2))
+                            grid, "scope", SolverConfig(seed=2))
     assert result.chosen_s in (3, 4, 5, 6)
-    assert result.chosen_s == result.grid[int(np.argmin(result.scores))]
+    best = int(np.argmin(result.scores))
+    assert result.chosen_s == result.grid[best]
+    assert full_data == grid[:best + 1]
+    assert len(result.solutions) == best + 1 and result.solutions[-1] is result.chosen
 
 
 def test_cross_validate_errors():

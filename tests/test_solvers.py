@@ -170,6 +170,44 @@ def test_group_structure_respected(kind):
     assert np.array_equal(sol.support, [4, 5, 8, 9]), kind
 
 
+@pytest.mark.parametrize("model", ["linear", "logistic"])
+def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
+    """Each forward and foba round, adding or dropping, picks the unit that
+    refitting every candidate plainly (no start Hessian) picks; on grouped
+    problems with permuted group ids and a preselected group."""
+    best_refit, start_hessian = solvers._best_refit, solvers._start_hessian
+    picks, starts = [], []
+
+    def recorded_start(*args):
+        starts.append(start_hessian(*args))
+        return starts[-1]
+
+    def checked(run, theta, base, changes):
+        changes = list(changes)
+        u, res = best_refit(run, theta, base, changes)
+        plain = []
+        for _, units in changes:
+            init, keep = run.problem.mask(theta, units)
+            plain.append(restricted_minimize(run.problem, keep, init, run.cfg).objective)
+        assert u == changes[int(np.argmin(plain))][0]
+        picks.append(u)
+        return u, res
+
+    monkeypatch.setattr(solvers, "_start_hessian", recorded_start)
+    monkeypatch.setattr(solvers, "_best_refit", checked)
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        groups = rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 2, 1, 3]))
+        spec = (models.ModelSpec("linear", 60, 12, 3, 5.0, seed) if model == "linear"
+                else models.ModelSpec("logistic", 150, 12, 3, 1.0, seed))
+        ds = models.generate(spec)
+        prob = models.build_problem(ds, s=3, groups=groups,
+                                    preselect=np.flatnonzero(groups == seed % 6))
+        for kind in (SolverKind.FORWARD, SolverKind.FOBA):
+            validate_solution(prob, solve(kind, prob))
+    assert len(picks) >= 36 and all(start is not None for start in starts)
+
+
 def test_scope_and_foba_match_exhaustive_smoke():
     from sco.bench import exhaustive_oracle
 
