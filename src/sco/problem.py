@@ -25,6 +25,7 @@ __all__ = [
     "ScoProblem",
     "ScoSolution",
     "RestrictedResult",
+    "StartHessian",
     "hard_threshold",
     "top_units",
     "project_feasible",
@@ -214,11 +215,10 @@ class RestrictedResult:
     ``objective`` is the value computed by the restricted oracle;
     ``last_step`` is the most recently accepted line-search step, None
     when no step was taken.  A Newton step is tried first at 1, so on a
-    quadratic refit, and on a refit started from a Hessian
-    (``inverse_hessian`` of :func:`restricted_minimize`) that converges
-    in its first step, it is usually 1.  The pdas solver reads it as its
-    step size for scoring inactive units.  ``converged`` is exactly
-    ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
+    quadratic refit, and on a refit started from a :class:`StartHessian`
+    that converges in its first step, it is usually 1.  The pdas solver
+    reads it as its step size for scoring inactive units.  ``converged``
+    is exactly ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
     stopped: ``"converged"``, ``"floor"`` (f could no longer resolve a
     decrease), ``"max_iter"``, ``"line_search"`` (every trial of the last
     search left the objective's domain) or ``"no_descent"`` (the search
@@ -232,6 +232,40 @@ class RestrictedResult:
     converged: bool
     last_step: Optional[float]
     reason: str
+
+
+class StartHessian:
+    """The inverse of f's Hessian over a few coordinates, to start refits
+    near them (``hessian`` of :func:`restricted_minimize`).
+
+    ``coords`` holds strictly increasing coordinate indices and
+    ``inverse`` the |coords| x |coords| inverse of f's Hessian over them,
+    taken at or near the points the refits start from; its symmetric
+    part is kept.  It is checked once, here, so that no refit has to:
+    ValueError unless it is finite and has a Cholesky factor.  The exact
+    greedy solvers take one per round by forward differences of the
+    gradient (see :mod:`sco.solvers`).
+    """
+
+    __slots__ = ("coords", "inverse")
+
+    def __init__(self, coords, inverse):
+        coords = np.asarray(coords)
+        if coords.ndim != 1 or (coords.size and coords.dtype.kind not in "iu"):
+            raise ValueError("start Hessian coordinates must be a 1-D integer array")
+        coords = coords.astype(int)
+        if len(coords) and (coords[0] < 0 or not (coords[1:] > coords[:-1]).all()):
+            raise ValueError("start Hessian coordinates must be non-negative and strictly "
+                             "increasing")
+        M = np.asarray(inverse, dtype=float)
+        if M.shape != (len(coords), len(coords)):
+            raise ValueError(f"start Hessian inverse has shape {M.shape}, expected "
+                             f"{(len(coords), len(coords))}")
+        M = 0.5 * (M + M.T)
+        if len(coords) and _spd_inverse(M) is None:
+            raise ValueError("start Hessian inverse must be finite and positive definite")
+        self.coords = coords
+        self.inverse = M
 
 
 def top_units(scores, k):
@@ -397,15 +431,18 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
 
     ``known``, a pair ``(E, new)``, starts the search from a Hessian: E,
     k x k, holds the inverse of the Hessian's block over the positions of
-    x0 not in ``new``, taken earlier, and zeros in the rows and columns
-    ``new``.  After the first call the columns ``new`` are taken by
-    forward differences at x0 and E is bordered by them; if the whole H
-    has a Cholesky factor, the first direction is -H^-1 g, tried first at
-    step 1.  After that step H is kept for every later direction if the
-    quadratic identity above holds for the step, and dropped for the
-    secant directions otherwise; no other Hessian is built.  When H has
-    no factor or a difference raises :class:`EvaluationError`, the search
-    runs as without ``known``.
+    x0 not in ``new``, taken earlier and positive definite, and zeros in
+    the rows and columns ``new``.  After the first call the columns
+    ``new`` are taken by forward differences at x0 and E is bordered by
+    them; if the whole H has a Cholesky factor (its Schur complement
+    has one), the first direction is -H^-1 g, tried first at step 1.
+    After that step H is kept for every later direction if the
+    quadratic identity above holds for the step and H^-1 y matches s to
+    1e-2 |s| (infinity norms).  Otherwise H is dropped and the search
+    goes on as one without ``known`` goes on after its first step: a new
+    H at the new point if the identity holds, secant directions if not.
+    When H has no factor or a difference raises :class:`EvaluationError`,
+    the search runs as without ``known``.
 
     Each trial costs one ``value_and_grad`` call, whose value and
     gradient both decide it.  A trial is accepted on Armijo sufficient
@@ -505,10 +542,11 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
         last_step = alpha
         grad_inf = float(abs(g).max())
         converged = grad_inf <= tol
-        if started:
-            if it == 1 and not quadratic:
-                newton = None
-        elif quadratic and not converged and it < max_iter:
+        if started and it == 1 and not (quadratic
+                                        and abs(newton @ y - s).max() <= 1e-2 * abs(s).max()):
+            newton = None
+            started = False
+        if quadratic and not started and not converged and it < max_iter:
             newton = _difference_newton(value_and_grad, x, g)
     if f > f_start:  # gradient-judged steps wiggled f up at the floor
         if converged:
@@ -521,23 +559,23 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
 
 
 def _start_hessian(problem, units, x):
-    # restricted_minimize's inverse_hessian for refits near the units: their
-    # coordinates plus preselection P and the inverse of f's Hessian over P
-    # at x, taken by |P| forward differences of the restricted gradient;
-    # None when P has _NEWTON_MAX_DIM or more coordinates, a difference
-    # leaves the domain or H has no Cholesky factor
+    # the StartHessian for refits near the units: over their coordinates
+    # plus preselection P, f's Hessian at x taken by |P| forward differences
+    # of the restricted gradient; None when P has _NEWTON_MAX_DIM or more
+    # coordinates, a difference leaves the domain or H has no Cholesky
+    # factor
     coords = problem.mask(x, units)[1]
     if len(coords) >= _NEWTON_MAX_DIM:
         return None
     if not len(coords):
-        return coords, np.empty((0, 0))
+        return StartHessian(coords, np.empty((0, 0)))
     value_and_grad = problem.oracle.restricted(coords).value_and_grad
     try:
         g = value_and_grad(x[coords])[1]
     except EvaluationError:
         return None
     M = _difference_newton(value_and_grad, x[coords], g)
-    return None if M is None else (coords, M)
+    return None if M is None else StartHessian(coords, M)
 
 
 def _known_block(free, coords, M):
@@ -559,7 +597,7 @@ def _known_block(free, coords, M):
     return E, new.nonzero()[0]
 
 
-def restricted_minimize(problem, support, init=None, config=None, inverse_hessian=None):
+def restricted_minimize(problem, support, init=None, config=None, hessian=None):
     """Minimize f over ``support`` plus preselected coordinates.
 
     All other coordinates stay pinned at zero: f is the oracle's
@@ -595,20 +633,22 @@ def restricted_minimize(problem, support, init=None, config=None, inverse_hessia
     it.  Returns a :class:`RestrictedResult` whose ``params`` is the
     full-length vector.
 
-    ``inverse_hessian``, optional, starts the search from a Hessian.  It
-    is a pair ``(coords, M)``: strictly increasing coordinate indices in
-    0..p-1 and the inverse of f's Hessian over them, a symmetric
-    |coords| x |coords| matrix, taken at or near ``init`` (the exact
-    greedy solvers take one per round; see :mod:`sco.solvers`).  With at
-    most 40 free coordinates, the refit takes the inverse of H's block
-    over the free coordinates that ``coords`` holds from M, with no
-    oracle call (block elimination), differences the columns of the
+    ``hessian``, an optional :class:`StartHessian` over coordinates P,
+    starts the search from a Hessian taken at or near ``init`` (the
+    exact greedy solvers take one per round; see :mod:`sco.solvers`).
+    With at most 40 free coordinates, the refit takes the inverse of H's
+    block over the free coordinates in P, with no oracle call (a Schur
+    downdate when it drops some of P), differences the columns of its
     other free coordinates at ``init`` after the first call (the steps
-    above), and borders the block by them.  If the whole H has a
-    Cholesky factor, the first direction is -H^-1 g, tried first at step
-    1.  After that step H is kept for every later direction if the step
-    meets the quadratic identity above, and dropped for the quasi-Newton
-    directions otherwise; no other Hessian is built.  Where H has no
+    above), and borders the inverse by them through the Schur
+    complement.  If that complement has a Cholesky factor, so has H,
+    and the first direction is -H^-1 g, tried first at step 1.  After
+    that step H is kept for every later direction if the step meets the
+    quadratic identity above and H^-1 y matches the step s to 1e-2 |s|
+    (infinity norms).  Otherwise H is dropped and the refit goes on as
+    a refit without it goes on after its first step: a Hessian
+    differenced at the new point if the step meets the identity,
+    quasi-Newton directions if not.  Where the complement has no
     Cholesky factor or a difference raises
     :class:`~sco.autodiff.EvaluationError`, the refit runs as it does
     without the argument, after the difference calls it spent.  A refit
@@ -623,17 +663,15 @@ def restricted_minimize(problem, support, init=None, config=None, inverse_hessia
         if np.count_nonzero(init) != np.count_nonzero(init[free]):
             raise ValueError("init must be zero off support and preselected coordinates")
     known = None
-    if inverse_hessian is not None:
-        coords, M = inverse_hessian
-        coords = _integer_indices(coords, "inverse_hessian coordinates", problem.p)
-        if not (coords[1:] > coords[:-1]).all():
-            raise ValueError("inverse_hessian coordinates must be strictly increasing")
-        M = np.asarray(M, dtype=float)
-        if M.shape != (len(coords), len(coords)):
-            raise ValueError(f"inverse_hessian matrix has shape {M.shape}, expected "
-                             f"{(len(coords), len(coords))}")
+    if hessian is not None:
+        if not isinstance(hessian, StartHessian):
+            raise TypeError(f"hessian must be a StartHessian, got {type(hessian).__name__}")
+        coords = hessian.coords
+        if len(coords) and coords[-1] >= problem.p:
+            raise ValueError(f"start Hessian coordinates out of range: each must lie in "
+                             f"0..{problem.p - 1}")
         if 0 < len(free) <= _NEWTON_MAX_DIM:
-            known = _known_block(free, coords, M)
+            known = _known_block(free, coords, hessian.inverse)
     sub = problem.oracle.restricted(free)
     x0 = init[free] if init is not None else np.zeros(len(free))
     res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, known)

@@ -104,10 +104,10 @@ class _Run:
         self.warm = (problem.oracle.value(w), w, problem.view.units_with_support(w))
         self.offer(*self.warm)
 
-    def refit(self, units, x, inverse_hessian=None):
+    def refit(self, units, x, hessian=None):
         """Restricted refit over the units plus preselection, from x masked there."""
         init, keep = self.problem.mask(x, units)
-        return restricted_minimize(self.problem, keep, init, self.cfg, inverse_hessian)
+        return restricted_minimize(self.problem, keep, init, self.cfg, hessian)
 
     def offer(self, f, x, units):
         if self.best is None or f < self.best[0]:
@@ -179,20 +179,24 @@ def _best_refit(run, theta, base, changes):
 
     Every refit starts from one Hessian: H over the coordinates P of
     ``base`` plus preselection, taken once at theta by |P| forward
-    differences of the restricted gradient (see ``restricted_minimize``'s
-    ``inverse_hessian``).  A refit that adds a unit differences only that
-    unit's columns and borders H by them; one that drops a unit starts
-    from H's block over what is left, with no difference calls.  Each is
-    still a full refit under the same stop rule, so the choice is the one
-    plain refits make.  With |P| of ``_NEWTON_MAX_DIM`` or more, or no
-    Cholesky factor of H, the refits run without it.
+    differences of the restricted gradient, as a :class:`StartHessian`
+    (see ``restricted_minimize``'s ``hessian``).  A refit that adds a
+    unit differences only that unit's columns and borders H^-1 by them;
+    one that drops a unit starts from the inverse of H's block over what
+    is left, with no difference calls.  Each is still a full refit under
+    the same stop rule, so the choice is the one plain refits make, and
+    the chosen change is refit once more without H: the round returns
+    the plain refit, bit for bit.  With |P| of ``_NEWTON_MAX_DIM`` or
+    more, or no Cholesky factor of H, the refits run without it.
     """
     start = _start_hessian(run.problem, base, theta)
-    best_u, best_res = -1, None
+    best_u, best_units, best_res = -1, None, None
     for u, units in changes:
         res = run.refit(units, theta, start)
         if best_res is None or res.objective < best_res.objective:
-            best_u, best_res = int(u), res
+            best_u, best_units, best_res = int(u), units, res
+    if start is not None:
+        best_res = run.refit(best_units, theta)
     return best_u, best_res
 
 

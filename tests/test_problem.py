@@ -19,6 +19,7 @@ from sco.problem import (
     GroupView,
     ScoProblem,
     SolverConfig,
+    StartHessian,
     _lbfgs,
     _lbfgs_direction,
     _start_hessian,
@@ -692,7 +693,7 @@ def test_least_squares_add_candidate_takes_one_bordered_newton_step(seed, monkey
     picked = np.random.default_rng(seed).choice(ds.p, size=4, replace=False)
     base = np.sort(picked[:3])
     prob, theta, start = _round_start(ds, base)
-    assert start is not None and np.array_equal(start[0], base)
+    assert start is not None and np.array_equal(start.coords, base)
     counted, calls = _counted(prob)
     built = _newton_builds(monkeypatch)
     support = np.sort(picked)
@@ -747,15 +748,45 @@ def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
     assert len(built) == 1 and built[0] is not None
 
 
-def test_inverse_hessian_argument_is_checked():
+@pytest.mark.parametrize("coords, inverse, match", [
+    ([0.5, 2.0], np.eye(2), "integer"),
+    ([2, 1], np.eye(2), "strictly increasing"),
+    ([-1, 2], np.eye(2), "non-negative"),
+    ([1, 2], np.eye(3), "expected"),
+    ([1, 2], np.diag([1.0, -1.0]), "positive definite"),
+    ([1, 2], np.diag([1.0, np.nan]), "positive definite"),
+], ids=["fraction", "unsorted", "negative", "shape", "indefinite", "nan"])
+def test_start_hessian_is_checked_once(coords, inverse, match):
+    """A start Hessian is refused where it is built, so no refit reads an
+    inverse without a Cholesky factor."""
+    with pytest.raises(ValueError, match=match):
+        StartHessian(coords, inverse)
+
+
+def test_hessian_argument_is_checked():
     ds = models.generate(models.ModelSpec("linear", 30, 8, 2, 5.0, seed=0))
     prob = models.build_problem(ds)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        restricted_minimize(prob, [1, 2], None, None, ([2, 1], np.eye(2)))
-    with pytest.raises(ValueError, match="expected"):
-        restricted_minimize(prob, [1, 2], None, None, ([1, 2], np.eye(3)))
+    with pytest.raises(TypeError, match="StartHessian"):
+        restricted_minimize(prob, [1, 2], None, None, ([1, 2], np.eye(2)))
     with pytest.raises(ValueError, match="out of range"):
-        restricted_minimize(prob, [1, 2], None, None, ([1, 8], np.eye(2)))
+        restricted_minimize(prob, [1, 2], None, None, StartHessian([1, 8], np.eye(2)))
+
+
+def test_a_wrong_start_hessian_gives_the_first_direction_only(monkeypatch):
+    """A positive definite H that does not match the gradient change of
+    its step is dropped after it; a least-squares refit then differences
+    its Hessian at the new point, as a plain quadratic refit does."""
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
+    base = np.array([4, 11, 30, 52])
+    prob, theta, good = _round_start(ds, base)
+    built = _newton_builds(monkeypatch)
+    support = np.array([4, 11, 30, 45, 52])
+    wrong = StartHessian(base, good.inverse / 3.0)
+    res = restricted_minimize(prob, support, theta, None, wrong)
+    assert res.converged and res.iterations >= 2
+    assert len(built) == 2 and all(b is not None for b in built)
+    ref = np.linalg.lstsq(ds.X[:, support], ds.y, rcond=None)[0]
+    assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
 
 
 def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkeypatch):

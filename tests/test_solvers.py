@@ -173,8 +173,9 @@ def test_group_structure_respected(kind):
 @pytest.mark.parametrize("model", ["linear", "logistic"])
 def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
     """Each forward and foba round, adding or dropping, picks the unit that
-    refitting every candidate plainly (no start Hessian) picks; on grouped
-    problems with permuted group ids and a preselected group."""
+    refitting every candidate plainly (no start Hessian) picks and returns
+    that plain refit, bit for bit; on grouped problems with permuted group
+    ids and a preselected group."""
     best_refit, start_hessian = solvers._best_refit, solvers._start_hessian
     picks, starts = [], []
 
@@ -188,8 +189,11 @@ def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
         plain = []
         for _, units in changes:
             init, keep = run.problem.mask(theta, units)
-            plain.append(restricted_minimize(run.problem, keep, init, run.cfg).objective)
-        assert u == changes[int(np.argmin(plain))][0]
+            plain.append(restricted_minimize(run.problem, keep, init, run.cfg))
+        chosen = int(np.argmin([r.objective for r in plain]))
+        assert u == changes[chosen][0]
+        assert res.params.tobytes() == plain[chosen].params.tobytes()
+        assert res.objective == plain[chosen].objective
         picks.append(u)
         return u, res
 
