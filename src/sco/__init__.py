@@ -32,7 +32,6 @@ from .problem import (
     ScoProblem,
     ScoSolution,
     SolverConfig,
-    StartHessian,
     hard_threshold,
     project_feasible,
     restricted_minimize,
@@ -61,7 +60,7 @@ __all__ = [
     "build_objective", "fd_gradient",
     "exp", "log", "sqrt", "logistic", "log1pexp", "dot", "sqnorm", "norm",
     "vsum", "cumsum",
-    "GroupView", "RestrictedResult", "ScoProblem", "ScoSolution", "SolverConfig", "StartHessian",
+    "GroupView", "RestrictedResult", "ScoProblem", "ScoSolution", "SolverConfig",
     "hard_threshold", "project_feasible", "restricted_minimize", "validate_solution",
     "SolverKind", "TraceEntry", "solve",
     "Criterion", "AIC", "BIC", "GIC", "SIC",

@@ -4,13 +4,14 @@ coordinates), hard thresholding onto the sparsity budget, and a
 minimizer over a fixed support: limited-memory quasi-Newton steps, and
 Newton steps with a Hessian from gradient differences once the first
 step shows the restricted objective quadratic (least squares, trend
-filtering), or from the first step on when the caller supplies a nearby
-support's Hessian.
+filtering), or from the first step on when an exact greedy round
+supplies a nearby support's Hessian.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,7 +26,6 @@ __all__ = [
     "ScoProblem",
     "ScoSolution",
     "RestrictedResult",
-    "StartHessian",
     "hard_threshold",
     "top_units",
     "project_feasible",
@@ -215,13 +215,14 @@ class RestrictedResult:
     ``objective`` is the value computed by the restricted oracle;
     ``last_step`` is the most recently accepted line-search step, None
     when no step was taken.  A Newton step is tried first at 1, so on a
-    quadratic refit, and on a refit started from a :class:`StartHessian`
-    that converges in its first step, it is usually 1.  The pdas solver
-    reads it as its step size for scoring inactive units.  ``converged``
-    is exactly ``grad_inf <= inner_tol``; ``reason`` says why the minimizer
-    stopped: ``"converged"``, ``"floor"`` (f could no longer resolve a
-    decrease), ``"max_iter"``, ``"line_search"`` (every trial of the last
-    search left the objective's domain) or ``"no_descent"`` (the search
+    quadratic refit, and on a refit started from a greedy round's Hessian
+    (``hessian`` of :func:`restricted_minimize`) that converges in its
+    first step, it is usually 1.  The pdas solver reads it as its step
+    size for scoring inactive units.  ``converged`` is exactly
+    ``grad_inf <= inner_tol``; ``reason`` says why the minimizer stopped:
+    ``"converged"``, ``"floor"`` (f could no longer resolve a decrease),
+    ``"max_iter"``, ``"line_search"`` (every trial of the last search
+    left the objective's domain) or ``"no_descent"`` (the search
     direction's slope vanished at working precision).
     """
 
@@ -232,40 +233,6 @@ class RestrictedResult:
     converged: bool
     last_step: Optional[float]
     reason: str
-
-
-class StartHessian:
-    """The inverse of f's Hessian over a few coordinates, to start refits
-    near them (``hessian`` of :func:`restricted_minimize`).
-
-    ``coords`` holds strictly increasing coordinate indices and
-    ``inverse`` the |coords| x |coords| inverse of f's Hessian over them,
-    taken at or near the points the refits start from; its symmetric
-    part is kept.  It is checked once, here, so that no refit has to:
-    ValueError unless it is finite and has a Cholesky factor.  The exact
-    greedy solvers take one per round by forward differences of the
-    gradient (see :mod:`sco.solvers`).
-    """
-
-    __slots__ = ("coords", "inverse")
-
-    def __init__(self, coords, inverse):
-        coords = np.asarray(coords)
-        if coords.ndim != 1 or (coords.size and coords.dtype.kind not in "iu"):
-            raise ValueError("start Hessian coordinates must be a 1-D integer array")
-        coords = coords.astype(int)
-        if len(coords) and (coords[0] < 0 or not (coords[1:] > coords[:-1]).all()):
-            raise ValueError("start Hessian coordinates must be non-negative and strictly "
-                             "increasing")
-        M = np.asarray(inverse, dtype=float)
-        if M.shape != (len(coords), len(coords)):
-            raise ValueError(f"start Hessian inverse has shape {M.shape}, expected "
-                             f"{(len(coords), len(coords))}")
-        M = 0.5 * (M + M.T)
-        if len(coords) and _spd_inverse(M) is None:
-            raise ValueError("start Hessian inverse must be finite and positive definite")
-        self.coords = coords
-        self.inverse = M
 
 
 def top_units(scores, k):
@@ -416,50 +383,14 @@ def _downdate(M, keep):
 
 
 def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
-    """Limited-memory secant updates with a backtracking Armijo line search,
-    and Newton steps once the first step shows the objective quadratic.
+    """The search of :func:`restricted_minimize` over the coordinates of
+    ``x0``, ``value_and_grad`` being the restricted oracle's.
 
-    After the first accepted step s, if the support has at most
-    ``_NEWTON_MAX_DIM`` coordinates and f_new - f = (g + g_new).s / 2
-    holds to rounding (within 1e-6 |s.(g_new - g)| + 8 eps max(1, |f|)),
-    as it does exactly on a quadratic, H is taken from k forward
-    differences of the gradient at the new point and symmetrized; if its
-    Cholesky factorization succeeds every later direction is -H^-1 g,
-    first tried at step 1.  When the test fails, a difference raises
-    :class:`EvaluationError` or H is not positive definite, the secant
-    directions go on unchanged.
-
-    ``known``, a pair ``(E, new)``, starts the search from a Hessian: E,
-    k x k, holds the inverse of the Hessian's block over the positions of
-    x0 not in ``new``, taken earlier and positive definite, and zeros in
-    the rows and columns ``new``.  After the first call the columns
-    ``new`` are taken by forward differences at x0 and E is bordered by
-    them; if the whole H has a Cholesky factor (its Schur complement
-    has one), the first direction is -H^-1 g, tried first at step 1.
-    After that step H is kept for every later direction if the
-    quadratic identity above holds for the step and H^-1 y matches s to
-    1e-2 |s| (infinity norms).  Otherwise H is dropped and the search
-    goes on as one without ``known`` goes on after its first step: a new
-    H at the new point if the identity holds, secant directions if not.
-    When H has no factor or a difference raises :class:`EvaluationError`,
-    the search runs as without ``known``.
-
-    Each trial costs one ``value_and_grad`` call, whose value and
-    gradient both decide it.  A trial is accepted on Armijo sufficient
-    decrease together with a strict decrease of f, or, within the
-    precision floor (see :func:`restricted_minimize`), on a smaller
-    gradient infinity norm.  After a rejected trial with a finite value
-    the step shrinks to the minimizer of the quadratic through f, the
-    slope g.d and the trial's value, kept within [0.1, 0.5] of the
-    rejected step (safeguarded quadratic interpolation, Nocedal & Wright,
-    *Numerical Optimization*, 2006, section 3.5).  A trial whose
-    evaluation raises :class:`EvaluationError` (it left the objective's
-    domain, or its gradient is undefined there) counts as rejected and
-    halves the step; a search makes at most ``_MAX_BACKTRACKS``
-    backtracks.  Floor steps may raise f by rounding noise, so a final
-    value above the start's returns the start instead.  A secant pair's
-    s.y and y.y are computed once, when the pair is stored.  Returns a
-    :class:`RestrictedResult` over the coordinates of ``x0``.
+    ``known``, a pair ``(E, new)`` (see :func:`_known_block`), starts the
+    search from a Hessian: E, k x k, holds the inverse of its block over
+    the positions not in ``new``, and zeros in the rows and columns
+    ``new``, whose columns are differenced at x0 and bordered in.
+    Returns a :class:`RestrictedResult` over the coordinates of ``x0``.
     """
     x = x_start = np.array(x0, dtype=float)
     f, g = value_and_grad(x)
@@ -558,24 +489,27 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
     return RestrictedResult(x, f, grad_inf, it, converged, last_step, reason)
 
 
+_StartHessian = namedtuple("_StartHessian", ["coords", "inverse"])
+
+
 def _start_hessian(problem, units, x):
-    # the StartHessian for refits near the units: over their coordinates
-    # plus preselection P, f's Hessian at x taken by |P| forward differences
-    # of the restricted gradient; None when P has _NEWTON_MAX_DIM or more
-    # coordinates, a difference leaves the domain or H has no Cholesky
-    # factor
+    # restricted_minimize's hessian for refits near the units: over their
+    # coordinates plus preselection P, the symmetric part of H^-1, with H
+    # f's Hessian at x taken by |P| forward differences of the restricted
+    # gradient; None when P has _NEWTON_MAX_DIM or more coordinates, a
+    # difference leaves the domain or H has no Cholesky factor
     coords = problem.mask(x, units)[1]
     if len(coords) >= _NEWTON_MAX_DIM:
         return None
     if not len(coords):
-        return StartHessian(coords, np.empty((0, 0)))
+        return _StartHessian(coords, np.empty((0, 0)))
     value_and_grad = problem.oracle.restricted(coords).value_and_grad
     try:
         g = value_and_grad(x[coords])[1]
     except EvaluationError:
         return None
     M = _difference_newton(value_and_grad, x[coords], g)
-    return None if M is None else StartHessian(coords, M)
+    return None if M is None else _StartHessian(coords, 0.5 * (M + M.T))
 
 
 def _known_block(free, coords, M):
@@ -633,23 +567,23 @@ def restricted_minimize(problem, support, init=None, config=None, hessian=None):
     it.  Returns a :class:`RestrictedResult` whose ``params`` is the
     full-length vector.
 
-    ``hessian``, an optional :class:`StartHessian` over coordinates P,
-    starts the search from a Hessian taken at or near ``init`` (the
-    exact greedy solvers take one per round; see :mod:`sco.solvers`).
-    With at most 40 free coordinates, the refit takes the inverse of H's
-    block over the free coordinates in P, with no oracle call (a Schur
-    downdate when it drops some of P), differences the columns of its
-    other free coordinates at ``init`` after the first call (the steps
-    above), and borders the inverse by them through the Schur
-    complement.  If that complement has a Cholesky factor, so has H,
-    and the first direction is -H^-1 g, tried first at step 1.  After
-    that step H is kept for every later direction if the step meets the
-    quadratic identity above and H^-1 y matches the step s to 1e-2 |s|
-    (infinity norms).  Otherwise H is dropped and the refit goes on as
-    a refit without it goes on after its first step: a Hessian
-    differenced at the new point if the step meets the identity,
-    quasi-Newton directions if not.  Where the complement has no
-    Cholesky factor or a difference raises
+    ``hessian``, None or the start Hessian that an exact greedy round
+    takes over the coordinates P of its active set plus preselection
+    (see :mod:`sco.solvers`), starts the search from H^-1 taken at or
+    near ``init``; anything else raises TypeError.  With at most 40 free
+    coordinates, the refit takes the inverse of H's block over the free
+    coordinates in P, with no oracle call (a Schur downdate when it
+    drops some of P), differences the columns of its other free
+    coordinates at ``init`` after the first call (the steps above), and
+    borders the inverse by them through the Schur complement.  If that
+    complement has a Cholesky factor, so has H, and the first direction
+    is -H^-1 g, tried first at step 1.  After that step H is kept for
+    every later direction if the step meets the quadratic identity above
+    and H^-1 y matches the step s to 1e-2 |s| (infinity norms).
+    Otherwise H is dropped and the refit goes on as a refit without it
+    goes on after its first step: a Hessian differenced at the new point
+    if the step meets the identity, quasi-Newton directions if not.
+    Where the complement has no Cholesky factor or a difference raises
     :class:`~sco.autodiff.EvaluationError`, the refit runs as it does
     without the argument, after the difference calls it spent.  A refit
     without it makes exactly the calls described above.
@@ -664,14 +598,11 @@ def restricted_minimize(problem, support, init=None, config=None, hessian=None):
             raise ValueError("init must be zero off support and preselected coordinates")
     known = None
     if hessian is not None:
-        if not isinstance(hessian, StartHessian):
-            raise TypeError(f"hessian must be a StartHessian, got {type(hessian).__name__}")
-        coords = hessian.coords
-        if len(coords) and coords[-1] >= problem.p:
-            raise ValueError(f"start Hessian coordinates out of range: each must lie in "
-                             f"0..{problem.p - 1}")
+        if not isinstance(hessian, _StartHessian):
+            raise TypeError(f"hessian must be None or a start Hessian, got "
+                            f"{type(hessian).__name__}")
         if 0 < len(free) <= _NEWTON_MAX_DIM:
-            known = _known_block(free, coords, hessian.inverse)
+            known = _known_block(free, hessian.coords, hessian.inverse)
     sub = problem.oracle.restricted(free)
     x0 = init[free] if init is not None else np.zeros(len(free))
     res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, known)

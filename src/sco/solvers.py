@@ -24,9 +24,9 @@ refit of its final support and returns the best refit iterate it visited,
 so the reported objective is always attained by the reported parameters.
 
 Every round of forward and foba refits each change of one active set
-(each inactive unit added, or each active unit dropped), and all those
-refits start from one Hessian of the active set, taken once per round
-(see ``_best_refit``).
+(each inactive unit added, or each active unit dropped) once, and all
+those refits start from one Hessian of the active set, taken once per
+round; the round keeps the refit that won (see ``_best_refit``).
 
 Points known to be sparse are evaluated on their support through the
 oracle's ``restricted`` oracles: line-search trials of iht and htp, and
@@ -179,24 +179,22 @@ def _best_refit(run, theta, base, changes):
 
     Every refit starts from one Hessian: H over the coordinates P of
     ``base`` plus preselection, taken once at theta by |P| forward
-    differences of the restricted gradient, as a :class:`StartHessian`
-    (see ``restricted_minimize``'s ``hessian``).  A refit that adds a
-    unit differences only that unit's columns and borders H^-1 by them;
-    one that drops a unit starts from the inverse of H's block over what
-    is left, with no difference calls.  Each is still a full refit under
-    the same stop rule, so the choice is the one plain refits make, and
-    the chosen change is refit once more without H: the round returns
-    the plain refit, bit for bit.  With |P| of ``_NEWTON_MAX_DIM`` or
-    more, or no Cholesky factor of H, the refits run without it.
+    differences of the restricted gradient (see ``restricted_minimize``'s
+    ``hessian``).  A refit that adds a unit differences only that unit's
+    columns and borders H^-1 by them; one that drops a unit starts from
+    the inverse of H's block over what is left, with no difference
+    calls.  Each is still a full refit under the same stop rule, so the
+    choice is the one plain refits make, and the round keeps the refit
+    that won: one refit per change, whose objective agrees with the
+    plain refit's to rounding.  With |P| of ``_NEWTON_MAX_DIM`` or more,
+    or no Cholesky factor of H, the refits run without it.
     """
     start = _start_hessian(run.problem, base, theta)
-    best_u, best_units, best_res = -1, None, None
+    best_u, best_res = -1, None
     for u, units in changes:
         res = run.refit(units, theta, start)
         if best_res is None or res.objective < best_res.objective:
-            best_u, best_units, best_res = int(u), units, res
-    if start is not None:
-        best_res = run.refit(best_units, theta)
+            best_u, best_res = int(u), res
     return best_u, best_res
 
 

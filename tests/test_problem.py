@@ -19,7 +19,6 @@ from sco.problem import (
     GroupView,
     ScoProblem,
     SolverConfig,
-    StartHessian,
     _lbfgs,
     _lbfgs_direction,
     _start_hessian,
@@ -748,28 +747,11 @@ def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
     assert len(built) == 1 and built[0] is not None
 
 
-@pytest.mark.parametrize("coords, inverse, match", [
-    ([0.5, 2.0], np.eye(2), "integer"),
-    ([2, 1], np.eye(2), "strictly increasing"),
-    ([-1, 2], np.eye(2), "non-negative"),
-    ([1, 2], np.eye(3), "expected"),
-    ([1, 2], np.diag([1.0, -1.0]), "positive definite"),
-    ([1, 2], np.diag([1.0, np.nan]), "positive definite"),
-], ids=["fraction", "unsorted", "negative", "shape", "indefinite", "nan"])
-def test_start_hessian_is_checked_once(coords, inverse, match):
-    """A start Hessian is refused where it is built, so no refit reads an
-    inverse without a Cholesky factor."""
-    with pytest.raises(ValueError, match=match):
-        StartHessian(coords, inverse)
-
-
 def test_hessian_argument_is_checked():
     ds = models.generate(models.ModelSpec("linear", 30, 8, 2, 5.0, seed=0))
     prob = models.build_problem(ds)
-    with pytest.raises(TypeError, match="StartHessian"):
+    with pytest.raises(TypeError, match="start Hessian"):
         restricted_minimize(prob, [1, 2], None, None, ([1, 2], np.eye(2)))
-    with pytest.raises(ValueError, match="out of range"):
-        restricted_minimize(prob, [1, 2], None, None, StartHessian([1, 8], np.eye(2)))
 
 
 def test_a_wrong_start_hessian_gives_the_first_direction_only(monkeypatch):
@@ -781,7 +763,7 @@ def test_a_wrong_start_hessian_gives_the_first_direction_only(monkeypatch):
     prob, theta, good = _round_start(ds, base)
     built = _newton_builds(monkeypatch)
     support = np.array([4, 11, 30, 45, 52])
-    wrong = StartHessian(base, good.inverse / 3.0)
+    wrong = good._replace(inverse=good.inverse / 3.0)
     res = restricted_minimize(prob, support, theta, None, wrong)
     assert res.converged and res.iterations >= 2
     assert len(built) == 2 and all(b is not None for b in built)

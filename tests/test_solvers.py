@@ -173,9 +173,10 @@ def test_group_structure_respected(kind):
 @pytest.mark.parametrize("model", ["linear", "logistic"])
 def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
     """Each forward and foba round, adding or dropping, picks the unit that
-    refitting every candidate plainly (no start Hessian) picks and returns
-    that plain refit, bit for bit; on grouped problems with permuted group
-    ids and a preselected group."""
+    refitting every candidate plainly (no start Hessian) picks, and returns
+    the chosen change's refit from the round's start Hessian, bit for bit,
+    at the plain refit's objective to rounding; on grouped problems with
+    permuted group ids and a preselected group."""
     best_refit, start_hessian = solvers._best_refit, solvers._start_hessian
     picks, starts = [], []
 
@@ -192,8 +193,12 @@ def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
             plain.append(restricted_minimize(run.problem, keep, init, run.cfg))
         chosen = int(np.argmin([r.objective for r in plain]))
         assert u == changes[chosen][0]
-        assert res.params.tobytes() == plain[chosen].params.tobytes()
-        assert res.objective == plain[chosen].objective
+        init, keep = run.problem.mask(theta, changes[chosen][1])
+        own = restricted_minimize(run.problem, keep, init, run.cfg, starts[-1])
+        assert res.params.tobytes() == own.params.tobytes()
+        assert res.objective == own.objective
+        f = plain[chosen].objective
+        assert abs(res.objective - f) <= 1e-12 * (1.0 + abs(f))
         picks.append(u)
         return u, res
 
