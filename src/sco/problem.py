@@ -213,17 +213,12 @@ class RestrictedResult:
     """Outcome of a restricted minimization.
 
     ``objective`` is the value computed by the restricted oracle;
-    ``last_step`` is the most recently accepted line-search step, None
-    when no step was taken.  A Newton step is tried first at 1, so on a
-    quadratic refit, and on a refit started from a greedy round's Hessian
-    (``hessian`` of :func:`restricted_minimize`) that converges in its
-    first step, it is usually 1.  The pdas solver reads it as its step
-    size for scoring inactive units.  ``converged`` is exactly
-    ``grad_inf <= inner_tol``; ``reason`` says why the minimizer stopped:
-    ``"converged"``, ``"floor"`` (f could no longer resolve a decrease),
-    ``"max_iter"``, ``"line_search"`` (every trial of the last search
-    left the objective's domain) or ``"no_descent"`` (the search
-    direction's slope vanished at working precision).
+    ``converged`` is exactly ``grad_inf <= inner_tol``; ``reason`` says
+    why the minimizer stopped: ``"converged"``, ``"floor"`` (f could no
+    longer resolve a decrease), ``"max_iter"``, ``"line_search"`` (every
+    trial of the last search left the objective's domain) or
+    ``"no_descent"`` (the search direction's slope vanished at working
+    precision).
     """
 
     params: np.ndarray
@@ -231,7 +226,6 @@ class RestrictedResult:
     grad_inf: float
     iterations: int
     converged: bool
-    last_step: Optional[float]
     reason: str
 
 
@@ -337,15 +331,16 @@ def _difference_newton(value_and_grad, x, g, known=None):
     # the inverse of H, whose column i is the forward difference
     # (g(x + h_i e_i) - g) / h_i with h_i = 1e-4 (1 + |x_i|), symmetrized
     # (Nocedal & Wright, section 8.1); None when a difference leaves the
-    # domain or H is not finite and positive definite.  With known = (E,
-    # new), only the columns at the positions new are differenced: E holds
-    # the inverse of H's block over the other positions and zeros in the
-    # rows and columns new.  With D those columns, C their rows new and J
-    # the columns of the identity at new, H is positive definite exactly
-    # when the Schur complement S = C - D'ED is, and then
-    # H^-1 = E + Z S^-1 Z' with Z = ED - J (block elimination)
+    # domain or H is not finite and positive definite.  Only the columns at
+    # the positions new of known = (E, new) are differenced: E holds the
+    # inverse of H's block over the other positions and zeros in the rows
+    # and columns new; without known nothing is known (E = 0, every
+    # position new).  With D those columns, C their rows new and J the
+    # columns of the identity at new, H is positive definite exactly when
+    # the Schur complement S = C - D'ED is, and then H^-1 = E + Z S^-1 Z'
+    # with Z = ED - J (block elimination)
     k = len(x)
-    E, new = known if known is not None else (None, np.arange(k))
+    E, new = known if known is not None else (np.zeros((k, k)), np.arange(k))
     D = np.empty((k, len(new)))
     for j, i in enumerate(new):
         xh = x.copy()
@@ -357,8 +352,6 @@ def _difference_newton(value_and_grad, x, g, known=None):
         D[:, j] = (gh - g) / (xh[i] - x[i])  # the step as rounded
     C = D[new]
     C = 0.5 * (C + C.T)
-    if E is None:
-        return _spd_inverse(C)
     if not len(new):
         return E
     Z = E @ D
@@ -402,8 +395,6 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
     # H^-1 from the start Hessian, or once the first step showed f quadratic
     newton = None if known is None or converged else _difference_newton(value_and_grad, x, g,
                                                                           known)
-    started = newton is not None
-    last_step = None
     reason = "max_iter"
     it = 0
     while not converged and it < max_iter:
@@ -470,14 +461,12 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
         quadratic = (it == 1 and len(s) <= _NEWTON_MAX_DIM
                      and _is_quadratic(f, f_new - f, float(g.dot(s)), sy))
         x, f, g = x_new, f_new, g_new
-        last_step = alpha
         grad_inf = float(abs(g).max())
         converged = grad_inf <= tol
-        if started and it == 1 and not (quadratic
-                                        and abs(newton @ y - s).max() <= 1e-2 * abs(s).max()):
+        if it == 1 and newton is not None and not (
+                quadratic and abs(newton @ y - s).max() <= 1e-2 * abs(s).max()):
             newton = None
-            started = False
-        if quadratic and not started and not converged and it < max_iter:
+        if quadratic and newton is None and not converged and it < max_iter:
             newton = _difference_newton(value_and_grad, x, g)
     if f > f_start:  # gradient-judged steps wiggled f up at the floor
         if converged:
@@ -486,7 +475,7 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
         converged = grad_inf <= tol
     if converged:
         reason = "converged"
-    return RestrictedResult(x, f, grad_inf, it, converged, last_step, reason)
+    return RestrictedResult(x, f, grad_inf, it, converged, reason)
 
 
 _StartHessian = namedtuple("_StartHessian", ["coords", "inverse"])
@@ -498,7 +487,7 @@ def _start_hessian(problem, units, x):
     # f's Hessian at x taken by |P| forward differences of the restricted
     # gradient; None when P has _NEWTON_MAX_DIM or more coordinates, a
     # difference leaves the domain or H has no Cholesky factor
-    coords = problem.mask(x, units)[1]
+    coords = _with_preselect(problem.view.coords_of(units), problem.preselect)
     if len(coords) >= _NEWTON_MAX_DIM:
         return None
     if not len(coords):
@@ -541,24 +530,27 @@ def restricted_minimize(problem, support, init=None, config=None, hessian=None):
     call per trial; each rejected trial shrinks the step to the
     minimizer of the quadratic interpolating f, its slope and the
     trial's value, kept within [0.1, 0.5] of the rejected step).  After
-    the first accepted step s, a support of at most 40 coordinates whose
-    step satisfies f_new - f = (g + g_new).s / 2 to rounding (within
-    1e-6 |s.(g_new - g)| + 8 eps max(1, |f|)), as every quadratic does,
-    takes its Hessian H from k more ``value_and_grad`` calls, forward
-    differences of the gradient (step 1e-4 (1 + |x_i|)), symmetrized;
-    if H has a Cholesky factor, every later direction is the Newton
-    direction -H^-1 g, first tried at step 1, under the same line search
-    and stopping rules.  Otherwise, or where a difference raises
-    :class:`~sco.autodiff.EvaluationError`, the quasi-Newton iterations
-    go on unchanged.  The iterations stop when the infinity norm of the
-    gradient over the free coordinates drops to ``config.inner_tol`` or
-    after ``config.inner_max_iter`` iterations.  It also stops at the
-    precision floor ``4 eps max(1, |f|)``: a trial whose value lies
-    within the floor of the current value is kept only if it lowers the
-    gradient's infinity norm, and backtracking ends once the predicted
-    decrease falls below the floor (trials whose evaluation raises
-    :class:`~sco.autodiff.EvaluationError` halve the step; a search
-    makes at most 50 backtracks).  The result's ``reason`` records which
+    the first accepted step s, on a support of at most 40 coordinates,
+    the step is quadratic if it satisfies f_new - f = (g + g_new).s / 2
+    to rounding (within 1e-6 |s.(g_new - g)| + 8 eps max(1, |f|)), as
+    every quadratic does.  A refit that took s from a Hessian H
+    (``hessian`` below) keeps H if s is quadratic and H^-1 (g_new - g)
+    matches s to 1e-2 |s| (infinity norms).  Otherwise a quadratic s
+    takes H at the new point from k more ``value_and_grad`` calls,
+    forward differences of the gradient (step 1e-4 (1 + |x_i|)),
+    symmetrized.  If the H kept or taken has a Cholesky factor, every
+    later direction is the Newton direction -H^-1 g, first tried at step
+    1, under the same line search and stopping rules.  Otherwise, or
+    where a difference raises :class:`~sco.autodiff.EvaluationError`,
+    the quasi-Newton iterations go on.  The iterations stop when the
+    infinity norm of the gradient over the free coordinates drops to
+    ``config.inner_tol`` or after ``config.inner_max_iter`` iterations.
+    It also stops at the precision floor ``4 eps max(1, |f|)``: a trial
+    whose value lies within the floor of the current value is kept only
+    if it lowers the gradient's infinity norm, and backtracking ends
+    once the predicted decrease falls below the floor (trials whose
+    evaluation raises :class:`~sco.autodiff.EvaluationError` halve the
+    step; a search makes at most 50 backtracks).  The result's ``reason`` records which
     rule ended the search.
 
     ``support`` holds coordinate indices, a 1-D integer array in 0..p-1
@@ -577,16 +569,11 @@ def restricted_minimize(problem, support, init=None, config=None, hessian=None):
     coordinates at ``init`` after the first call (the steps above), and
     borders the inverse by them through the Schur complement.  If that
     complement has a Cholesky factor, so has H, and the first direction
-    is -H^-1 g, tried first at step 1.  After that step H is kept for
-    every later direction if the step meets the quadratic identity above
-    and H^-1 y matches the step s to 1e-2 |s| (infinity norms).
-    Otherwise H is dropped and the refit goes on as a refit without it
-    goes on after its first step: a Hessian differenced at the new point
-    if the step meets the identity, quasi-Newton directions if not.
-    Where the complement has no Cholesky factor or a difference raises
-    :class:`~sco.autodiff.EvaluationError`, the refit runs as it does
-    without the argument, after the difference calls it spent.  A refit
-    without it makes exactly the calls described above.
+    is -H^-1 g, tried first at step 1; the rule above decides whether H
+    stays after it.  Where the complement has no Cholesky factor or a
+    difference raises :class:`~sco.autodiff.EvaluationError`, the refit
+    runs as it does without the argument, after the difference calls it
+    spent.  A refit without it makes exactly the calls described above.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     support = _integer_indices(support, "support indices", problem.p)
@@ -609,7 +596,7 @@ def restricted_minimize(problem, support, init=None, config=None, hessian=None):
     params = np.zeros(problem.p)
     params[free] = res.params
     return RestrictedResult(params, res.objective, res.grad_inf, res.iterations, res.converged,
-                            res.last_step, res.reason)
+                            res.reason)
 
 
 def validate_solution(problem, solution, tol=1e-12):

@@ -6,7 +6,7 @@ omp       orthogonal matching pursuit: gradient screening + refit
 iht       iterative hard thresholding: backtracked projected gradient
 htp       hard-thresholding pursuit: projected gradient + full refit
 grasp     gradient support pursuit: 2s-screen, refit, prune, debias
-pdas      active-set swaps scored by coefficients vs scaled gradients
+pdas      active-set swaps scored by coefficients vs gradient norms
 foba      forward steps with adaptive backward deletions
 scope     splicing: swap low-sacrifice actives for high-sacrifice
           inactives whenever that lowers the objective
@@ -353,27 +353,24 @@ def _grasp(run):
 
 def _pdas(run):
     """Active-set fixed point: refit the active set, then rescore every
-    unit (actives by coefficient norm, inactives by the last accepted
-    line-search step times their gradient norm) and keep the top s."""
+    unit (actives by coefficient norm, inactives by gradient norm) and
+    keep the top s."""
     problem = run.problem
     view = problem.view
     units = _initial_units(run)
     theta = run.start
     run.revisits(units)
-    eta = 1.0
     converged = False
     it = 0
     while it < run.cfg.max_iter:
         it += 1
         res = run.refit(units, theta)
         theta = res.params
-        if res.last_step is not None:
-            eta = res.last_step
         run.accept(it, res, units)
         g = problem.oracle.gradient(theta)
         active = np.zeros(view.n_units, dtype=bool)
         active[units] = True
-        scores = np.where(active, view.unit_norms(theta), eta * view.unit_norms(g))
+        scores = np.where(active, view.unit_norms(theta), view.unit_norms(g))
         units_new = top_units(scores, problem.s)
         if run.revisits(units_new):  # unchanged, or a cycle back to an older set
             converged = np.array_equal(units_new, units)

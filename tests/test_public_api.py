@@ -33,6 +33,11 @@ def test_exports_resolve(module):
         assert name not in module.__all__ and not hasattr(module, name), name
 
 
+def test_removed_fields_stay_gone():
+    fields = {f.name for f in dataclasses.fields(problem.RestrictedResult)}
+    assert "last_step" not in fields
+
+
 def test_star_import():
     namespace = {}
     exec("from sco import *", namespace)
