@@ -501,6 +501,64 @@ def _start_hessian(problem, units, x):
     return None if M is None else _StartHessian(coords, 0.5 * (M + M.T))
 
 
+def _add_scorer(problem, start, x, tol):
+    # the certified scores of an exact greedy add round at x (zero off P),
+    # start being its Hessian over P: a function of the coordinates J of a
+    # unit to add, returning the RestrictedResult that restricted_minimize(
+    # problem, P + J, x, config, start) returns when that refit ends at x
+    # or converges at its first trial, and None where it may not (the
+    # refit then decides).  One full-p call at x gives f and every
+    # gradient.  A candidate differences its |J| columns over P + J (in
+    # that order), borders M = H_PP^-1 by them as the refit does, and makes
+    # one call at x + d, d = -H^-1 g, which must pass the refit's Armijo
+    # test with a strict decrease and its stop rule; the objective and
+    # gradient measured there agree with the refit's to rounding.  The
+    # refit's quadratic and H^-1 y tests only decide whether H is kept for
+    # a second step, which a converged first step never takes.  None when
+    # start is None or the full call raises EvaluationError
+    if start is None:
+        return None
+    try:
+        f, g = problem.oracle.value_and_grad(x)
+    except EvaluationError:
+        return None
+    P, M = start.coords, start.inverse
+    k = len(P)
+
+    def score(J):
+        free = np.concatenate([P, J])
+        if len(free) > _NEWTON_MAX_DIM:
+            return None
+        g0 = g[free]
+        grad_inf = float(abs(g0).max())
+        if grad_inf <= tol:
+            return RestrictedResult(x.copy(), f, grad_inf, 0, True, "converged")
+        value_and_grad = problem.oracle.restricted(free).value_and_grad
+        x0 = x[free]
+        E = np.zeros((len(free), len(free)))
+        E[:k, :k] = M
+        newton = _difference_newton(value_and_grad, x0, g0, (E, np.arange(k, len(free))))
+        if newton is None:
+            return None
+        d = -(newton @ g0)
+        gtd = float(g0.dot(d))
+        if not -gtd > 1e-18 * (1.0 + abs(f)):  # the refit's no-descent rule
+            return None
+        x_new = x0 + d
+        try:
+            ft, gt = value_and_grad(x_new)
+        except EvaluationError:
+            return None
+        grad_new = float(abs(gt).max())
+        if not (ft < f and ft <= f + _ARMIJO * gtd and grad_new <= tol):
+            return None
+        params = np.zeros(problem.p)
+        params[free] = x_new
+        return RestrictedResult(params, ft, grad_new, 1, True, "converged")
+
+    return score
+
+
 def _known_block(free, coords, M):
     # _lbfgs's known = (E, new) for the coordinates free, M being H^-1 over
     # coords: E holds the inverse of H's block over the coordinates free

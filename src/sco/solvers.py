@@ -23,16 +23,20 @@ problem can be solved concurrently.  Every solver ends with a restricted
 refit of its final support and returns the best refit iterate it visited,
 so the reported objective is always attained by the reported parameters.
 
-Every round of forward and foba refits each change of one active set
-(each inactive unit added, or each active unit dropped) once, and all
-those refits start from one Hessian of the active set, taken once per
-round; the round keeps the refit that won (see ``_best_refit``).
+Every round of forward and foba tries each change of one active set
+(each inactive unit added, or each active unit dropped) from one Hessian
+of the active set, taken once per round.  A drop round refits every
+removal from it (see ``_greedy_drop``).  An add round scores every
+addition by one bordered Newton step, certified by one oracle call at
+its end, and refits from the Hessian only where that step fails (see
+``_greedy_add``).  Both keep the first lowest measured objective.
 
 Points known to be sparse are evaluated on their support through the
 oracle's ``restricted`` oracles: line-search trials of iht and htp, and
 refit iterates, whose objective the refit already holds.  Only start
 points, warm starts and the returned parameters are evaluated at full
-dimension.
+dimension, apart from the gradients that score every unit (screening,
+and the one ``value_and_grad`` of each forward and foba add round).
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .problem import (
     ScoProblem,
     ScoSolution,
     SolverConfig,
+    _add_scorer,
     _start_hessian,
     hard_threshold,
     project_feasible,
@@ -173,36 +178,64 @@ def _initial_units(run):
     return top_units(view.unit_norms(g), s)
 
 
-def _best_refit(run, theta, base, changes):
-    """Refit each ``(unit, units)`` change of the unit set ``base`` from
-    theta; the unit and refit of the first lowest objective.
-
-    Every refit starts from one Hessian: H over the coordinates P of
-    ``base`` plus preselection, taken once at theta by |P| forward
-    differences of the restricted gradient (see ``restricted_minimize``'s
-    ``hessian``).  A refit that adds a unit differences only that unit's
-    columns and borders H^-1 by them; one that drops a unit starts from
-    the inverse of H's block over what is left, with no difference
-    calls.  Each is still a full refit under the same stop rule, so the
-    choice is the one plain refits make, and the round keeps the refit
-    that won: one refit per change, whose objective agrees with the
-    plain refit's to rounding.  With |P| of ``_NEWTON_MAX_DIM`` or more,
-    or no Cholesky factor of H, the refits run without it.
-    """
-    start = _start_hessian(run.problem, base, theta)
+def _first_lowest(results):
+    """The unit and result of the first lowest objective among the
+    ``(unit, result)`` pairs."""
     best_u, best_res = -1, None
-    for u, units in changes:
-        res = run.refit(units, theta, start)
+    for u, res in results:
         if best_res is None or res.objective < best_res.objective:
             best_u, best_res = int(u), res
     return best_u, best_res
 
 
+def _greedy_drop(run, theta, units):
+    """Exact backward step: refit every active unit's removal from theta;
+    the unit and refit of the first lowest objective.
+
+    Every refit starts from one Hessian: H over the coordinates of
+    ``units`` plus preselection, taken once at theta by forward
+    differences of the restricted gradient (see ``restricted_minimize``'s
+    ``hessian``).  Each removal starts from the inverse of H's block over
+    what is left, with no difference calls, and is still a full refit
+    under the same stop rule, so the choice is the one plain refits make.
+    Without H (40 or more coordinates, or no Cholesky factor) the refits
+    run without it.
+    """
+    start = _start_hessian(run.problem, units, theta)
+    return _first_lowest((v, run.refit(units[units != v], theta, start)) for v in units)
+
+
 def _greedy_add(run, theta, active_mask):
-    """Exact forward step: refit every inactive unit, keep the best one."""
+    """Exact forward step: score every inactive unit's addition from theta;
+    the unit and result of the first lowest objective.
+
+    The round takes H over the coordinates P of the active units plus
+    preselection once at theta, as a drop round does, and one full-p
+    gradient there.  A candidate unit J then differences only its own
+    columns, borders H^-1 by them and takes that Newton step; where the
+    step passes the refit's first-trial tests and stop rule, its measured
+    objective is the candidate's score and the result is what the refit
+    would return (see ``_add_scorer`` in :mod:`sco.problem`).  The first
+    candidate whose step fails, and every later one of the round, is
+    refit from the round's H instead, and without H every candidate is.
+    Every candidate is ranked by an objective it measured, so the choice
+    is the one plain refits make, up to rounding.
+    """
+    problem = run.problem
     current = np.flatnonzero(active_mask)
-    return _best_refit(run, theta, current, ((u, np.sort(np.append(current, u)))
-                                             for u in np.flatnonzero(~active_mask)))
+    start = _start_hessian(problem, current, theta)
+    score = _add_scorer(problem, start, theta, run.cfg.inner_tol)
+
+    def results():
+        nonlocal score
+        for u in np.flatnonzero(~active_mask):
+            res = None if score is None else score(problem.view.coords_of([u]))
+            if res is None:
+                score = None
+                res = run.refit(np.sort(np.append(current, u)), theta, start)
+            yield u, res
+
+    return _first_lowest(results())
 
 
 def _forward(run):
@@ -405,8 +438,7 @@ def _foba(run):
         # backward sweep: drop the cheapest active unit while cheap enough
         while active.any():
             units = np.flatnonzero(active)
-            best_u, best_res = _best_refit(run, theta, units,
-                                           ((v, units[units != v]) for v in units))
+            best_u, best_res = _greedy_drop(run, theta, units)
             if best_res.objective - f_cur > _FOBA_BACKWARD_RATIO * delta_last:
                 break
             active[best_u] = False

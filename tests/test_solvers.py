@@ -4,9 +4,12 @@ invariants, warm starts, and permutation equivariance."""
 
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sco
 from sco import models, solvers
@@ -173,37 +176,49 @@ def test_group_structure_respected(kind):
 @pytest.mark.parametrize("model", ["linear", "logistic"])
 def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
     """Each forward and foba round, adding or dropping, picks the unit that
-    refitting every candidate plainly (no start Hessian) picks, and returns
-    the chosen change's refit from the round's start Hessian, bit for bit,
-    at the plain refit's objective to rounding; on grouped problems with
-    permuted group ids and a preselected group."""
-    best_refit, start_hessian = solvers._best_refit, solvers._start_hessian
+    refitting every candidate plainly (no start Hessian) picks, at the
+    plain refit's objective to rounding; a drop round returns the chosen
+    removal's refit from the round's start Hessian, bit for bit.  On
+    grouped problems with permuted group ids and a preselected group."""
+    greedy_add, greedy_drop = solvers._greedy_add, solvers._greedy_drop
+    start_hessian = solvers._start_hessian
     picks, starts = [], []
 
     def recorded_start(*args):
         starts.append(start_hessian(*args))
         return starts[-1]
 
-    def checked(run, theta, base, changes):
-        changes = list(changes)
-        u, res = best_refit(run, theta, base, changes)
+    def plain_choice(run, theta, changes, u, res):
         plain = []
         for _, units in changes:
             init, keep = run.problem.mask(theta, units)
             plain.append(restricted_minimize(run.problem, keep, init, run.cfg))
         chosen = int(np.argmin([r.objective for r in plain]))
         assert u == changes[chosen][0]
-        init, keep = run.problem.mask(theta, changes[chosen][1])
-        own = restricted_minimize(run.problem, keep, init, run.cfg, starts[-1])
-        assert res.params.tobytes() == own.params.tobytes()
-        assert res.objective == own.objective
         f = plain[chosen].objective
         assert abs(res.objective - f) <= 1e-12 * (1.0 + abs(f))
         picks.append(u)
+        return changes[chosen][1]
+
+    def checked_add(run, theta, active):
+        u, res = greedy_add(run, theta, active)
+        current = np.flatnonzero(active)
+        plain_choice(run, theta, [(v, np.sort(np.append(current, v)))
+                                  for v in np.flatnonzero(~active)], u, res)
+        return u, res
+
+    def checked_drop(run, theta, units):
+        u, res = greedy_drop(run, theta, units)
+        kept = plain_choice(run, theta, [(v, units[units != v]) for v in units], u, res)
+        init, keep = run.problem.mask(theta, kept)
+        own = restricted_minimize(run.problem, keep, init, run.cfg, starts[-1])
+        assert res.params.tobytes() == own.params.tobytes()
+        assert res.objective == own.objective
         return u, res
 
     monkeypatch.setattr(solvers, "_start_hessian", recorded_start)
-    monkeypatch.setattr(solvers, "_best_refit", checked)
+    monkeypatch.setattr(solvers, "_greedy_add", checked_add)
+    monkeypatch.setattr(solvers, "_greedy_drop", checked_drop)
     for seed in range(6):
         rng = np.random.default_rng(seed)
         groups = rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 2, 1, 3]))
@@ -215,6 +230,173 @@ def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
         for kind in (SolverKind.FORWARD, SolverKind.FOBA):
             validate_solution(prob, solve(kind, prob))
     assert len(picks) >= 36 and all(start is not None for start in starts)
+
+
+def _counting(problem):
+    # the problem with its full-p and restricted value_and_grad calls counted
+    counts = {"full": 0, "restricted": 0}
+    oracle = problem.oracle
+
+    def full(theta):
+        counts["full"] += 1
+        return oracle.value_and_grad(theta)
+
+    def restrict(coords):
+        sub = oracle.restricted(coords)
+
+        def value_and_grad(z):
+            counts["restricted"] += 1
+            return sub.value_and_grad(z)
+
+        return ObjectiveOracle(len(coords), sub.value, value_and_grad)
+
+    counted = ObjectiveOracle(oracle.dim, oracle.value, full, scale=oracle.scale,
+                              restrict=restrict)
+    return replace(problem, oracle=counted), counts
+
+
+def _add_round(problem, base, monkeypatch):
+    # one forward round adding to the refit of the base units: its unit
+    # and result, its oracle calls and the refits it made
+    theta = restricted_minimize(problem, base).params
+    counted, counts = _counting(problem)
+    active = np.zeros(problem.view.n_units, dtype=bool)
+    active[base] = True
+    refits = []
+
+    def recorded(*args):
+        refits.append(args)
+        return restricted_minimize(*args)
+
+    monkeypatch.setattr(solvers, "restricted_minimize", recorded)
+    u, res = solvers._greedy_add(solvers._Run(counted, SolverConfig()), theta, active)
+    return u, res, counts, len(refits)
+
+
+def test_least_squares_add_round_scores_every_candidate_without_a_refit(monkeypatch):
+    """A least-squares add round takes its start Hessian (|P| + 1 calls)
+    and one full-p gradient, then two restricted calls per candidate (its
+    column difference and its certifying Newton step); no refit runs, and
+    the round picks the plain refits' unit at their objective."""
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=2))
+    prob = models.build_problem(ds)
+    base = np.array([5, 17, 33])
+    u, res, counts, refits = _add_round(prob, base, monkeypatch)
+    assert refits == 0
+    assert counts == {"full": 1, "restricted": len(base) + 1 + 2 * (prob.p - len(base))}
+    assert res.iterations == 1 and res.converged and res.reason == "converged"
+    plain = {v: restricted_minimize(prob, np.sort(np.append(base, v))).objective
+             for v in range(prob.p) if v not in base}
+    assert u == min(plain, key=plain.get)
+    assert abs(res.objective - plain[u]) <= 1e-12 * (1.0 + abs(plain[u]))
+
+
+def test_logistic_add_round_falls_back_after_its_first_candidate(monkeypatch):
+    """Off a quadratic the first candidate's Newton step does not meet
+    inner_tol, so that candidate and the rest are refit from the round's
+    start Hessian, as without scores, for one full-p gradient and the
+    first candidate's two restricted calls more."""
+    ds = models.generate(models.ModelSpec("logistic", 200, 40, 4, 1.0, seed=3))
+    prob = models.build_problem(ds)
+    base = np.array([2, 17, 25])
+    u, res, counts, refits = _add_round(prob, base, monkeypatch)
+    assert refits == prob.p - len(base)
+    monkeypatch.setattr(solvers, "_add_scorer", lambda *args: None)
+    u_refit, res_refit, counts_refit, refits_refit = _add_round(prob, base, monkeypatch)
+    assert (u, refits) == (u_refit, refits_refit)
+    assert res.params.tobytes() == res_refit.params.tobytes()
+    assert counts == {"full": 1, "restricted": counts_refit["restricted"] + 2}
+    assert counts_refit["full"] == 0
+
+
+@st.composite
+def _greedy_problems(draw):
+    # a least-squares or trend problem with p <= 10, random groups, maybe
+    # a preselected group, and maybe a warm start
+    kind = draw(st.sampled_from(["linear", "trend"]))
+    p = draw(st.integers(4, 10))
+    seed = draw(st.integers(0, 2**16))
+    spec = (models.ModelSpec("linear", 3 * p, p, 2, 5.0, seed) if kind == "linear"
+            else models.ModelSpec("trend", p, p, 2, 10.0, seed))
+    groups = None
+    if draw(st.booleans()):
+        ids = draw(st.lists(st.integers(0, p - 1), min_size=p, max_size=p))
+        groups = np.unique(ids, return_inverse=True)[1]  # ids 0..G-1, each present
+    preselect = None
+    if draw(st.booleans()):
+        first = draw(st.integers(0, p - 1))
+        preselect = [first] if groups is None else np.flatnonzero(groups == groups[first])
+    try:
+        prob = models.build_problem(models.generate(spec), s=1, groups=groups,
+                                    preselect=preselect)
+    except ValueError:  # the preselection left no selectable unit
+        assume(False)
+    s = draw(st.integers(1, prob.view.n_units))
+    prob = replace(prob, s=s)
+    warm = None
+    if draw(st.booleans()):
+        warm = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=p, max_size=p)))
+    return kind, prob, warm
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_greedy_problems())
+def test_scored_add_rounds_match_plain_refits(case):
+    """Every scored add candidate's objective is its plain refit's, and its
+    refit's from the round's start Hessian, within 1e-10 (1 + |f|); every
+    forward and foba add round picks the unit that refits from the start
+    Hessian pick, and the unit plain refits pick.  A plain refit can stop
+    short at the floor where its first step lands on the mirror point of a
+    quadratic (on trend, a coordinate of curvature 2 and gradient at most
+    1), so the plain comparisons take only converged plain refits: a
+    scored objective is never above theirs."""
+    kind, prob, warm = case
+    cfg = SolverConfig(warm_start=warm)
+    greedy_add, add_scorer = solvers._greedy_add, solvers._add_scorer
+    scored = []
+
+    def refits(problem, support, x, start):
+        plain = restricted_minimize(problem, support, x, cfg)
+        own = restricted_minimize(problem, support, x, cfg, start)
+        return plain, own
+
+    def recorded_scorer(problem, start, x, tol):
+        score = add_scorer(problem, start, x, tol)
+        if score is None:
+            return None
+
+        def checked(coords):
+            res = score(coords)
+            if res is not None:
+                plain, own = refits(problem, np.union1d(start.coords, coords), x, start)
+                f = plain.objective
+                assert res.objective <= f + 1e-10 * (1.0 + abs(f))
+                if plain.converged:
+                    assert abs(res.objective - f) <= 1e-10 * (1.0 + abs(f))
+                assert abs(res.objective - own.objective) <= 1e-10 * (1.0 + abs(f))
+                scored.append(res)
+            return res
+
+        return checked
+
+    def checked_add(run, theta, active):
+        u, res = greedy_add(run, theta, active)
+        start = solvers._start_hessian(run.problem, np.flatnonzero(active), theta)
+        plain, own = {}, {}
+        for v in np.flatnonzero(~active):
+            init, keep = run.problem.mask(theta, np.append(np.flatnonzero(active), v))
+            plain[v], own[v] = refits(run.problem, keep, init, start)
+        assert u == min(own, key=lambda v: own[v].objective)
+        if all(r.converged for r in plain.values()):
+            assert u == min(plain, key=lambda v: plain[v].objective)
+        return u, res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_add_scorer", recorded_scorer)
+        mp.setattr(solvers, "_greedy_add", checked_add)
+        for solver in (SolverKind.FORWARD, SolverKind.FOBA):
+            validate_solution(prob, solve(solver, prob, cfg))
+    assert scored or kind == "trend" or prob.groups is not None
 
 
 def test_scope_and_foba_match_exhaustive_smoke():
