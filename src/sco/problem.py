@@ -4,14 +4,15 @@ coordinates), hard thresholding onto the sparsity budget, and a
 minimizer over a fixed support: limited-memory quasi-Newton steps, and
 Newton steps with a Hessian from gradient differences once the first
 step shows the restricted objective quadratic (least squares, trend
-filtering), or from the first step on when an exact greedy round
-supplies a nearby support's Hessian.
+filtering).  The candidates of an exact greedy round run the same
+minimizer privately, from the round's one Hessian and, for additions,
+its one full gradient; an addition whose first Newton step converges
+takes no further call.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -375,18 +376,24 @@ def _downdate(M, keep):
     return M_K[:, keep] - M_KD @ M_DD_inv @ M_KD.T
 
 
-def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
+def _lbfgs(value_and_grad, x0, tol, max_iter, known=None, start=None):
     """The search of :func:`restricted_minimize` over the coordinates of
     ``x0``, ``value_and_grad`` being the restricted oracle's.
 
-    ``known``, a pair ``(E, new)`` (see :func:`_known_block`), starts the
-    search from a Hessian: E, k x k, holds the inverse of its block over
-    the positions not in ``new``, and zeros in the rows and columns
-    ``new``, whose columns are differenced at x0 and bordered in.
-    Returns a :class:`RestrictedResult` over the coordinates of ``x0``.
+    ``known``, a pair ``(E, new)``, starts the search from a Hessian H
+    taken at or near x0: E, k x k, holds the inverse of H's block over the
+    positions not in ``new``, and zeros in the rows and columns ``new``,
+    whose columns are differenced at x0 and bordered in (see
+    :func:`_difference_newton`).  If H has a Cholesky factor, the first
+    direction is -H^-1 g, tried first at step 1, and H is kept after that
+    step if the step is quadratic and H^-1 (g_new - g) matches it to 1e-2
+    (infinity norms); otherwise, or without a factor, the search goes on as
+    it does without ``known``.  ``start``, the pair (f, g) at x0, stands in
+    for the search's first ``value_and_grad`` call.  Returns a
+    :class:`RestrictedResult` over the coordinates of ``x0``.
     """
     x = x_start = np.array(x0, dtype=float)
-    f, g = value_and_grad(x)
+    f, g = value_and_grad(x) if start is None else start
     f_start = f
     grad_inf = grad_start = float(abs(g).max()) if len(g) else 0.0
     S, Y, R = [], [], []  # secant pairs s, y and their 1 / s.y, oldest first
@@ -425,7 +432,7 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
             if ft < f and ft <= f + _ARMIJO * alpha * gtd:
                 step = ft, gt
                 break
-            if abs(ft - f) <= floor:
+            if abs(ft - f) <= floor and _ARMIJO * alpha * -gtd <= floor:
                 # f cannot resolve this step: keep it if the gradient shrank
                 if float(abs(gt).max()) < grad_inf:
                     step = ft, gt
@@ -478,107 +485,93 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None):
     return RestrictedResult(x, f, grad_inf, it, converged, reason)
 
 
-_StartHessian = namedtuple("_StartHessian", ["coords", "inverse"])
-
-
 def _start_hessian(problem, units, x):
-    # restricted_minimize's hessian for refits near the units: over their
-    # coordinates plus preselection P, the symmetric part of H^-1, with H
-    # f's Hessian at x taken by |P| forward differences of the restricted
-    # gradient; None when P has _NEWTON_MAX_DIM or more coordinates, a
-    # difference leaves the domain or H has no Cholesky factor
+    # an exact greedy round's start: the coordinates P of the units plus
+    # preselection, and over them the symmetric part of H^-1, with H f's
+    # Hessian at x taken by |P| forward differences of the restricted
+    # gradient; the inverse is None when P has _NEWTON_MAX_DIM or more
+    # coordinates, a difference leaves the domain or H has no Cholesky factor
     coords = _with_preselect(problem.view.coords_of(units), problem.preselect)
     if len(coords) >= _NEWTON_MAX_DIM:
-        return None
+        return coords, None
     if not len(coords):
-        return _StartHessian(coords, np.empty((0, 0)))
+        return coords, np.empty((0, 0))
     value_and_grad = problem.oracle.restricted(coords).value_and_grad
     try:
         g = value_and_grad(x[coords])[1]
     except EvaluationError:
-        return None
+        return coords, None
     M = _difference_newton(value_and_grad, x[coords], g)
-    return None if M is None else _StartHessian(coords, 0.5 * (M + M.T))
+    return coords, None if M is None else 0.5 * (M + M.T)
 
 
-def _add_scorer(problem, start, x, tol):
-    # the certified scores of an exact greedy add round at x (zero off P),
-    # start being its Hessian over P: a function of the coordinates J of a
-    # unit to add, returning the RestrictedResult that restricted_minimize(
-    # problem, P + J, x, config, start) returns when that refit ends at x
-    # or converges at its first trial, and None where it may not (the
-    # refit then decides).  One full-p call at x gives f and every
-    # gradient.  A candidate differences its |J| columns over P + J (in
-    # that order), borders M = H_PP^-1 by them as the refit does, and makes
-    # one call at x + d, d = -H^-1 g, which must pass the refit's Armijo
-    # test with a strict decrease and its stop rule; the objective and
-    # gradient measured there agree with the refit's to rounding.  The
-    # refit's quadratic and H^-1 y tests only decide whether H is kept for
-    # a second step, which a converged first step never takes.  None when
-    # start is None or the full call raises EvaluationError
-    if start is None:
+def _converged_newton_step(value_and_grad, x, f, g, inverse, tol):
+    # the result of _lbfgs from inverse = H^-1 at (x, f, g) when its first
+    # trial, the Newton step d = -H^-1 g at step 1, passes the Armijo test
+    # with a strict decrease and the stop rule; None where it may not (the
+    # refit's quadratic and H^-1 y tests only decide whether H is kept for a
+    # second step, which a converged first step never takes)
+    d = -(inverse @ g)
+    gtd = float(g.dot(d))
+    if not -gtd > 1e-18 * (1.0 + abs(f)):  # the refit's no-descent rule
         return None
+    x_new = x + d
+    try:
+        ft, gt = value_and_grad(x_new)
+    except EvaluationError:
+        return None
+    grad_new = float(abs(gt).max())
+    if not (ft < f and ft <= f + _ARMIJO * gtd and grad_new <= tol):
+        return None
+    return RestrictedResult(x_new, ft, grad_new, 1, True, "converged")
+
+
+def _add_scorer(problem, start, x, cfg):
+    # the candidates of an exact greedy add round at x (zero off P), start
+    # being _start_hessian's (P, M = H_PP^-1): a function of the coordinates
+    # J of a unit to add, returning the coordinates P + J (in that order)
+    # and the refit over them from x, a RestrictedResult over P + J.  One
+    # full-p call at x gives f and every gradient, the start of every
+    # candidate's refit.  A candidate differences its |J| columns over
+    # P + J, borders M by them and refits from that inverse with _lbfgs.
+    # Until a round's first failure, the candidate's Newton step is tried
+    # first: where it converges, it is the refit's result and no refit runs
+    # (so on least squares no candidate refits).  Without M, beyond
+    # _NEWTON_MAX_DIM coordinates or without a factor for the bordered H,
+    # the refit runs without a Hessian; where the full call raises
+    # EvaluationError, each refit takes its own start call
+    P, M = start
+    k = len(P)
+    tol = cfg.inner_tol
     try:
         f, g = problem.oracle.value_and_grad(x)
     except EvaluationError:
-        return None
-    P, M = start.coords, start.inverse
-    k = len(P)
+        f = g = None
+    certify = True
 
     def score(J):
+        nonlocal certify
         free = np.concatenate([P, J])
-        if len(free) > _NEWTON_MAX_DIM:
-            return None
-        g0 = g[free]
-        grad_inf = float(abs(g0).max())
-        if grad_inf <= tol:
-            return RestrictedResult(x.copy(), f, grad_inf, 0, True, "converged")
-        value_and_grad = problem.oracle.restricted(free).value_and_grad
         x0 = x[free]
-        E = np.zeros((len(free), len(free)))
-        E[:k, :k] = M
-        newton = _difference_newton(value_and_grad, x0, g0, (E, np.arange(k, len(free))))
-        if newton is None:
-            return None
-        d = -(newton @ g0)
-        gtd = float(g0.dot(d))
-        if not -gtd > 1e-18 * (1.0 + abs(f)):  # the refit's no-descent rule
-            return None
-        x_new = x0 + d
-        try:
-            ft, gt = value_and_grad(x_new)
-        except EvaluationError:
-            return None
-        grad_new = float(abs(gt).max())
-        if not (ft < f and ft <= f + _ARMIJO * gtd and grad_new <= tol):
-            return None
-        params = np.zeros(problem.p)
-        params[free] = x_new
-        return RestrictedResult(params, ft, grad_new, 1, True, "converged")
+        value_and_grad = problem.oracle.restricted(free).value_and_grad
+        f0, g0 = value_and_grad(x0) if g is None else (f, g[free])
+        newton = None
+        if M is not None and len(free) <= _NEWTON_MAX_DIM and float(abs(g0).max()) > tol:
+            E = np.zeros((len(free), len(free)))
+            E[:k, :k] = M
+            newton = _difference_newton(value_and_grad, x0, g0, (E, np.arange(k, len(free))))
+        if newton is not None and certify:
+            res = _converged_newton_step(value_and_grad, x0, f0, g0, newton, tol)
+            if res is not None:
+                return free, res
+            certify = False
+        known = None if newton is None else (newton, np.arange(0))
+        return free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, known, (f0, g0))
 
     return score
 
 
-def _known_block(free, coords, M):
-    # _lbfgs's known = (E, new) for the coordinates free, M being H^-1 over
-    # coords: E holds the inverse of H's block over the coordinates free
-    # shares with coords, new the positions of the others; None when that
-    # block has no Cholesky factor
-    at = np.minimum(np.searchsorted(free, coords), len(free) - 1)
-    shared = free[at] == coords
-    if not shared.all():
-        M = _downdate(M, shared)
-        if M is None:
-            return None
-        at = at[shared]
-    E = np.zeros((len(free), len(free)))
-    E[at[:, None], at] = M
-    new = np.ones(len(free), dtype=bool)
-    new[at] = False
-    return E, new.nonzero()[0]
-
-
-def restricted_minimize(problem, support, init=None, config=None, hessian=None):
+def restricted_minimize(problem, support, init=None, config=None):
     """Minimize f over ``support`` plus preselected coordinates.
 
     All other coordinates stay pinned at zero: f is the oracle's
@@ -591,47 +584,30 @@ def restricted_minimize(problem, support, init=None, config=None, hessian=None):
     the first accepted step s, on a support of at most 40 coordinates,
     the step is quadratic if it satisfies f_new - f = (g + g_new).s / 2
     to rounding (within 1e-6 |s.(g_new - g)| + 8 eps max(1, |f|)), as
-    every quadratic does.  A refit that took s from a Hessian H
-    (``hessian`` below) keeps H if s is quadratic and H^-1 (g_new - g)
-    matches s to 1e-2 |s| (infinity norms).  Otherwise a quadratic s
-    takes H at the new point from k more ``value_and_grad`` calls,
-    forward differences of the gradient (step 1e-4 (1 + |x_i|)),
-    symmetrized.  If the H kept or taken has a Cholesky factor, every
-    later direction is the Newton direction -H^-1 g, first tried at step
-    1, under the same line search and stopping rules.  Otherwise, or
+    every quadratic does.  A quadratic s takes the Hessian H at the new
+    point from k more ``value_and_grad`` calls, forward differences of
+    the gradient (step 1e-4 (1 + |x_i|)), symmetrized.  If H has a
+    Cholesky factor, every later direction is the Newton direction
+    -H^-1 g, first tried at step 1, under the same line search and
+    stopping rules.  Otherwise, or
     where a difference raises :class:`~sco.autodiff.EvaluationError`,
     the quasi-Newton iterations go on.  The iterations stop when the
     infinity norm of the gradient over the free coordinates drops to
     ``config.inner_tol`` or after ``config.inner_max_iter`` iterations.
     It also stops at the precision floor ``4 eps max(1, |f|)``: a trial
-    whose value lies within the floor of the current value is kept only
+    whose value lies within the floor of the current value, where the
+    Armijo decrease it must show lies within the floor too, is kept only
     if it lowers the gradient's infinity norm, and backtracking ends
     once the predicted decrease falls below the floor (trials whose
     evaluation raises :class:`~sco.autodiff.EvaluationError` halve the
-    step; a search makes at most 50 backtracks).  The result's ``reason`` records which
-    rule ended the search.
+    step; a search makes at most 50 backtracks).  The result's
+    ``reason`` records which rule ended the search.
 
     ``support`` holds coordinate indices, a 1-D integer array in 0..p-1
     (see :class:`GroupView`).  ``init``, a length-p vector, must be zero
     off the free coordinates; the search never increases the objective relative to
     it.  Returns a :class:`RestrictedResult` whose ``params`` is the
     full-length vector.
-
-    ``hessian``, None or the start Hessian that an exact greedy round
-    takes over the coordinates P of its active set plus preselection
-    (see :mod:`sco.solvers`), starts the search from H^-1 taken at or
-    near ``init``; anything else raises TypeError.  With at most 40 free
-    coordinates, the refit takes the inverse of H's block over the free
-    coordinates in P, with no oracle call (a Schur downdate when it
-    drops some of P), differences the columns of its other free
-    coordinates at ``init`` after the first call (the steps above), and
-    borders the inverse by them through the Schur complement.  If that
-    complement has a Cholesky factor, so has H, and the first direction
-    is -H^-1 g, tried first at step 1; the rule above decides whether H
-    stays after it.  Where the complement has no Cholesky factor or a
-    difference raises :class:`~sco.autodiff.EvaluationError`, the refit
-    runs as it does without the argument, after the difference calls it
-    spent.  A refit without it makes exactly the calls described above.
     """
     cfg = config if config is not None else _DEFAULT_CONFIG
     support = _integer_indices(support, "support indices", problem.p)
@@ -641,16 +617,9 @@ def restricted_minimize(problem, support, init=None, config=None, hessian=None):
         # NaN counts as nonzero and -0.0 as zero
         if np.count_nonzero(init) != np.count_nonzero(init[free]):
             raise ValueError("init must be zero off support and preselected coordinates")
-    known = None
-    if hessian is not None:
-        if not isinstance(hessian, _StartHessian):
-            raise TypeError(f"hessian must be None or a start Hessian, got "
-                            f"{type(hessian).__name__}")
-        if 0 < len(free) <= _NEWTON_MAX_DIM:
-            known = _known_block(free, hessian.coords, hessian.inverse)
     sub = problem.oracle.restricted(free)
     x0 = init[free] if init is not None else np.zeros(len(free))
-    res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, known)
+    res = _lbfgs(sub.value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter)
     params = np.zeros(problem.p)
     params[free] = res.params
     return RestrictedResult(params, res.objective, res.grad_inf, res.iterations, res.converged,

@@ -25,11 +25,11 @@ so the reported objective is always attained by the reported parameters.
 
 Every round of forward and foba tries each change of one active set
 (each inactive unit added, or each active unit dropped) from one Hessian
-of the active set, taken once per round.  A drop round refits every
-removal from it (see ``_greedy_drop``).  An add round scores every
-addition by one bordered Newton step, certified by one oracle call at
-its end, and refits from the Hessian only where that step fails (see
-``_greedy_add``).  Both keep the first lowest measured objective.
+of the active set, taken once per round, and refits each candidate from
+it with the minimizer of :func:`~sco.problem.restricted_minimize`,
+without that function's checks (see ``_greedy_drop`` and
+``_greedy_add``).  An addition whose first Newton step converges ends
+there.  Both keep the first lowest measured objective.
 
 Points known to be sparse are evaluated on their support through the
 oracle's ``restricted`` oracles: line-search trials of iht and htp, and
@@ -41,6 +41,7 @@ and the one ``value_and_grad`` of each forward and foba add round).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import time
 from collections import namedtuple
@@ -55,6 +56,8 @@ from .problem import (
     ScoSolution,
     SolverConfig,
     _add_scorer,
+    _downdate,
+    _lbfgs,
     _start_hessian,
     hard_threshold,
     project_feasible,
@@ -109,10 +112,10 @@ class _Run:
         self.warm = (problem.oracle.value(w), w, problem.view.units_with_support(w))
         self.offer(*self.warm)
 
-    def refit(self, units, x, hessian=None):
+    def refit(self, units, x):
         """Restricted refit over the units plus preselection, from x masked there."""
         init, keep = self.problem.mask(x, units)
-        return restricted_minimize(self.problem, keep, init, self.cfg, hessian)
+        return restricted_minimize(self.problem, keep, init, self.cfg)
 
     def offer(self, f, x, units):
         if self.best is None or f < self.best[0]:
@@ -178,64 +181,71 @@ def _initial_units(run):
     return top_units(view.unit_norms(g), s)
 
 
-def _first_lowest(results):
+def _first_lowest(p, candidates):
     """The unit and result of the first lowest objective among the
-    ``(unit, result)`` pairs."""
-    best_u, best_res = -1, None
-    for u, res in results:
-        if best_res is None or res.objective < best_res.objective:
-            best_u, best_res = int(u), res
-    return best_u, best_res
+    ``(unit, coords, result)`` candidates, each result over its coords;
+    the chosen result's params are returned at length p."""
+    best = None
+    for u, coords, res in candidates:
+        if best is None or res.objective < best[2].objective:
+            best = u, coords, res
+    u, coords, res = best
+    params = np.zeros(p)
+    params[coords] = res.params
+    return int(u), dataclasses.replace(res, params=params)
 
 
 def _greedy_drop(run, theta, units):
     """Exact backward step: refit every active unit's removal from theta;
     the unit and refit of the first lowest objective.
 
-    Every refit starts from one Hessian: H over the coordinates of
-    ``units`` plus preselection, taken once at theta by forward
-    differences of the restricted gradient (see ``restricted_minimize``'s
-    ``hessian``).  Each removal starts from the inverse of H's block over
-    what is left, with no difference calls, and is still a full refit
-    under the same stop rule, so the choice is the one plain refits make.
-    Without H (40 or more coordinates, or no Cholesky factor) the refits
-    run without it.
+    The round takes H over the coordinates P of ``units`` plus
+    preselection once at theta, by forward differences of the restricted
+    gradient.  Each removal is refit over the rest of P from the inverse
+    of H's block there, a Schur downdate with no oracle call, and is still
+    a full refit under ``restricted_minimize``'s rules, so the choice is
+    the one plain refits make.  Without H (40 or more coordinates, or no
+    Cholesky factor) the refits run without it.
     """
-    start = _start_hessian(run.problem, units, theta)
-    return _first_lowest((v, run.refit(units[units != v], theta, start)) for v in units)
+    problem, cfg = run.problem, run.cfg
+    P, M = _start_hessian(problem, units, theta)
+    owner = problem.view.unit_of[P]  # -1 on preselected coordinates
+
+    def candidates():
+        for v in units:
+            keep = owner != v
+            coords = P[keep]
+            known = None
+            if M is not None and len(coords):
+                E = _downdate(M, keep)
+                known = None if E is None else (E, _EMPTY)
+            value_and_grad = problem.oracle.restricted(coords).value_and_grad
+            yield v, coords, _lbfgs(value_and_grad, theta[coords], cfg.inner_tol,
+                                    cfg.inner_max_iter, known)
+
+    return _first_lowest(problem.p, candidates())
 
 
 def _greedy_add(run, theta, active_mask):
-    """Exact forward step: score every inactive unit's addition from theta;
-    the unit and result of the first lowest objective.
+    """Exact forward step: refit every inactive unit's addition from
+    theta; the unit and result of the first lowest objective.
 
     The round takes H over the coordinates P of the active units plus
     preselection once at theta, as a drop round does, and one full-p
-    gradient there.  A candidate unit J then differences only its own
-    columns, borders H^-1 by them and takes that Newton step; where the
-    step passes the refit's first-trial tests and stop rule, its measured
-    objective is the candidate's score and the result is what the refit
-    would return (see ``_add_scorer`` in :mod:`sco.problem`).  The first
-    candidate whose step fails, and every later one of the round, is
-    refit from the round's H instead, and without H every candidate is.
-    Every candidate is ranked by an objective it measured, so the choice
-    is the one plain refits make, up to rounding.
+    gradient there, which starts every candidate's refit.  A candidate
+    unit J differences only its own columns and borders H^-1 by them.
+    Until one fails in the round, a candidate first takes that Newton
+    step alone: where it converges, that is the refit's result.  Every
+    other candidate is refit from the bordered H^-1 (see ``_add_scorer``
+    in :mod:`sco.problem`).  Every candidate is ranked by an objective it
+    measured, so the choice is the one plain refits make, up to rounding.
     """
     problem = run.problem
-    current = np.flatnonzero(active_mask)
-    start = _start_hessian(problem, current, theta)
-    score = _add_scorer(problem, start, theta, run.cfg.inner_tol)
-
-    def results():
-        nonlocal score
-        for u in np.flatnonzero(~active_mask):
-            res = None if score is None else score(problem.view.coords_of([u]))
-            if res is None:
-                score = None
-                res = run.refit(np.sort(np.append(current, u)), theta, start)
-            yield u, res
-
-    return _first_lowest(results())
+    start = _start_hessian(problem, np.flatnonzero(active_mask), theta)
+    score = _add_scorer(problem, start, theta, run.cfg)
+    coords_of = problem.view.coords_of
+    return _first_lowest(problem.p, ((u, *score(coords_of([u])))
+                                     for u in np.flatnonzero(~active_mask)))
 
 
 def _forward(run):

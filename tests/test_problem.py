@@ -13,12 +13,14 @@ from hypothesis import strategies as st
 import sco
 from sco import models
 from sco import problem as problem_module
+from sco import solvers
 from sco.autodiff import EvaluationError, ObjectiveOracle, build_objective, fd_gradient
 from sco.bench import support_metrics
 from sco.problem import (
     GroupView,
     ScoProblem,
     SolverConfig,
+    _downdate,
     _lbfgs,
     _lbfgs_direction,
     _start_hessian,
@@ -551,6 +553,19 @@ def test_restricted_minimize_reason(make, reason):
     assert res.objective <= prob.oracle.value(np.zeros(prob.p))
 
 
+def test_a_first_step_onto_a_mirror_point_is_shortened():
+    """A first steepest-descent step of length |g| <= 1 lands exactly on
+    the mirror point of a coordinate of curvature 2 (trend coordinate
+    n - 2), where f comes back equal; its Armijo decrease is resolvable,
+    so the search interpolates to the minimizer instead of stopping at
+    the floor."""
+    ds = models.generate(models.ModelSpec("trend", 4, 4, 2, 10.0, 16))
+    prob = models.build_problem(ds)
+    res = restricted_minimize(prob, [2])
+    assert res.reason == "converged" and res.iterations == 1
+    assert res.objective < prob.oracle.value(np.zeros(prob.p)) - 1e-3
+
+
 def test_refit_value_calls_stay_low():
     """Refits near the precision floor must not pay for decreases f cannot
     resolve; each line-search trial costs one oracle call."""
@@ -679,50 +694,80 @@ def _counted(problem):
 
 
 def _round_start(ds, base):
-    # the least-squares refit of the base units and the start Hessian there
+    # the least-squares refit of the base units and the round's start there
     prob = models.build_problem(ds)
     theta = restricted_minimize(prob, base).params
     return prob, theta, _start_hessian(prob, base, theta)
 
 
+def _add_candidate(prob, start, theta, J):
+    # an add candidate as a round sets it up: its coordinates P + J, the
+    # restricted oracle's value_and_grad over them, its start point and
+    # known = (the round's H^-1 over P, the positions of J to difference)
+    P, M = start
+    free = np.concatenate([P, J])
+    E = np.zeros((len(free), len(free)))
+    E[:len(P), :len(P)] = M
+    return free, prob.oracle.restricted(free).value_and_grad, theta[free], \
+        (E, np.arange(len(P), len(free)))
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_least_squares_add_candidate_takes_one_bordered_newton_step(seed, monkeypatch):
-    """An add candidate borders the round's Hessian by its new column: the
-    start call, one difference and one Newton step, converged."""
+    """An add candidate borders the round's Hessian by its new column and,
+    started from the round's full-p call, takes one difference and one
+    Newton step, converged."""
     ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed))
     picked = np.random.default_rng(seed).choice(ds.p, size=4, replace=False)
     base = np.sort(picked[:3])
     prob, theta, start = _round_start(ds, base)
-    assert start is not None and np.array_equal(start.coords, base)
-    counted, calls = _counted(prob)
+    assert np.array_equal(start[0], base) and start[1] is not None
+    f, g = prob.oracle.value_and_grad(theta)
+    free, value_and_grad, x0, known = _add_candidate(prob, start, theta, picked[3:])
+    calls = []
+
+    def counted(z):
+        calls.append(z)
+        return value_and_grad(z)
+
     built = _newton_builds(monkeypatch)
-    support = np.sort(picked)
-    res = restricted_minimize(counted, support, theta, None, start)
+    res = _lbfgs(counted, x0, 1e-8, 100, known, (f, g[free]))
     assert res.reason == "converged" and res.iterations == 1
-    assert len(calls) == 2 + 1
+    assert len(calls) == 1 + 1
     assert len(built) == 1 and built[0] is not None
-    ref = np.linalg.lstsq(ds.X[:, support], ds.y, rcond=None)[0]
-    assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
+    ref = np.linalg.lstsq(ds.X[:, free], ds.y, rcond=None)[0]
+    assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
 
 
 def test_drop_candidate_starts_from_a_block_of_the_round_hessian(monkeypatch):
     """A drop candidate's Hessian is a block of the round's: no difference
-    calls, and on least squares one exact Newton step."""
+    calls, and on least squares one exact Newton step; the drop round
+    refits every removal so, and keeps the lowest."""
     ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
     base = np.array([4, 11, 30, 52])
-    prob, theta, start = _round_start(ds, base)
-    counted, calls = _counted(prob)
+    prob, theta, (P, M) = _round_start(ds, base)
     built = _newton_builds(monkeypatch)
+    objectives = []
     for dropped in base:
-        support = base[base != dropped]
-        init = prob.mask(theta, support)[0]
-        calls.clear()
-        res = restricted_minimize(counted, support, init, None, start)
+        keep = P != dropped
+        value_and_grad = prob.oracle.restricted(P[keep]).value_and_grad
+        calls = []
+
+        def counted(z):
+            calls.append(z)
+            return value_and_grad(z)
+
+        res = _lbfgs(counted, theta[P[keep]], 1e-8, 100, (_downdate(M, keep), np.arange(0)))
         assert res.reason == "converged" and res.iterations == 1
         assert len(calls) == 2  # the start point and the accepted Newton trial
-        ref = np.linalg.lstsq(ds.X[:, support], ds.y, rcond=None)[0]
-        assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
+        ref = np.linalg.lstsq(ds.X[:, P[keep]], ds.y, rcond=None)[0]
+        assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
+        objectives.append(res.objective)
     assert len(built) == len(base) and all(b is not None for b in built)
+    counted, calls = _counted(prob)
+    u, res = solvers._greedy_drop(solvers._Run(counted, SolverConfig()), theta, base)
+    assert u == base[int(np.argmin(objectives))] and res.objective == min(objectives)
+    assert len(calls) == len(base) + 1 + 2 * len(base)
 
 
 def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
@@ -733,6 +778,7 @@ def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
     base = np.array([2, 17, 25])
     theta = restricted_minimize(prob, base).params
     start = _start_hessian(prob, base, theta)
+    _, value_and_grad, x0, known = _add_candidate(prob, start, theta, [9])
     built = _newton_builds(monkeypatch)
     secant = []
 
@@ -742,17 +788,10 @@ def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
 
     monkeypatch.setattr(problem_module, "_lbfgs_direction", recorded)
     cfg = SolverConfig()
-    res = restricted_minimize(prob, np.array([2, 9, 17, 25]), theta, cfg, start)
+    res = _lbfgs(value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, known)
     assert res.converged and res.grad_inf <= cfg.inner_tol
     assert res.iterations >= 2 and len(secant) == res.iterations - 1
     assert len(built) == 1 and built[0] is not None
-
-
-def test_hessian_argument_is_checked():
-    ds = models.generate(models.ModelSpec("linear", 30, 8, 2, 5.0, seed=0))
-    prob = models.build_problem(ds)
-    with pytest.raises(TypeError, match="start Hessian"):
-        restricted_minimize(prob, [1, 2], None, None, ([1, 2], np.eye(2)))
 
 
 def test_a_wrong_start_hessian_gives_the_first_direction_only(monkeypatch):
@@ -761,15 +800,14 @@ def test_a_wrong_start_hessian_gives_the_first_direction_only(monkeypatch):
     its Hessian at the new point, as a plain quadratic refit does."""
     ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
     base = np.array([4, 11, 30, 52])
-    prob, theta, good = _round_start(ds, base)
+    prob, theta, (P, M) = _round_start(ds, base)
     built = _newton_builds(monkeypatch)
-    support = np.array([4, 11, 30, 45, 52])
-    wrong = good._replace(inverse=good.inverse / 3.0)
-    res = restricted_minimize(prob, support, theta, None, wrong)
+    free, value_and_grad, x0, known = _add_candidate(prob, (P, M / 3.0), theta, [45])
+    res = _lbfgs(value_and_grad, x0, 1e-8, 100, known)
     assert res.converged and res.iterations >= 2
     assert len(built) == 2 and all(b is not None for b in built)
-    ref = np.linalg.lstsq(ds.X[:, support], ds.y, rcond=None)[0]
-    assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
+    ref = np.linalg.lstsq(ds.X[:, free], ds.y, rcond=None)[0]
+    assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
 
 
 def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkeypatch):
@@ -787,12 +825,13 @@ def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkey
     ref = np.linalg.lstsq(X[:, support], ds.y, rcond=None)[0]  # 0 on the zero column
     assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
     zero = np.zeros(prob.p)
-    assert _start_hessian(prob, support, zero) is None
+    assert _start_hessian(prob, support, zero)[1] is None
     start = _start_hessian(prob, np.array([1, 7, 20]), zero)
+    _, value_and_grad, x0, known = _add_candidate(prob, start, zero, [3])
     built.clear()
-    bordered = restricted_minimize(prob, support, zero, None, start)
+    bordered = _lbfgs(value_and_grad, x0, 1e-8, 100, known)
     assert built[0] is None  # the Schur complement of the zero column is 0
-    _same_refit(bordered, res)
+    _same_refit(bordered, _lbfgs(value_and_grad, x0, 1e-8, 100))
     monkeypatch.setattr(problem_module, "_NEWTON_MAX_DIM", 0)
     _same_refit(res, restricted_minimize(prob, support))
 

@@ -4,6 +4,7 @@ and every API name the README cites exists."""
 import builtins
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 import re
 from pathlib import Path
@@ -36,6 +37,12 @@ def test_exports_resolve(module):
 def test_removed_fields_stay_gone():
     fields = {f.name for f in dataclasses.fields(problem.RestrictedResult)}
     assert "last_step" not in fields
+
+
+def test_restricted_minimize_takes_no_private_knob():
+    # the public refit: no start Hessian or other private-typed argument
+    assert str(inspect.signature(problem.restricted_minimize)) == \
+        "(problem, support, init=None, config=None)"
 
 
 def test_star_import():

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 import sco
 from sco import models, solvers
+from sco import problem as problem_module
 from sco.autodiff import ObjectiveOracle, build_objective
-from sco.problem import ScoProblem, SolverConfig, restricted_minimize, validate_solution
+from sco.problem import (ScoProblem, SolverConfig, _downdate, _lbfgs, _start_hessian,
+                         restricted_minimize, validate_solution)
 from sco.solvers import SolverKind, solve
 from test_models import SMALL, USER_PROGRAMS, user_oracle
 
@@ -173,13 +175,29 @@ def test_group_structure_respected(kind):
     assert np.array_equal(sol.support, [4, 5, 8, 9]), kind
 
 
+def _refit_from_round_hessian(problem, start, theta, J, cfg):
+    # an add candidate's refit over P + J from the round's start (P, M =
+    # H_PP^-1), M bordered by the columns of J, with its own start call;
+    # without M the refit takes no Hessian
+    P, M = start
+    free = np.concatenate([P, J])
+    known = None
+    if M is not None:
+        E = np.zeros((len(free), len(free)))
+        E[:len(P), :len(P)] = M
+        known = E, np.arange(len(P), len(free))
+    return _lbfgs(problem.oracle.restricted(free).value_and_grad, theta[free], cfg.inner_tol,
+                  cfg.inner_max_iter, known)
+
+
 @pytest.mark.parametrize("model", ["linear", "logistic"])
 def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
     """Each forward and foba round, adding or dropping, picks the unit that
     refitting every candidate plainly (no start Hessian) picks, at the
     plain refit's objective to rounding; a drop round returns the chosen
-    removal's refit from the round's start Hessian, bit for bit.  On
-    grouped problems with permuted group ids and a preselected group."""
+    removal's refit from the block of the round's start Hessian, bit for
+    bit.  On grouped problems with permuted group ids and a preselected
+    group."""
     greedy_add, greedy_drop = solvers._greedy_add, solvers._greedy_drop
     start_hessian = solvers._start_hessian
     picks, starts = [], []
@@ -210,9 +228,13 @@ def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
     def checked_drop(run, theta, units):
         u, res = greedy_drop(run, theta, units)
         kept = plain_choice(run, theta, [(v, units[units != v]) for v in units], u, res)
-        init, keep = run.problem.mask(theta, kept)
-        own = restricted_minimize(run.problem, keep, init, run.cfg, starts[-1])
-        assert res.params.tobytes() == own.params.tobytes()
+        P, M = starts[-1]
+        keep = np.isin(P, run.problem.mask(theta, kept)[1])
+        own = _lbfgs(run.problem.oracle.restricted(P[keep]).value_and_grad, theta[P[keep]],
+                     run.cfg.inner_tol, run.cfg.inner_max_iter, (_downdate(M, keep), np.arange(0)))
+        params = np.zeros(run.problem.p)
+        params[P[keep]] = own.params
+        assert res.params.tobytes() == params.tobytes()
         assert res.objective == own.objective
         return u, res
 
@@ -229,7 +251,7 @@ def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
                                     preselect=np.flatnonzero(groups == seed % 6))
         for kind in (SolverKind.FORWARD, SolverKind.FOBA):
             validate_solution(prob, solve(kind, prob))
-    assert len(picks) >= 36 and all(start is not None for start in starts)
+    assert len(picks) >= 36 and all(M is not None for _, M in starts)
 
 
 def _counting(problem):
@@ -257,26 +279,28 @@ def _counting(problem):
 
 def _add_round(problem, base, monkeypatch):
     # one forward round adding to the refit of the base units: its unit
-    # and result, its oracle calls and the refits it made
+    # and result, its oracle calls and the candidate refits it ran
     theta = restricted_minimize(problem, base).params
     counted, counts = _counting(problem)
     active = np.zeros(problem.view.n_units, dtype=bool)
     active[base] = True
     refits = []
+    lbfgs = problem_module._lbfgs
 
     def recorded(*args):
         refits.append(args)
-        return restricted_minimize(*args)
+        return lbfgs(*args)
 
-    monkeypatch.setattr(solvers, "restricted_minimize", recorded)
-    u, res = solvers._greedy_add(solvers._Run(counted, SolverConfig()), theta, active)
+    with monkeypatch.context() as mp:
+        mp.setattr(problem_module, "_lbfgs", recorded)
+        u, res = solvers._greedy_add(solvers._Run(counted, SolverConfig()), theta, active)
     return u, res, counts, len(refits)
 
 
 def test_least_squares_add_round_scores_every_candidate_without_a_refit(monkeypatch):
     """A least-squares add round takes its start Hessian (|P| + 1 calls)
     and one full-p gradient, then two restricted calls per candidate (its
-    column difference and its certifying Newton step); no refit runs, and
+    column difference and its converged Newton step); no refit runs, and
     the round picks the plain refits' unit at their objective."""
     ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=2))
     prob = models.build_problem(ds)
@@ -293,20 +317,28 @@ def test_least_squares_add_round_scores_every_candidate_without_a_refit(monkeypa
 
 def test_logistic_add_round_falls_back_after_its_first_candidate(monkeypatch):
     """Off a quadratic the first candidate's Newton step does not meet
-    inner_tol, so that candidate and the rest are refit from the round's
-    start Hessian, as without scores, for one full-p gradient and the
-    first candidate's two restricted calls more."""
+    inner_tol, so every candidate is refit from the round's bordered
+    Hessian, each started from the round's one full-p gradient.  Against
+    refits from the same Hessian that take their own start call, the round
+    makes that full-p call and the first candidate's tried step more, and
+    one restricted start call fewer per candidate; it picks their unit."""
     ds = models.generate(models.ModelSpec("logistic", 200, 40, 4, 1.0, seed=3))
     prob = models.build_problem(ds)
     base = np.array([2, 17, 25])
     u, res, counts, refits = _add_round(prob, base, monkeypatch)
-    assert refits == prob.p - len(base)
-    monkeypatch.setattr(solvers, "_add_scorer", lambda *args: None)
-    u_refit, res_refit, counts_refit, refits_refit = _add_round(prob, base, monkeypatch)
-    assert (u, refits) == (u_refit, refits_refit)
-    assert res.params.tobytes() == res_refit.params.tobytes()
-    assert counts == {"full": 1, "restricted": counts_refit["restricted"] + 2}
-    assert counts_refit["full"] == 0
+    inactive = np.setdiff1d(np.arange(prob.p), base)
+    assert refits == len(inactive)
+    cfg = SolverConfig()
+    theta = restricted_minimize(prob, base).params
+    start = _start_hessian(prob, base, theta)
+    counted, own_counts = _counting(prob)
+    own = {v: _refit_from_round_hessian(counted, start, theta, [v], cfg) for v in inactive}
+    assert u == min(own, key=lambda v: own[v].objective)
+    f = own[u].objective
+    assert abs(res.objective - f) <= 1e-12 * (1.0 + abs(f))
+    assert own_counts["full"] == 0
+    assert counts == {"full": 1,
+                      "restricted": len(base) + 1 + 1 + own_counts["restricted"] - len(inactive)}
 
 
 @st.composite
@@ -342,40 +374,33 @@ def _greedy_problems(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_greedy_problems())
 def test_scored_add_rounds_match_plain_refits(case):
-    """Every scored add candidate's objective is its plain refit's, and its
-    refit's from the round's start Hessian, within 1e-10 (1 + |f|); every
-    forward and foba add round picks the unit that refits from the start
-    Hessian pick, and the unit plain refits pick.  A plain refit can stop
-    short at the floor where its first step lands on the mirror point of a
-    quadratic (on trend, a coordinate of curvature 2 and gradient at most
-    1), so the plain comparisons take only converged plain refits: a
-    scored objective is never above theirs."""
+    """Every add candidate's objective is its plain refit's, and its
+    refit's from the round's start Hessian with its own start call, within
+    1e-10 (1 + |f|); every forward and foba add round picks the unit that
+    refits from the start Hessian pick, and the unit plain refits pick."""
     kind, prob, warm = case
     cfg = SolverConfig(warm_start=warm)
-    greedy_add, add_scorer = solvers._greedy_add, solvers._add_scorer
-    scored = []
+    greedy_add, add_scorer, lbfgs = solvers._greedy_add, solvers._add_scorer, problem_module._lbfgs
+    scored, refits = [], []
 
-    def refits(problem, support, x, start):
-        plain = restricted_minimize(problem, support, x, cfg)
-        own = restricted_minimize(problem, support, x, cfg, start)
-        return plain, own
+    def recorded_lbfgs(*args):
+        refits.append(args)
+        return lbfgs(*args)
 
-    def recorded_scorer(problem, start, x, tol):
-        score = add_scorer(problem, start, x, tol)
-        if score is None:
-            return None
+    def recorded_scorer(problem, start, x, config):
+        score = add_scorer(problem, start, x, config)
 
         def checked(coords):
-            res = score(coords)
-            if res is not None:
-                plain, own = refits(problem, np.union1d(start.coords, coords), x, start)
-                f = plain.objective
-                assert res.objective <= f + 1e-10 * (1.0 + abs(f))
-                if plain.converged:
-                    assert abs(res.objective - f) <= 1e-10 * (1.0 + abs(f))
-                assert abs(res.objective - own.objective) <= 1e-10 * (1.0 + abs(f))
+            ran = len(refits)
+            free, res = score(coords)
+            if len(refits) == ran:  # the Newton step converged; no refit ran
                 scored.append(res)
-            return res
+            plain = restricted_minimize(problem, np.sort(free), x, cfg)
+            own = _refit_from_round_hessian(problem, start, x, coords, cfg)
+            f = plain.objective
+            assert abs(res.objective - f) <= 1e-10 * (1.0 + abs(f))
+            assert abs(res.objective - own.objective) <= 1e-10 * (1.0 + abs(f))
+            return free, res
 
         return checked
 
@@ -385,13 +410,15 @@ def test_scored_add_rounds_match_plain_refits(case):
         plain, own = {}, {}
         for v in np.flatnonzero(~active):
             init, keep = run.problem.mask(theta, np.append(np.flatnonzero(active), v))
-            plain[v], own[v] = refits(run.problem, keep, init, start)
+            plain[v] = restricted_minimize(run.problem, keep, init, cfg)
+            own[v] = _refit_from_round_hessian(run.problem, start, theta,
+                                               run.problem.view.coords_of([v]), cfg)
         assert u == min(own, key=lambda v: own[v].objective)
-        if all(r.converged for r in plain.values()):
-            assert u == min(plain, key=lambda v: plain[v].objective)
+        assert u == min(plain, key=lambda v: plain[v].objective)
         return u, res
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problem_module, "_lbfgs", recorded_lbfgs)
         mp.setattr(solvers, "_add_scorer", recorded_scorer)
         mp.setattr(solvers, "_greedy_add", checked_add)
         for solver in (SolverKind.FORWARD, SolverKind.FOBA):
