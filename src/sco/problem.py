@@ -6,12 +6,15 @@ Newton steps with a Hessian from gradient differences once the first
 step shows the restricted objective quadratic (least squares, trend
 filtering).  The candidates of an exact greedy round run the same
 minimizer privately, from the round's one Hessian and, for additions,
-its one full gradient; an addition whose first Newton step converges
-takes no further call.
+its one full gradient.  An add round takes its candidates in blocks of
+fixed size and borders the Hessian for a whole block in one stacked
+solve; an addition whose first Newton step converges takes no further
+call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -328,22 +331,12 @@ def _spd_inverse(H):
     return L_inv.T @ L_inv
 
 
-def _difference_newton(value_and_grad, x, g, known=None):
-    # the inverse of H, whose column i is the forward difference
-    # (g(x + h_i e_i) - g) / h_i with h_i = 1e-4 (1 + |x_i|), symmetrized
-    # (Nocedal & Wright, section 8.1); None when a difference leaves the
-    # domain or H is not finite and positive definite.  Only the columns at
-    # the positions new of known = (E, new) are differenced: E holds the
-    # inverse of H's block over the other positions and zeros in the rows
-    # and columns new; without known nothing is known (E = 0, every
-    # position new).  With D those columns, C their rows new and J the
-    # columns of the identity at new, H is positive definite exactly when
-    # the Schur complement S = C - D'ED is, and then H^-1 = E + Z S^-1 Z'
-    # with Z = ED - J (block elimination)
-    k = len(x)
-    E, new = known if known is not None else (np.zeros((k, k)), np.arange(k))
-    D = np.empty((k, len(new)))
-    for j, i in enumerate(new):
+def _difference_columns(value_and_grad, x, g, cols):
+    # the columns cols of H by forward differences (g(x + h_i e_i) - g) / h_i
+    # with h_i = 1e-4 (1 + |x_i|) (Nocedal & Wright, section 8.1); None when
+    # a difference leaves the domain
+    D = np.empty((len(x), len(cols)))
+    for j, i in enumerate(cols):
         xh = x.copy()
         xh[i] += 1e-4 * (1.0 + abs(x[i]))
         try:
@@ -351,16 +344,15 @@ def _difference_newton(value_and_grad, x, g, known=None):
         except EvaluationError:
             return None
         D[:, j] = (gh - g) / (xh[i] - x[i])  # the step as rounded
-    C = D[new]
-    C = 0.5 * (C + C.T)
-    if not len(new):
-        return E
-    Z = E @ D
-    S_inv = _spd_inverse(C - D.T @ Z)
-    if S_inv is None:
-        return None
-    Z[new, np.arange(len(new))] -= 1.0
-    return E + Z @ S_inv @ Z.T
+    return D
+
+
+def _difference_newton(value_and_grad, x, g):
+    # the inverse of H, every column differenced and H symmetrized; None
+    # when a difference leaves the domain or H is not finite and positive
+    # definite
+    D = _difference_columns(value_and_grad, x, g, range(len(x)))
+    return None if D is None else _spd_inverse(0.5 * (D + D.T))
 
 
 def _downdate(M, keep):
@@ -376,20 +368,22 @@ def _downdate(M, keep):
     return M_K[:, keep] - M_KD @ M_DD_inv @ M_KD.T
 
 
-def _lbfgs(value_and_grad, x0, tol, max_iter, known=None, start=None):
+def _lbfgs(value_and_grad, x0, tol, max_iter, inverse=None, start=None, first=None):
     """The search of :func:`restricted_minimize` over the coordinates of
     ``x0``, ``value_and_grad`` being the restricted oracle's.
 
-    ``known``, a pair ``(E, new)``, starts the search from a Hessian H
-    taken at or near x0: E, k x k, holds the inverse of H's block over the
-    positions not in ``new``, and zeros in the rows and columns ``new``,
-    whose columns are differenced at x0 and bordered in (see
-    :func:`_difference_newton`).  If H has a Cholesky factor, the first
-    direction is -H^-1 g, tried first at step 1, and H is kept after that
-    step if the step is quadratic and H^-1 (g_new - g) matches it to 1e-2
-    (infinity norms); otherwise, or without a factor, the search goes on as
-    it does without ``known``.  ``start``, the pair (f, g) at x0, stands in
-    for the search's first ``value_and_grad`` call.  Returns a
+    ``inverse``, the k x k inverse of a positive definite Hessian H taken
+    at or near x0, starts the search: the first direction is -H^-1 g,
+    tried first at step 1, and H is kept after that step if the step is
+    quadratic and H^-1 (g_new - g) matches it to 1e-2 (infinity norms);
+    otherwise the search goes on as it does without ``inverse``.
+    ``start``, the pair (f, g) at x0, stands in for the search's first
+    ``value_and_grad`` call.  ``first``, a pair ``(d, trial)`` given with
+    ``inverse``, is the first direction -H^-1 g as the caller computed it
+    and the pair (f, g) the caller took at x0 + d, which stands in for the
+    first trial's call (None where the caller made no call there, and
+    ``(math.inf, None)`` where that call raised
+    :class:`~sco.autodiff.EvaluationError`).  Returns a
     :class:`RestrictedResult` over the coordinates of ``x0``.
     """
     x = x_start = np.array(x0, dtype=float)
@@ -399,20 +393,23 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None, start=None):
     S, Y, R = [], [], []  # secant pairs s, y and their 1 / s.y, oldest first
     gamma = None  # s.y / y.y of the newest pair
     converged = grad_inf <= tol
-    # H^-1 from the start Hessian, or once the first step showed f quadratic
-    newton = None if known is None or converged else _difference_newton(value_and_grad, x, g,
-                                                                          known)
+    # H^-1 from the start, or once the first step showed f quadratic
+    newton = None if converged else inverse
+    trial = None  # the pair at the first trial point, when the caller took it
     reason = "max_iter"
     it = 0
     while not converged and it < max_iter:
         it += 1
         if newton is None:
             d = _lbfgs_direction(g, S, Y, R, gamma)
+        elif first is not None:
+            (d, trial), first = first, None
         else:
             d = -(newton @ g)
         gtd = float(g.dot(d))
         if gtd >= 0.0:  # curvature went bad; fall back to steepest descent
             d = -g
+            trial = None
             gtd = -float(g.dot(g))
         if -gtd <= 1e-18 * (1.0 + abs(f)):
             reason = "no_descent"
@@ -425,10 +422,13 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, known=None, start=None):
         step = None
         for _ in range(_MAX_BACKTRACKS + 1):
             x_new = x + alpha * d
-            try:
-                ft, gt = value_and_grad(x_new)
-            except EvaluationError:
-                ft = np.inf
+            if trial is not None:  # x + 1.0 * d is the caller's x + d
+                (ft, gt), trial = trial, None
+            else:
+                try:
+                    ft, gt = value_and_grad(x_new)
+                except EvaluationError:
+                    ft = np.inf
             if ft < f and ft <= f + _ARMIJO * alpha * gtd:
                 step = ft, gt
                 break
@@ -505,70 +505,145 @@ def _start_hessian(problem, units, x):
     return coords, None if M is None else 0.5 * (M + M.T)
 
 
-def _converged_newton_step(value_and_grad, x, f, g, inverse, tol):
-    # the result of _lbfgs from inverse = H^-1 at (x, f, g) when its first
-    # trial, the Newton step d = -H^-1 g at step 1, passes the Armijo test
-    # with a strict decrease and the stop rule; None where it may not (the
-    # refit's quadratic and H^-1 y tests only decide whether H is kept for a
-    # second step, which a converged first step never takes)
-    d = -(inverse @ g)
-    gtd = float(g.dot(d))
-    if not -gtd > 1e-18 * (1.0 + abs(f)):  # the refit's no-descent rule
-        return None
-    x_new = x + d
+def _spd_solve(S, r):
+    # for a stack S of m x m matrices and r of m x 1 columns: which S are
+    # finite with a Cholesky factor (_spd_inverse's rule), and S^-1 r for
+    # those (zero for the others)
+    if S.shape[1] == 1:
+        s = S[:, 0]
+        ok = (s > 0.0) & (s < math.inf)
+        return ok[:, 0], np.divide(r, s[:, :, None], out=np.zeros_like(r), where=ok[:, :, None])
+    ok = np.isfinite(S).all(axis=(1, 2))
     try:
-        ft, gt = value_and_grad(x_new)
-    except EvaluationError:
-        return None
-    grad_new = float(abs(gt).max())
-    if not (ft < f and ft <= f + _ARMIJO * gtd and grad_new <= tol):
-        return None
-    return RestrictedResult(x_new, ft, grad_new, 1, True, "converged")
+        np.linalg.cholesky(S[ok])
+    except np.linalg.LinAlgError:
+        ok[ok] = [_spd_inverse(s) is not None for s in S[ok]]
+    v = np.zeros_like(r)
+    if ok.any():
+        v[ok] = np.linalg.solve(S[ok], r[ok])
+    return ok, v
 
 
-def _add_scorer(problem, start, x, cfg):
+def _bordered_steps(M, cols, grads):
+    # the bordered Newton steps of add candidates, in one stacked pass per
+    # unit size.  A candidate adds m coordinates J to the k of P: its
+    # columns D, (k + m) x m, are its differences over P + J, and grads its
+    # gradient g there.  H borders M^-1 by D, and with W = M D_P (D_P the
+    # rows P of D) it is positive definite exactly when the Schur
+    # complement S = sym(D_J) - D_P' W has a Cholesky factor; then
+    # -H^-1 g = (-M g_P - W v, v) with v = S^-1 (W' g_P - g_J) (block
+    # elimination).  Returns per candidate (d, W, S), or None without a factor
+    k = len(M)
+    out = [None] * len(cols)
+    sizes = [D.shape[1] for D in cols]
+    for m in set(sizes):
+        idx = [c for c, size in enumerate(sizes) if size == m]
+        D = np.array([cols[c] for c in idx])
+        G = np.array([grads[c] for c in idx])[:, :, None]
+        D_P, D_J, g_P = D[:, :k], D[:, k:], G[:, :k]
+        W = M @ D_P
+        S = 0.5 * (D_J + D_J.transpose(0, 2, 1)) - D_P.transpose(0, 2, 1) @ W
+        ok, v = _spd_solve(S, W.transpose(0, 2, 1) @ g_P - G[:, k:])
+        d = np.concatenate([-(M @ g_P) - W @ v, v], axis=1)[:, :, 0]
+        for b in np.flatnonzero(ok):
+            out[idx[b]] = d[b], W[b], S[b]
+    return out
+
+
+def _bordered_inverse(M, W, S):
+    # H^-1 of _bordered_steps' H: E + Z S^-1 Z' with E holding M in the
+    # block P and Z = (W, -I)
+    k, m = W.shape
+    Z = np.vstack([W, -np.eye(m)])
+    inverse = Z @ _spd_inverse(S) @ Z.T
+    inverse[:k, :k] += M
+    return inverse
+
+
+# add candidates differenced and solved together: at n=500 and |P| = 10
+# each one's restricted oracle holds about 50 KB, so a block stays under 1 MB
+_ADD_BLOCK = 16
+
+
+def _add_scorer(problem, start, x, cfg, candidates):
     # the candidates of an exact greedy add round at x (zero off P), start
-    # being _start_hessian's (P, M = H_PP^-1): a function of the coordinates
-    # J of a unit to add, returning the coordinates P + J (in that order)
+    # being _start_hessian's (P, M = H_PP^-1): for each coordinate set J of
+    # a unit to add, in order, yields the coordinates P + J (in that order)
     # and the refit over them from x, a RestrictedResult over P + J.  One
     # full-p call at x gives f and every gradient, the start of every
-    # candidate's refit.  A candidate differences its |J| columns over
-    # P + J, borders M by them and refits from that inverse with _lbfgs.
-    # Until a round's first failure, the candidate's Newton step is tried
-    # first: where it converges, it is the refit's result and no refit runs
-    # (so on least squares no candidate refits).  Without M, beyond
-    # _NEWTON_MAX_DIM coordinates or without a factor for the bordered H,
-    # the refit runs without a Hessian; where the full call raises
-    # EvaluationError, each refit takes its own start call
+    # candidate's refit; where it raises EvaluationError, each candidate
+    # takes its own start call.  The candidates run in blocks of
+    # _ADD_BLOCK, so that the round never holds more than one block of
+    # restricted oracles
     P, M = start
-    k = len(P)
-    tol = cfg.inner_tol
     try:
         f, g = problem.oracle.value_and_grad(x)
     except EvaluationError:
         f = g = None
+    candidates = iter(candidates)
     certify = True
+    while block := list(itertools.islice(candidates, _ADD_BLOCK)):
+        scored, certify = _add_block(problem, P, M, x, (f, g), cfg, block, certify)
+        yield from scored
 
-    def score(J):
-        nonlocal certify
+
+def _add_block(problem, P, M, x, full, cfg, block, certify):
+    # one block of _add_scorer's round.  Each candidate builds its
+    # restricted oracle over P + J and differences its |J| columns at x; one
+    # stacked pass borders M by them (_bordered_steps).  While certify holds,
+    # that is until the round's first failure, a candidate's Newton step d
+    # is tried alone: where its one call shows a strict Armijo decrease and
+    # a gradient within inner_tol, it is the result a refit from the
+    # bordered H^-1 returns, and no refit runs (so on least squares no
+    # candidate refits).  Every other candidate is refit with _lbfgs from
+    # its bordered H^-1 and first direction d, the failed step's call
+    # standing in for the refit's first trial; without M, beyond
+    # _NEWTON_MAX_DIM coordinates, without a factor for the bordered H or
+    # where a difference leaves the domain, the refit runs without a
+    # Hessian.  Returns the block's (P + J, result) pairs and certify
+    f, g = full
+    k, tol = len(P), cfg.inner_tol
+    cands, cols, grads = [], [], []
+    for J in block:
         free = np.concatenate([P, J])
         x0 = x[free]
         value_and_grad = problem.oracle.restricted(free).value_and_grad
         f0, g0 = value_and_grad(x0) if g is None else (f, g[free])
-        newton = None
+        D = None
         if M is not None and len(free) <= _NEWTON_MAX_DIM and float(abs(g0).max()) > tol:
-            E = np.zeros((len(free), len(free)))
-            E[:k, :k] = M
-            newton = _difference_newton(value_and_grad, x0, g0, (E, np.arange(k, len(free))))
-        if newton is not None and certify:
-            res = _converged_newton_step(value_and_grad, x0, f0, g0, newton, tol)
-            if res is not None:
-                return free, res
-            certify = False
-        known = None if newton is None else (newton, np.arange(0))
-        return free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, known, (f0, g0))
-
-    return score
+            D = _difference_columns(value_and_grad, x0, g0, range(k, len(free)))
+        if D is not None:
+            cols.append(D)
+            grads.append(g0)
+        cands.append((free, x0, value_and_grad, f0, g0, D))
+    steps = iter(_bordered_steps(M, cols, grads) if cols else ())
+    scored = []
+    for free, x0, value_and_grad, f0, g0, D in cands:
+        bordered = None if D is None else next(steps)
+        inverse = first = None
+        if bordered is not None:
+            d, W, S = bordered
+            trial = None
+            if certify:
+                gtd = float(g0.dot(d))
+                if -gtd > 1e-18 * (1.0 + abs(f0)):  # the refit's no-descent rule
+                    x_new = x0 + d
+                    try:
+                        ft, gt = value_and_grad(x_new)
+                    except EvaluationError:
+                        ft, gt = math.inf, None
+                    if ft < f0 and ft <= f0 + _ARMIJO * gtd:
+                        grad_new = float(abs(gt).max())
+                        if grad_new <= tol:
+                            scored.append((free, RestrictedResult(x_new, ft, grad_new, 1, True,
+                                                                  "converged")))
+                            continue
+                    trial = ft, gt
+                certify = False
+            inverse, first = _bordered_inverse(M, W, S), (d, trial)
+        scored.append((free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, inverse,
+                                    (f0, g0), first)))
+    return scored, certify
 
 
 def restricted_minimize(problem, support, init=None, config=None):

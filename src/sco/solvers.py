@@ -28,8 +28,10 @@ Every round of forward and foba tries each change of one active set
 of the active set, taken once per round, and refits each candidate from
 it with the minimizer of :func:`~sco.problem.restricted_minimize`,
 without that function's checks (see ``_greedy_drop`` and
-``_greedy_add``).  An addition whose first Newton step converges ends
-there.  Both keep the first lowest measured objective.
+``_greedy_add``).  An add round borders the Hessian by each candidate's
+own columns, a block of candidates at a time in one stacked solve, and
+an addition whose first Newton step converges ends there.  Both keep
+the first lowest measured objective.
 
 Points known to be sparse are evaluated on their support through the
 oracle's ``restricted`` oracles: line-search trials of iht and htp, and
@@ -215,13 +217,10 @@ def _greedy_drop(run, theta, units):
         for v in units:
             keep = owner != v
             coords = P[keep]
-            known = None
-            if M is not None and len(coords):
-                E = _downdate(M, keep)
-                known = None if E is None else (E, _EMPTY)
+            inverse = _downdate(M, keep) if M is not None and len(coords) else None
             value_and_grad = problem.oracle.restricted(coords).value_and_grad
             yield v, coords, _lbfgs(value_and_grad, theta[coords], cfg.inner_tol,
-                                    cfg.inner_max_iter, known)
+                                    cfg.inner_max_iter, inverse)
 
     return _first_lowest(problem.p, candidates())
 
@@ -233,19 +232,21 @@ def _greedy_add(run, theta, active_mask):
     The round takes H over the coordinates P of the active units plus
     preselection once at theta, as a drop round does, and one full-p
     gradient there, which starts every candidate's refit.  A candidate
-    unit J differences only its own columns and borders H^-1 by them.
-    Until one fails in the round, a candidate first takes that Newton
-    step alone: where it converges, that is the refit's result.  Every
-    other candidate is refit from the bordered H^-1 (see ``_add_scorer``
-    in :mod:`sco.problem`).  Every candidate is ranked by an objective it
-    measured, so the choice is the one plain refits make, up to rounding.
+    unit J differences only its own columns, and the Newton steps of a
+    block of candidates, H^-1 bordered by their columns, come from one
+    stacked solve.  Until one fails in the round, a candidate first takes
+    that Newton step alone: where it converges, that is the refit's
+    result.  Every other candidate is refit from the bordered H^-1 (see
+    ``_add_scorer`` in :mod:`sco.problem`).  Every candidate is ranked by
+    an objective it measured, so the choice is the one plain refits make,
+    up to rounding.
     """
     problem = run.problem
     start = _start_hessian(problem, np.flatnonzero(active_mask), theta)
-    score = _add_scorer(problem, start, theta, run.cfg)
+    units = np.flatnonzero(~active_mask)
     coords_of = problem.view.coords_of
-    return _first_lowest(problem.p, ((u, *score(coords_of([u])))
-                                     for u in np.flatnonzero(~active_mask)))
+    scored = _add_scorer(problem, start, theta, run.cfg, (coords_of([u]) for u in units))
+    return _first_lowest(problem.p, ((u, *c) for u, c in zip(units, scored)))
 
 
 def _forward(run):

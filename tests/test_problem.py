@@ -2,6 +2,7 @@
 and the solution validator."""
 
 import math
+import weakref
 from dataclasses import replace
 from functools import partial
 
@@ -20,6 +21,10 @@ from sco.problem import (
     GroupView,
     ScoProblem,
     SolverConfig,
+    _add_scorer,
+    _bordered_inverse,
+    _bordered_steps,
+    _difference_columns,
     _downdate,
     _lbfgs,
     _lbfgs_direction,
@@ -702,14 +707,29 @@ def _round_start(ds, base):
 
 def _add_candidate(prob, start, theta, J):
     # an add candidate as a round sets it up: its coordinates P + J, the
-    # restricted oracle's value_and_grad over them, its start point and
-    # known = (the round's H^-1 over P, the positions of J to difference)
+    # restricted oracle's value_and_grad over them, its start point and the
+    # round's H^-1 over P bordered by the differenced columns of J
     P, M = start
     free = np.concatenate([P, J])
-    E = np.zeros((len(free), len(free)))
-    E[:len(P), :len(P)] = M
-    return free, prob.oracle.restricted(free).value_and_grad, theta[free], \
-        (E, np.arange(len(P), len(free)))
+    value_and_grad = prob.oracle.restricted(free).value_and_grad
+    x0 = theta[free]
+    g0 = value_and_grad(x0)[1]
+    D = _difference_columns(value_and_grad, x0, g0, range(len(P), len(free)))
+    (_, W, S), = _bordered_steps(M, [D], [g0])
+    return free, value_and_grad, x0, _bordered_inverse(M, W, S)
+
+
+def _stacked_steps(monkeypatch):
+    # every stacked pass of the add rounds: its inputs and its steps
+    passes = []
+    steps = problem_module._bordered_steps
+
+    def recorded(M, cols, grads):
+        passes.append((M, cols, grads, steps(M, cols, grads)))
+        return passes[-1][3]
+
+    monkeypatch.setattr(problem_module, "_bordered_steps", recorded)
+    return passes
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -722,19 +742,12 @@ def test_least_squares_add_candidate_takes_one_bordered_newton_step(seed, monkey
     base = np.sort(picked[:3])
     prob, theta, start = _round_start(ds, base)
     assert np.array_equal(start[0], base) and start[1] is not None
-    f, g = prob.oracle.value_and_grad(theta)
-    free, value_and_grad, x0, known = _add_candidate(prob, start, theta, picked[3:])
-    calls = []
-
-    def counted(z):
-        calls.append(z)
-        return value_and_grad(z)
-
-    built = _newton_builds(monkeypatch)
-    res = _lbfgs(counted, x0, 1e-8, 100, known, (f, g[free]))
+    counted, calls = _counted(prob)
+    passes = _stacked_steps(monkeypatch)
+    (free, res), = _add_scorer(counted, start, theta, SolverConfig(), [picked[3:]])
     assert res.reason == "converged" and res.iterations == 1
     assert len(calls) == 1 + 1
-    assert len(built) == 1 and built[0] is not None
+    assert len(passes) == 1 and passes[0][3][0] is not None
     ref = np.linalg.lstsq(ds.X[:, free], ds.y, rcond=None)[0]
     assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
 
@@ -757,13 +770,13 @@ def test_drop_candidate_starts_from_a_block_of_the_round_hessian(monkeypatch):
             calls.append(z)
             return value_and_grad(z)
 
-        res = _lbfgs(counted, theta[P[keep]], 1e-8, 100, (_downdate(M, keep), np.arange(0)))
+        res = _lbfgs(counted, theta[P[keep]], 1e-8, 100, _downdate(M, keep))
         assert res.reason == "converged" and res.iterations == 1
         assert len(calls) == 2  # the start point and the accepted Newton trial
         ref = np.linalg.lstsq(ds.X[:, P[keep]], ds.y, rcond=None)[0]
         assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
         objectives.append(res.objective)
-    assert len(built) == len(base) and all(b is not None for b in built)
+    assert built == []  # the removals' Hessians are blocks of the round's
     counted, calls = _counted(prob)
     u, res = solvers._greedy_drop(solvers._Run(counted, SolverConfig()), theta, base)
     assert u == base[int(np.argmin(objectives))] and res.objective == min(objectives)
@@ -778,7 +791,7 @@ def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
     base = np.array([2, 17, 25])
     theta = restricted_minimize(prob, base).params
     start = _start_hessian(prob, base, theta)
-    _, value_and_grad, x0, known = _add_candidate(prob, start, theta, [9])
+    _, value_and_grad, x0, inverse = _add_candidate(prob, start, theta, [9])
     built = _newton_builds(monkeypatch)
     secant = []
 
@@ -788,10 +801,10 @@ def test_logistic_candidate_keeps_its_start_hessian_for_one_step(monkeypatch):
 
     monkeypatch.setattr(problem_module, "_lbfgs_direction", recorded)
     cfg = SolverConfig()
-    res = _lbfgs(value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, known)
+    res = _lbfgs(value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, inverse)
     assert res.converged and res.grad_inf <= cfg.inner_tol
     assert res.iterations >= 2 and len(secant) == res.iterations - 1
-    assert len(built) == 1 and built[0] is not None
+    assert built == []  # the first step is not quadratic: no Hessian is differenced
 
 
 def test_a_wrong_start_hessian_gives_the_first_direction_only(monkeypatch):
@@ -802,18 +815,18 @@ def test_a_wrong_start_hessian_gives_the_first_direction_only(monkeypatch):
     base = np.array([4, 11, 30, 52])
     prob, theta, (P, M) = _round_start(ds, base)
     built = _newton_builds(monkeypatch)
-    free, value_and_grad, x0, known = _add_candidate(prob, (P, M / 3.0), theta, [45])
-    res = _lbfgs(value_and_grad, x0, 1e-8, 100, known)
+    free, value_and_grad, x0, inverse = _add_candidate(prob, (P, M / 3.0), theta, [45])
+    res = _lbfgs(value_and_grad, x0, 1e-8, 100, inverse)
     assert res.converged and res.iterations >= 2
-    assert len(built) == 2 and all(b is not None for b in built)
+    assert len(built) == 1 and built[0] is not None
     ref = np.linalg.lstsq(ds.X[:, free], ds.y, rcond=None)[0]
     assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
 
 
 def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkeypatch):
     # a zero column leaves f flat along its coordinate, so the difference
-    # Hessian has a zero pivot: the refit is the secant refit, bit for bit,
-    # whether H was differenced after the first step or bordered at the start
+    # Hessian has a zero pivot: the refit is the secant refit, bit for bit
+    # (test_stacked_steps_match_an_explicit_inverse borders such a column)
     ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
     X = ds.X.copy()
     X[:, 3] = 0.0
@@ -824,14 +837,7 @@ def test_refit_without_a_positive_definite_hessian_keeps_its_secant_steps(monkey
     assert built == [None]
     ref = np.linalg.lstsq(X[:, support], ds.y, rcond=None)[0]  # 0 on the zero column
     assert np.max(np.abs(res.params[support] - ref) / (1.0 + np.abs(ref))) <= 1e-8
-    zero = np.zeros(prob.p)
-    assert _start_hessian(prob, support, zero)[1] is None
-    start = _start_hessian(prob, np.array([1, 7, 20]), zero)
-    _, value_and_grad, x0, known = _add_candidate(prob, start, zero, [3])
-    built.clear()
-    bordered = _lbfgs(value_and_grad, x0, 1e-8, 100, known)
-    assert built[0] is None  # the Schur complement of the zero column is 0
-    _same_refit(bordered, _lbfgs(value_and_grad, x0, 1e-8, 100))
+    assert _start_hessian(prob, support, np.zeros(prob.p))[1] is None
     monkeypatch.setattr(problem_module, "_NEWTON_MAX_DIM", 0)
     _same_refit(res, restricted_minimize(prob, support))
 
@@ -840,6 +846,7 @@ def test_refit_whose_difference_leaves_the_domain_keeps_its_secant_steps(monkeyp
     # f = x'Ax/2 - b'x on x_0 < u, minimized at (0, 2).  The first step,
     # accepted at its first trial, lands at b/|b| = (0.6, 0.8), and u lies
     # between that point and its forward difference in x_0
+    # (test_stacked_steps_match_an_explicit_inverse borders such a column)
     A = np.array([[2.0, 1.5], [1.5, 2.0]])
     b = np.array([3.0, 4.0])
     u = 0.6 + 0.5e-4 * 1.6
@@ -853,11 +860,111 @@ def test_refit_whose_difference_leaves_the_domain_keeps_its_secant_steps(monkeyp
     res = _lbfgs(value_and_grad, np.zeros(2), 1e-8, 100)
     assert built == [None]
     assert res.converged and np.max(np.abs(res.params - [0.0, 2.0])) <= 1e-8
-    # a start Hessian whose x_0 column is differenced there leaves it too
-    x0 = np.array([0.6, 0.8])
-    built.clear()
-    bordered = _lbfgs(value_and_grad, x0, 1e-8, 100, (np.diag([0.0, 0.5]), np.array([0])))
-    assert built[0] is None
-    _same_refit(bordered, _lbfgs(value_and_grad, x0, 1e-8, 100))
     monkeypatch.setattr(problem_module, "_NEWTON_MAX_DIM", 0)
     _same_refit(res, _lbfgs(value_and_grad, np.zeros(2), 1e-8, 100))
+
+
+def _with_a_wall(problem, j, u):
+    # the problem with every restricted oracle over coordinate j raising
+    # EvaluationError where x_j >= u
+    oracle = problem.oracle
+
+    def restrict(coords):
+        sub = oracle.restricted(coords)
+        at = np.flatnonzero(coords == j)
+
+        def value_and_grad(z):
+            if len(at) and z[at[0]] >= u:
+                raise EvaluationError("outside the domain")
+            return sub.value_and_grad(z)
+
+        return ObjectiveOracle(len(coords), sub.value, value_and_grad)
+
+    walled = ObjectiveOracle(oracle.dim, oracle.value, oracle.value_and_grad,
+                             scale=oracle.scale, restrict=restrict)
+    return replace(problem, oracle=walled)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_stacked_steps_match_an_explicit_inverse(grouped, monkeypatch):
+    """Each add candidate's Newton step from the round's stacked pass is
+    -H^-1 g over P + J, H being M^-1 bordered by the candidate's
+    differenced columns and symmetrized, to 1e-12 relative.  A candidate
+    over a zero column (S = 0, no factor) and one whose difference leaves
+    the domain are refit bit for bit as refits without a Hessian are."""
+    ds = models.generate(models.ModelSpec("linear", 100, 12, 3, 5.0, seed=1))
+    X = ds.X.copy()
+    X[:, 4] = 0.0
+    groups = preselect = None
+    if grouped:  # units of 1, 2 and 3 coordinates, and a preselected group
+        groups = np.array([0, 1, 1, 2, 3, 4, 4, 4, 5, 5, 6, 6])
+        preselect = [8, 9]
+    prob = _with_a_wall(_ols_problem(X, ds.y, 3, groups=groups, preselect=preselect), 3, 0.5e-4)
+    view = prob.view
+    base = np.array([0, 5]) if grouped else np.array([0, 6, 10])
+    # one refit iteration from zero: a gradient over P above inner_tol, so
+    # that the zero column's candidate is differenced too
+    theta = restricted_minimize(prob, view.coords_of(base),
+                                config=SolverConfig(inner_max_iter=1)).params
+    P, M = start = _start_hessian(prob, base, theta)
+    f, g = prob.oracle.value_and_grad(theta)
+    inactive = np.setdiff1d(np.arange(view.n_units), base)
+    candidates = [view.coords_of([u]) for u in inactive]
+    passes = _stacked_steps(monkeypatch)
+    cfg = SolverConfig()
+    scored = list(_add_scorer(prob, start, theta, cfg, candidates))
+    k = len(P)
+    H_P = np.linalg.inv(M)
+    sizes, differenced = set(), 0
+    for _, cols, grads, steps in passes:
+        for D, g0, step in zip(cols, grads, steps):
+            sizes.add(D.shape[1])
+            differenced += 1
+            D_J = D[k:]
+            if not D_J.any():  # the zero column
+                assert step is None
+                continue
+            H = np.block([[H_P, D[:k]], [D[:k].T, 0.5 * (D_J + D_J.T)]])
+            ref = -np.linalg.inv(H) @ g0
+            assert np.max(np.abs(step[0] - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert sizes == ({1, 2, 3} if grouped else {1})
+    walled = [i for i, J in enumerate(candidates) if 3 in J]
+    zero = [i for i, J in enumerate(candidates) if 4 in J]
+    assert differenced == len(candidates) - 1 and walled and zero
+    for i in walled + zero:
+        free, res = scored[i]
+        plain = _lbfgs(prob.oracle.restricted(free).value_and_grad, theta[free], cfg.inner_tol,
+                       cfg.inner_max_iter, start=(f, g[free]))
+        _same_refit(res, plain)
+
+
+def test_an_add_round_holds_one_block_of_restricted_oracles():
+    """A round with more candidates than one block never holds the
+    restricted oracles of more than one block alive."""
+    ds = models.generate(models.ModelSpec("linear", 60, 150, 4, 5.0, seed=0))
+    prob = models.build_problem(ds)
+    oracle = prob.oracle
+    alive, most = [], [0]
+
+    def restrict(coords):
+        sub = oracle.restricted(coords)
+
+        def value_and_grad(z):
+            return sub.value_and_grad(z)
+
+        alive.append(weakref.ref(value_and_grad))
+        most[0] = max(most[0], sum(r() is not None for r in alive))
+        return ObjectiveOracle(len(coords), sub.value, value_and_grad)
+
+    tracked = replace(prob, oracle=ObjectiveOracle(oracle.dim, oracle.value,
+                                                   oracle.value_and_grad, scale=oracle.scale,
+                                                   restrict=restrict))
+    base = np.array([3, 40, 77])
+    theta = restricted_minimize(prob, base).params
+    start = _start_hessian(prob, base, theta)
+    candidates = [np.array([u]) for u in np.setdiff1d(np.arange(prob.p), base)]
+    assert len(candidates) > 2 * problem_module._ADD_BLOCK
+    scored = list(_add_scorer(tracked, start, theta, SolverConfig(), candidates))
+    assert len(scored) == len(candidates) and all(res.converged for _, res in scored)
+    assert len(alive) == len(candidates)
+    assert most[0] == problem_module._ADD_BLOCK

@@ -15,7 +15,8 @@ import sco
 from sco import models, solvers
 from sco import problem as problem_module
 from sco.autodiff import ObjectiveOracle, build_objective
-from sco.problem import (ScoProblem, SolverConfig, _downdate, _lbfgs, _start_hessian,
+from sco.problem import (ScoProblem, SolverConfig, _bordered_inverse, _bordered_steps,
+                         _difference_columns, _downdate, _lbfgs, _start_hessian,
                          restricted_minimize, validate_solution)
 from sco.solvers import SolverKind, solve
 from test_models import SMALL, USER_PROGRAMS, user_oracle
@@ -178,16 +179,19 @@ def test_group_structure_respected(kind):
 def _refit_from_round_hessian(problem, start, theta, J, cfg):
     # an add candidate's refit over P + J from the round's start (P, M =
     # H_PP^-1), M bordered by the columns of J, with its own start call;
-    # without M the refit takes no Hessian
+    # without M, or without a factor for the bordered H, the refit takes
+    # no Hessian
     P, M = start
     free = np.concatenate([P, J])
-    known = None
-    if M is not None:
-        E = np.zeros((len(free), len(free)))
-        E[:len(P), :len(P)] = M
-        known = E, np.arange(len(P), len(free))
-    return _lbfgs(problem.oracle.restricted(free).value_and_grad, theta[free], cfg.inner_tol,
-                  cfg.inner_max_iter, known)
+    value_and_grad = problem.oracle.restricted(free).value_and_grad
+    x0 = theta[free]
+    f0, g0 = value_and_grad(x0)
+    inverse = None
+    if M is not None and float(abs(g0).max()) > cfg.inner_tol:
+        D = _difference_columns(value_and_grad, x0, g0, range(len(P), len(free)))
+        bordered = None if D is None else _bordered_steps(M, [D], [g0])[0]
+        inverse = None if bordered is None else _bordered_inverse(M, *bordered[1:])
+    return _lbfgs(value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, inverse, (f0, g0))
 
 
 @pytest.mark.parametrize("model", ["linear", "logistic"])
@@ -231,7 +235,7 @@ def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
         P, M = starts[-1]
         keep = np.isin(P, run.problem.mask(theta, kept)[1])
         own = _lbfgs(run.problem.oracle.restricted(P[keep]).value_and_grad, theta[P[keep]],
-                     run.cfg.inner_tol, run.cfg.inner_max_iter, (_downdate(M, keep), np.arange(0)))
+                     run.cfg.inner_tol, run.cfg.inner_max_iter, _downdate(M, keep))
         params = np.zeros(run.problem.p)
         params[P[keep]] = own.params
         assert res.params.tobytes() == params.tobytes()
@@ -318,10 +322,11 @@ def test_least_squares_add_round_scores_every_candidate_without_a_refit(monkeypa
 def test_logistic_add_round_falls_back_after_its_first_candidate(monkeypatch):
     """Off a quadratic the first candidate's Newton step does not meet
     inner_tol, so every candidate is refit from the round's bordered
-    Hessian, each started from the round's one full-p gradient.  Against
+    Hessian, each started from the round's one full-p gradient, the first
+    one's tried step standing in for its refit's first trial.  Against
     refits from the same Hessian that take their own start call, the round
-    makes that full-p call and the first candidate's tried step more, and
-    one restricted start call fewer per candidate; it picks their unit."""
+    makes that full-p call more and one restricted start call fewer per
+    candidate; it picks their unit."""
     ds = models.generate(models.ModelSpec("logistic", 200, 40, 4, 1.0, seed=3))
     prob = models.build_problem(ds)
     base = np.array([2, 17, 25])
@@ -338,7 +343,7 @@ def test_logistic_add_round_falls_back_after_its_first_candidate(monkeypatch):
     assert abs(res.objective - f) <= 1e-12 * (1.0 + abs(f))
     assert own_counts["full"] == 0
     assert counts == {"full": 1,
-                      "restricted": len(base) + 1 + 1 + own_counts["restricted"] - len(inactive)}
+                      "restricted": len(base) + 1 + own_counts["restricted"] - len(inactive)}
 
 
 @st.composite
@@ -384,25 +389,23 @@ def test_scored_add_rounds_match_plain_refits(case):
     scored, refits = [], []
 
     def recorded_lbfgs(*args):
-        refits.append(args)
-        return lbfgs(*args)
+        refits.append((args, lbfgs(*args)))
+        return refits[-1][1]
 
-    def recorded_scorer(problem, start, x, config):
-        score = add_scorer(problem, start, x, config)
-
-        def checked(coords):
-            ran = len(refits)
-            free, res = score(coords)
-            if len(refits) == ran:  # the Newton step converged; no refit ran
+    def recorded_scorer(problem, start, x, config, candidates):
+        ran = len(refits)
+        candidates = list(candidates)
+        results = list(add_scorer(problem, start, x, config, candidates))
+        refit = [r for args, r in refits[ran:]]
+        for coords, (free, res) in zip(candidates, results):
+            if not any(res is r for r in refit):  # the Newton step converged; no refit ran
                 scored.append(res)
             plain = restricted_minimize(problem, np.sort(free), x, cfg)
             own = _refit_from_round_hessian(problem, start, x, coords, cfg)
             f = plain.objective
             assert abs(res.objective - f) <= 1e-10 * (1.0 + abs(f))
             assert abs(res.objective - own.objective) <= 1e-10 * (1.0 + abs(f))
-            return free, res
-
-        return checked
+        return results
 
     def checked_add(run, theta, active):
         u, res = greedy_add(run, theta, active)
