@@ -8,8 +8,9 @@ filtering).  The candidates of an exact greedy round run the same
 minimizer privately, from the round's one Hessian and, for additions,
 its one full gradient.  An add round takes its candidates in blocks of
 fixed size and borders the Hessian for a whole block in one stacked
-solve; an addition whose first Newton step converges takes no further
-call.
+solve.  Every add candidate is a refit from its bordered H^-1, whose
+first direction is the stacked Newton step; a refit whose first step
+converges ends after that one call.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -91,6 +93,7 @@ class GroupView:
         selectable = np.ones(self.p, dtype=bool)
         selectable[pre] = False
         self._sel = np.flatnonzero(selectable)
+        self._sel.setflags(write=False)
         if not len(self._sel):
             raise ValueError("preselect must leave at least one selectable unit")
         self.preselect = np.flatnonzero(~selectable)
@@ -116,6 +119,7 @@ class GroupView:
             self.n_units = int(np.count_nonzero(free))
             # each unit's coordinates, ascending, at _coords[_start[u]:_start[u + 1]]
             self._coords = self._sel[np.argsort(self._gsel, kind="stable")]
+            self._coords.setflags(write=False)
             self._start = np.concatenate([[0], np.cumsum(size[free])])
         self.groups = groups
 
@@ -128,6 +132,12 @@ class GroupView:
         sq = np.bincount(self._gsel, weights=np.square(v[self._sel]), minlength=self.n_units)
         return np.sqrt(sq)
 
+    def unit_coords(self, u):
+        """Sorted coordinate indices of unit ``u``, a read-only view."""
+        if self.singleton:
+            return self._sel[u:u + 1]
+        return self._coords[self._start[u]:self._start[u + 1]]
+
     def coords_of(self, units):
         """Sorted coordinate indices covered by the given units."""
         units = np.asarray(units, dtype=int)
@@ -135,8 +145,7 @@ class GroupView:
             return np.sort(self._sel[units])
         if len(units) == 0:
             return np.asarray([], dtype=int)
-        start = self._start
-        return np.sort(np.concatenate([self._coords[start[u]:start[u + 1]] for u in units]))
+        return np.sort(np.concatenate([self.unit_coords(u) for u in units]))
 
     def units_with_support(self, v):
         """Units whose sub-vector of ``v`` is not identically zero."""
@@ -372,30 +381,33 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, inverse=None, start=None, first=No
     """The search of :func:`restricted_minimize` over the coordinates of
     ``x0``, ``value_and_grad`` being the restricted oracle's.
 
-    ``inverse``, the k x k inverse of a positive definite Hessian H taken
-    at or near x0, starts the search: the first direction is -H^-1 g,
-    tried first at step 1, and H is kept after that step if the step is
-    quadratic and H^-1 (g_new - g) matches it to 1e-2 (infinity norms);
-    otherwise the search goes on as it does without ``inverse``.
-    ``start``, the pair (f, g) at x0, stands in for the search's first
-    ``value_and_grad`` call.  ``first``, a pair ``(d, trial)`` given with
-    ``inverse``, is the first direction -H^-1 g as the caller computed it
-    and the pair (f, g) the caller took at x0 + d, which stands in for the
-    first trial's call (None where the caller made no call there, and
-    ``(math.inf, None)`` where that call raised
-    :class:`~sco.autodiff.EvaluationError`).  Returns a
-    :class:`RestrictedResult` over the coordinates of ``x0``.
+    ``x0`` is a float array the caller does not use again: the result may
+    hold it as its params.  ``inverse``, the k x k inverse of a positive
+    definite Hessian H taken at or near x0, starts the search: the first
+    direction is -H^-1 g, tried first at step 1, and H is kept after that
+    step if the step is quadratic and H^-1 (g_new - g) matches it to 1e-2
+    (infinity norms); otherwise the search goes on as it does without
+    ``inverse``.  ``first``, given with ``inverse``, is that first
+    direction as the caller computed it; ``inverse`` may then be a
+    function of no arguments that returns H^-1, called only for the test
+    that keeps H, so a search whose first step converges or is not
+    quadratic never forms it.  ``start``, the triple (f, g, |g|_inf) at
+    x0, stands in for the search's first ``value_and_grad`` call.  Returns
+    a :class:`RestrictedResult` over the coordinates of ``x0``.
     """
-    x = x_start = np.array(x0, dtype=float)
-    f, g = value_and_grad(x) if start is None else start
-    f_start = f
-    grad_inf = grad_start = float(abs(g).max()) if len(g) else 0.0
+    x = x_start = x0
+    if start is None:
+        f, g = value_and_grad(x)
+        grad_inf = float(abs(g).max()) if len(g) else 0.0
+    else:
+        f, g, grad_inf = start
+    f_start, grad_start = f, grad_inf
     S, Y, R = [], [], []  # secant pairs s, y and their 1 / s.y, oldest first
     gamma = None  # s.y / y.y of the newest pair
     converged = grad_inf <= tol
-    # H^-1 from the start, or once the first step showed f quadratic
+    # H^-1 (or, until the keep test forms it, its function) from the
+    # start, or once the first step showed f quadratic
     newton = None if converged else inverse
-    trial = None  # the pair at the first trial point, when the caller took it
     reason = "max_iter"
     it = 0
     while not converged and it < max_iter:
@@ -403,13 +415,12 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, inverse=None, start=None, first=No
         if newton is None:
             d = _lbfgs_direction(g, S, Y, R, gamma)
         elif first is not None:
-            (d, trial), first = first, None
+            d, first = first, None
         else:
             d = -(newton @ g)
         gtd = float(g.dot(d))
         if gtd >= 0.0:  # curvature went bad; fall back to steepest descent
             d = -g
-            trial = None
             gtd = -float(g.dot(g))
         if -gtd <= 1e-18 * (1.0 + abs(f)):
             reason = "no_descent"
@@ -418,20 +429,19 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, inverse=None, start=None, first=No
             alpha = 1.0
         else:
             alpha = min(1.0, 1.0 / max(math.sqrt(-gtd), 1e-12))
-        floor = 4.0 * _EPS * max(1.0, abs(f))
+        floor = None  # 4 eps max(1, |f|), once a trial is rejected
         step = None
         for _ in range(_MAX_BACKTRACKS + 1):
-            x_new = x + alpha * d
-            if trial is not None:  # x + 1.0 * d is the caller's x + d
-                (ft, gt), trial = trial, None
-            else:
-                try:
-                    ft, gt = value_and_grad(x_new)
-                except EvaluationError:
-                    ft = np.inf
+            x_new = x + d if alpha == 1.0 else x + alpha * d
+            try:
+                ft, gt = value_and_grad(x_new)
+            except EvaluationError:
+                ft = np.inf
             if ft < f and ft <= f + _ARMIJO * alpha * gtd:
                 step = ft, gt
                 break
+            if floor is None:
+                floor = 4.0 * _EPS * max(1.0, abs(f))
             if abs(ft - f) <= floor and _ARMIJO * alpha * -gtd <= floor:
                 # f cannot resolve this step: keep it if the gradient shrank
                 if float(abs(gt).max()) < grad_inf:
@@ -452,6 +462,10 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, inverse=None, start=None, first=No
             reason = "floor"
             break
         f_new, g_new = step
+        grad_new = float(abs(g_new).max())
+        if grad_new <= tol:  # nothing reads the step's secant pair or tests
+            x, f, grad_inf, converged = x_new, f_new, grad_new, True
+            break
         s = x_new - x
         y = g_new - g
         sy = float(s.dot(y))
@@ -467,13 +481,13 @@ def _lbfgs(value_and_grad, x0, tol, max_iter, inverse=None, start=None, first=No
                 R.pop(0)
         quadratic = (it == 1 and len(s) <= _NEWTON_MAX_DIM
                      and _is_quadratic(f, f_new - f, float(g.dot(s)), sy))
-        x, f, g = x_new, f_new, g_new
-        grad_inf = float(abs(g).max())
-        converged = grad_inf <= tol
-        if it == 1 and newton is not None and not (
-                quadratic and abs(newton @ y - s).max() <= 1e-2 * abs(s).max()):
-            newton = None
-        if quadratic and newton is None and not converged and it < max_iter:
+        x, f, g, grad_inf = x_new, f_new, g_new, grad_new
+        if it == 1 and newton is not None:
+            if quadratic and callable(newton):
+                newton = newton()
+            if not (quadratic and abs(newton @ y - s).max() <= 1e-2 * abs(s).max()):
+                newton = None
+        if quadratic and newton is None and it < max_iter:
             newton = _difference_newton(value_and_grad, x, g)
     if f > f_start:  # gradient-judged steps wiggled f up at the floor
         if converged:
@@ -581,26 +595,22 @@ def _add_scorer(problem, start, x, cfg, candidates):
     except EvaluationError:
         f = g = None
     candidates = iter(candidates)
-    certify = True
     while block := list(itertools.islice(candidates, _ADD_BLOCK)):
-        scored, certify = _add_block(problem, P, M, x, (f, g), cfg, block, certify)
-        yield from scored
+        yield from _add_block(problem, P, M, x, (f, g), cfg, block)
 
 
-def _add_block(problem, P, M, x, full, cfg, block, certify):
+def _add_block(problem, P, M, x, full, cfg, block):
     # one block of _add_scorer's round.  Each candidate builds its
-    # restricted oracle over P + J and differences its |J| columns at x; one
-    # stacked pass borders M by them (_bordered_steps).  While certify holds,
-    # that is until the round's first failure, a candidate's Newton step d
-    # is tried alone: where its one call shows a strict Armijo decrease and
-    # a gradient within inner_tol, it is the result a refit from the
-    # bordered H^-1 returns, and no refit runs (so on least squares no
-    # candidate refits).  Every other candidate is refit with _lbfgs from
-    # its bordered H^-1 and first direction d, the failed step's call
-    # standing in for the refit's first trial; without M, beyond
+    # restricted oracle over P + J and, where its gradient is above
+    # inner_tol, differences its |J| columns at x; one stacked pass borders
+    # M by them (_bordered_steps).  Every candidate is a refit with _lbfgs
+    # from its bordered H^-1, whose first direction is the stacked Newton
+    # step; a refit whose first step converges ends after that one call,
+    # and H^-1 is formed only for the test that keeps H after a quadratic
+    # first step that does not converge.  Without M, beyond
     # _NEWTON_MAX_DIM coordinates, without a factor for the bordered H or
     # where a difference leaves the domain, the refit runs without a
-    # Hessian.  Returns the block's (P + J, result) pairs and certify
+    # Hessian.  Returns the block's (P + J, result) pairs
     f, g = full
     k, tol = len(P), cfg.inner_tol
     cands, cols, grads = [], [], []
@@ -609,41 +619,25 @@ def _add_block(problem, P, M, x, full, cfg, block, certify):
         x0 = x[free]
         value_and_grad = problem.oracle.restricted(free).value_and_grad
         f0, g0 = value_and_grad(x0) if g is None else (f, g[free])
+        grad_inf = float(abs(g0).max())
         D = None
-        if M is not None and len(free) <= _NEWTON_MAX_DIM and float(abs(g0).max()) > tol:
+        if M is not None and len(free) <= _NEWTON_MAX_DIM and grad_inf > tol:
             D = _difference_columns(value_and_grad, x0, g0, range(k, len(free)))
         if D is not None:
             cols.append(D)
             grads.append(g0)
-        cands.append((free, x0, value_and_grad, f0, g0, D))
+        cands.append((free, x0, value_and_grad, (f0, g0, grad_inf), D))
     steps = iter(_bordered_steps(M, cols, grads) if cols else ())
     scored = []
-    for free, x0, value_and_grad, f0, g0, D in cands:
+    for free, x0, value_and_grad, start, D in cands:
         bordered = None if D is None else next(steps)
-        inverse = first = None
+        inverse = d = None
         if bordered is not None:
             d, W, S = bordered
-            trial = None
-            if certify:
-                gtd = float(g0.dot(d))
-                if -gtd > 1e-18 * (1.0 + abs(f0)):  # the refit's no-descent rule
-                    x_new = x0 + d
-                    try:
-                        ft, gt = value_and_grad(x_new)
-                    except EvaluationError:
-                        ft, gt = math.inf, None
-                    if ft < f0 and ft <= f0 + _ARMIJO * gtd:
-                        grad_new = float(abs(gt).max())
-                        if grad_new <= tol:
-                            scored.append((free, RestrictedResult(x_new, ft, grad_new, 1, True,
-                                                                  "converged")))
-                            continue
-                    trial = ft, gt
-                certify = False
-            inverse, first = _bordered_inverse(M, W, S), (d, trial)
-        scored.append((free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, inverse,
-                                    (f0, g0), first)))
-    return scored, certify
+            inverse = partial(_bordered_inverse, M, W, S)
+        scored.append((free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, inverse, start,
+                                    d)))
+    return scored
 
 
 def restricted_minimize(problem, support, init=None, config=None):

@@ -29,9 +29,11 @@ of the active set, taken once per round, and refits each candidate from
 it with the minimizer of :func:`~sco.problem.restricted_minimize`,
 without that function's checks (see ``_greedy_drop`` and
 ``_greedy_add``).  An add round borders the Hessian by each candidate's
-own columns, a block of candidates at a time in one stacked solve, and
-an addition whose first Newton step converges ends there.  Both keep
-the first lowest measured objective.
+own columns, a block of candidates at a time in one stacked solve.
+Every add candidate is a refit from its bordered H^-1, whose first
+direction is the stacked Newton step; a refit whose first step
+converges ends after that one call.  Both keep the first lowest
+measured objective.
 
 Points known to be sparse are evaluated on their support through the
 oracle's ``restricted`` oracles: line-search trials of iht and htp, and
@@ -234,18 +236,18 @@ def _greedy_add(run, theta, active_mask):
     gradient there, which starts every candidate's refit.  A candidate
     unit J differences only its own columns, and the Newton steps of a
     block of candidates, H^-1 bordered by their columns, come from one
-    stacked solve.  Until one fails in the round, a candidate first takes
-    that Newton step alone: where it converges, that is the refit's
-    result.  Every other candidate is refit from the bordered H^-1 (see
-    ``_add_scorer`` in :mod:`sco.problem`).  Every candidate is ranked by
-    an objective it measured, so the choice is the one plain refits make,
-    up to rounding.
+    stacked solve.  Every candidate is a refit from its bordered H^-1,
+    whose first direction is the stacked Newton step; a refit whose first
+    step converges ends after that one call (see ``_add_scorer`` in
+    :mod:`sco.problem`).  Every candidate is ranked by an objective it
+    measured, so the choice is the one plain refits make, up to
+    rounding.
     """
     problem = run.problem
     start = _start_hessian(problem, np.flatnonzero(active_mask), theta)
     units = np.flatnonzero(~active_mask)
-    coords_of = problem.view.coords_of
-    scored = _add_scorer(problem, start, theta, run.cfg, (coords_of([u]) for u in units))
+    unit_coords = problem.view.unit_coords
+    scored = _add_scorer(problem, start, theta, run.cfg, (unit_coords(u) for u in units))
     return _first_lowest(problem.p, ((u, *c) for u, c in zip(units, scored)))
 
 

@@ -108,6 +108,8 @@ def test_group_view_matches_a_plain_grouping(data):
     assert view.unit_of.tolist() == [free.index(g) if g not in held else -1 for g in ids]
     for u in range(view.n_units):
         assert view.coords_of([u]).tolist() == members[u]
+        coords = view.unit_coords(u)
+        assert np.array_equal(coords, view.coords_of([u])) and not coords.flags.writeable
     units = data.draw(st.lists(st.integers(0, len(free) - 1), unique=True))
     assert view.coords_of(units).tolist() == sorted(j for u in units for j in members[u])
     # eighths square and add exactly, so the norms must match to the bit
@@ -934,8 +936,52 @@ def test_stacked_steps_match_an_explicit_inverse(grouped, monkeypatch):
     for i in walled + zero:
         free, res = scored[i]
         plain = _lbfgs(prob.oracle.restricted(free).value_and_grad, theta[free], cfg.inner_tol,
-                       cfg.inner_max_iter, start=(f, g[free]))
+                       cfg.inner_max_iter, start=(f, g[free], float(abs(g[free]).max())))
         _same_refit(res, plain)
+
+
+@pytest.mark.parametrize("spec, base", [
+    (models.ModelSpec("linear", 100, 60, 4, 5.0, seed=2), [5, 17, 33]),
+    (models.ModelSpec("logistic", 200, 40, 4, 1.0, seed=3), [17, 25]),
+    (models.ModelSpec("logistic", 200, 40, 4, 1.0, seed=3), [2, 17, 25]),
+    (models.ModelSpec("trend", 60, 60, 5, 10.0, seed=1), [1, 15, 38])])
+def test_an_add_candidate_forms_its_inverse_only_when_a_step_reads_it(spec, base, monkeypatch):
+    """A candidate's bordered H^-1 is formed at most once, when a step
+    first reads it: exactly for the candidates whose first step does not
+    converge and passes the quadratic test, for the test that keeps H.  On
+    least squares every first step converges and none is formed; on
+    logistic the first steps go on and almost none is quadratic (one
+    nearly linear step of the round over [2, 17, 25] passes); on trend
+    every first step that goes on is quadratic, and each of those
+    candidates keeps its H (no Hessian is differenced)."""
+    prob = models.build_problem(models.generate(spec))
+    theta = restricted_minimize(prob, base).params
+    start = _start_hessian(prob, base, theta)
+    formed, quadratic = [], []
+    is_quadratic = problem_module._is_quadratic
+
+    def recorded_inverse(M, W, S):
+        formed.append(W)
+        return _bordered_inverse(M, W, S)
+
+    def recorded_test(*args):
+        quadratic.append(is_quadratic(*args))
+        return quadratic[-1]
+
+    monkeypatch.setattr(problem_module, "_bordered_inverse", recorded_inverse)
+    monkeypatch.setattr(problem_module, "_is_quadratic", recorded_test)
+    built = _newton_builds(monkeypatch)
+    candidates = [np.array([u]) for u in np.setdiff1d(np.arange(prob.p), base)]
+    scored = list(_add_scorer(prob, start, theta, SolverConfig(), candidates))
+    went_on = sum(res.iterations >= 2 for _, res in scored)
+    assert len(quadratic) == went_on  # one test per first step that does not converge
+    assert len(formed) == sum(quadratic) and len({id(W) for W in formed}) == len(formed)
+    if spec.kind == "linear":
+        assert went_on == 0
+    elif spec.kind == "logistic":
+        assert went_on == len(candidates) and sum(quadratic) == (len(base) == 3)
+    else:
+        assert 0 < went_on == sum(quadratic) < len(candidates) and built == []
 
 
 def test_an_add_round_holds_one_block_of_restricted_oracles():

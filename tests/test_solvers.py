@@ -5,6 +5,7 @@ invariants, warm starts, and permutation equivariance."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -178,20 +179,24 @@ def test_group_structure_respected(kind):
 
 def _refit_from_round_hessian(problem, start, theta, J, cfg):
     # an add candidate's refit over P + J from the round's start (P, M =
-    # H_PP^-1), M bordered by the columns of J, with its own start call;
-    # without M, or without a factor for the bordered H, the refit takes
-    # no Hessian
+    # H_PP^-1), M bordered by the columns of J and the bordered Newton step
+    # its first direction, with its own start call; without M, or without a
+    # factor for the bordered H, the refit takes no Hessian
     P, M = start
     free = np.concatenate([P, J])
     value_and_grad = problem.oracle.restricted(free).value_and_grad
     x0 = theta[free]
     f0, g0 = value_and_grad(x0)
-    inverse = None
-    if M is not None and float(abs(g0).max()) > cfg.inner_tol:
+    grad_inf = float(abs(g0).max())
+    inverse = d = None
+    if M is not None and grad_inf > cfg.inner_tol:
         D = _difference_columns(value_and_grad, x0, g0, range(len(P), len(free)))
         bordered = None if D is None else _bordered_steps(M, [D], [g0])[0]
-        inverse = None if bordered is None else _bordered_inverse(M, *bordered[1:])
-    return _lbfgs(value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, inverse, (f0, g0))
+        if bordered is not None:
+            d, W, S = bordered
+            inverse = partial(_bordered_inverse, M, W, S)
+    return _lbfgs(value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, inverse,
+                  (f0, g0, grad_inf), d)
 
 
 @pytest.mark.parametrize("model", ["linear", "logistic"])
@@ -283,34 +288,44 @@ def _counting(problem):
 
 def _add_round(problem, base, monkeypatch):
     # one forward round adding to the refit of the base units: its unit
-    # and result, its oracle calls and the candidate refits it ran
+    # and result, its oracle calls, the results of the candidate refits it
+    # ran and the bordered inverses they formed
     theta = restricted_minimize(problem, base).params
     counted, counts = _counting(problem)
     active = np.zeros(problem.view.n_units, dtype=bool)
     active[base] = True
-    refits = []
-    lbfgs = problem_module._lbfgs
+    refits, formed = [], []
+    lbfgs, bordered_inverse = problem_module._lbfgs, problem_module._bordered_inverse
 
     def recorded(*args):
-        refits.append(args)
-        return lbfgs(*args)
+        refits.append(lbfgs(*args))
+        return refits[-1]
+
+    def recorded_inverse(*args):
+        formed.append(args)
+        return bordered_inverse(*args)
 
     with monkeypatch.context() as mp:
         mp.setattr(problem_module, "_lbfgs", recorded)
+        mp.setattr(problem_module, "_bordered_inverse", recorded_inverse)
         u, res = solvers._greedy_add(solvers._Run(counted, SolverConfig()), theta, active)
-    return u, res, counts, len(refits)
+    return u, res, counts, refits, formed
 
 
 def test_least_squares_add_round_scores_every_candidate_without_a_refit(monkeypatch):
     """A least-squares add round takes its start Hessian (|P| + 1 calls)
     and one full-p gradient, then two restricted calls per candidate (its
-    column difference and its converged Newton step); no refit runs, and
-    the round picks the plain refits' unit at their objective."""
+    column difference and its converged Newton step): every candidate's
+    refit ends after its first step, converged, and forms no bordered
+    inverse, and the round picks the plain refits' unit at their
+    objective."""
     ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=2))
     prob = models.build_problem(ds)
     base = np.array([5, 17, 33])
-    u, res, counts, refits = _add_round(prob, base, monkeypatch)
-    assert refits == 0
+    u, res, counts, refits, formed = _add_round(prob, base, monkeypatch)
+    assert len(refits) == prob.p - len(base)
+    assert all(r.iterations == 1 and r.converged for r in refits)
+    assert formed == []
     assert counts == {"full": 1, "restricted": len(base) + 1 + 2 * (prob.p - len(base))}
     assert res.iterations == 1 and res.converged and res.reason == "converged"
     plain = {v: restricted_minimize(prob, np.sort(np.append(base, v))).objective
@@ -320,19 +335,18 @@ def test_least_squares_add_round_scores_every_candidate_without_a_refit(monkeypa
 
 
 def test_logistic_add_round_falls_back_after_its_first_candidate(monkeypatch):
-    """Off a quadratic the first candidate's Newton step does not meet
-    inner_tol, so every candidate is refit from the round's bordered
-    Hessian, each started from the round's one full-p gradient, the first
-    one's tried step standing in for its refit's first trial.  Against
-    refits from the same Hessian that take their own start call, the round
-    makes that full-p call more and one restricted start call fewer per
-    candidate; it picks their unit."""
+    """Off a quadratic no candidate's Newton step meets inner_tol, so every
+    candidate's refit from the round's bordered Hessian goes on past its
+    first step, each started from the round's one full-p gradient.
+    Against refits from the same Hessian that take their own start call,
+    the round makes that full-p call more and one restricted start call
+    fewer per candidate; it picks their unit."""
     ds = models.generate(models.ModelSpec("logistic", 200, 40, 4, 1.0, seed=3))
     prob = models.build_problem(ds)
     base = np.array([2, 17, 25])
-    u, res, counts, refits = _add_round(prob, base, monkeypatch)
+    u, res, counts, refits, _ = _add_round(prob, base, monkeypatch)
     inactive = np.setdiff1d(np.arange(prob.p), base)
-    assert refits == len(inactive)
+    assert len(refits) == len(inactive) and all(r.iterations >= 2 for r in refits)
     cfg = SolverConfig()
     theta = restricted_minimize(prob, base).params
     start = _start_hessian(prob, base, theta)
@@ -382,23 +396,19 @@ def test_scored_add_rounds_match_plain_refits(case):
     """Every add candidate's objective is its plain refit's, and its
     refit's from the round's start Hessian with its own start call, within
     1e-10 (1 + |f|); every forward and foba add round picks the unit that
-    refits from the start Hessian pick, and the unit plain refits pick."""
+    refits from the start Hessian pick, and the unit plain refits pick.
+    Least-squares rounds have candidates scored by their first step alone:
+    their refits end there, converged."""
     kind, prob, warm = case
     cfg = SolverConfig(warm_start=warm)
-    greedy_add, add_scorer, lbfgs = solvers._greedy_add, solvers._add_scorer, problem_module._lbfgs
-    scored, refits = [], []
-
-    def recorded_lbfgs(*args):
-        refits.append((args, lbfgs(*args)))
-        return refits[-1][1]
+    greedy_add, add_scorer = solvers._greedy_add, solvers._add_scorer
+    scored = []
 
     def recorded_scorer(problem, start, x, config, candidates):
-        ran = len(refits)
         candidates = list(candidates)
         results = list(add_scorer(problem, start, x, config, candidates))
-        refit = [r for args, r in refits[ran:]]
         for coords, (free, res) in zip(candidates, results):
-            if not any(res is r for r in refit):  # the Newton step converged; no refit ran
+            if res.iterations == 1 and res.converged:  # the Newton step converged
                 scored.append(res)
             plain = restricted_minimize(problem, np.sort(free), x, cfg)
             own = _refit_from_round_hessian(problem, start, x, coords, cfg)
@@ -421,7 +431,6 @@ def test_scored_add_rounds_match_plain_refits(case):
         return u, res
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(problem_module, "_lbfgs", recorded_lbfgs)
         mp.setattr(solvers, "_add_scorer", recorded_scorer)
         mp.setattr(solvers, "_greedy_add", checked_add)
         for solver in (SolverKind.FORWARD, SolverKind.FOBA):
