@@ -4,13 +4,15 @@ coordinates), hard thresholding onto the sparsity budget, and a
 minimizer over a fixed support: limited-memory quasi-Newton steps, and
 Newton steps with a Hessian from gradient differences once the first
 step shows the restricted objective quadratic (least squares, trend
-filtering).  The candidates of an exact greedy round run the same
-minimizer privately, from the round's one Hessian and, for additions,
-its one full gradient.  An add round takes its candidates in blocks of
-fixed size and borders the Hessian for a whole block in one stacked
-solve.  Every add candidate is a refit from its bordered H^-1, whose
-first direction is the stacked Newton step; a refit whose first step
-converges ends after that one call.
+filtering).  One private engine runs every exact greedy round: each
+change of the round's active set, a unit added or dropped, is refit by
+the same minimizer from the round's one Hessian and, for additions, its
+one full gradient, in blocks of fixed size.  A drop refits from the
+inverse of the Hessian's block over what it keeps.  An add borders the
+Hessian by its own columns, for a whole block in one stacked solve, and
+is a refit from its bordered H^-1 whose first direction is the stacked
+Newton step; a refit whose first step converges ends after that one
+call.
 """
 
 from __future__ import annotations
@@ -574,70 +576,72 @@ def _bordered_inverse(M, W, S):
     return inverse
 
 
-# add candidates differenced and solved together: at n=500 and |P| = 10
-# each one's restricted oracle holds about 50 KB, so a block stays under 1 MB
-_ADD_BLOCK = 16
+# the changes of a round differenced and solved together: at n=500 and
+# |P| = 10 each one's restricted oracle holds about 50 KB, so a block stays
+# under 1 MB
+_BLOCK = 16
 
 
-def _add_scorer(problem, start, x, cfg, candidates):
-    # the candidates of an exact greedy add round at x (zero off P), start
-    # being _start_hessian's (P, M = H_PP^-1): for each coordinate set J of
-    # a unit to add, in order, yields the coordinates P + J (in that order)
-    # and the refit over them from x, a RestrictedResult over P + J.  One
-    # full-p call at x gives f and every gradient, the start of every
-    # candidate's refit; where it raises EvaluationError, each candidate
-    # takes its own start call.  The candidates run in blocks of
-    # _ADD_BLOCK, so that the round never holds more than one block of
-    # restricted oracles
+def _round(problem, start, x, cfg, changes):
+    # an exact greedy round at x (zero off P), start being _start_hessian's
+    # (P, M = H_PP^-1).  A change is a pair (keep, J): keep masks the
+    # positions of P it keeps, and J holds the coordinates of the unit it
+    # adds, empty for a drop (an add keeps all of P).  For each change, in
+    # order, yields the coordinates P[keep] + J and the _lbfgs refit over
+    # them from x, a RestrictedResult over those coordinates.  The changes
+    # run in blocks of _BLOCK, so that the round never holds more than one
+    # block of restricted oracles.
+    #
+    # A drop makes its own start call and refits from _downdate(M, keep),
+    # the inverse of H's block over what it keeps, with no difference call.
+    # An add starts from the round's one full-p call at x, which gives f and
+    # every gradient (where it raises EvaluationError, each add takes its
+    # own start call), and, where its gradient is above inner_tol,
+    # differences its |J| columns at x; one stacked pass per block borders
+    # M by them (_bordered_steps).  The add is a refit from its bordered
+    # H^-1, whose first direction is the stacked Newton step: a refit whose
+    # first step converges ends after that one call, and H^-1 is formed
+    # only for the test that keeps H after a quadratic first step that does
+    # not converge.  Without M, beyond _NEWTON_MAX_DIM coordinates, without
+    # a factor for the bordered H or where a difference leaves the domain,
+    # a change is refit without a Hessian
     P, M = start
-    try:
-        f, g = problem.oracle.value_and_grad(x)
-    except EvaluationError:
-        f = g = None
-    candidates = iter(candidates)
-    while block := list(itertools.islice(candidates, _ADD_BLOCK)):
-        yield from _add_block(problem, P, M, x, (f, g), cfg, block)
-
-
-def _add_block(problem, P, M, x, full, cfg, block):
-    # one block of _add_scorer's round.  Each candidate builds its
-    # restricted oracle over P + J and, where its gradient is above
-    # inner_tol, differences its |J| columns at x; one stacked pass borders
-    # M by them (_bordered_steps).  Every candidate is a refit with _lbfgs
-    # from its bordered H^-1, whose first direction is the stacked Newton
-    # step; a refit whose first step converges ends after that one call,
-    # and H^-1 is formed only for the test that keeps H after a quadratic
-    # first step that does not converge.  Without M, beyond
-    # _NEWTON_MAX_DIM coordinates, without a factor for the bordered H or
-    # where a difference leaves the domain, the refit runs without a
-    # Hessian.  Returns the block's (P + J, result) pairs
-    f, g = full
-    k, tol = len(P), cfg.inner_tol
-    cands, cols, grads = [], [], []
-    for J in block:
-        free = np.concatenate([P, J])
-        x0 = x[free]
-        value_and_grad = problem.oracle.restricted(free).value_and_grad
-        f0, g0 = value_and_grad(x0) if g is None else (f, g[free])
-        grad_inf = float(abs(g0).max())
-        D = None
-        if M is not None and len(free) <= _NEWTON_MAX_DIM and grad_inf > tol:
-            D = _difference_columns(value_and_grad, x0, g0, range(k, len(free)))
-        if D is not None:
-            cols.append(D)
-            grads.append(g0)
-        cands.append((free, x0, value_and_grad, (f0, g0, grad_inf), D))
-    steps = iter(_bordered_steps(M, cols, grads) if cols else ())
-    scored = []
-    for free, x0, value_and_grad, start, D in cands:
-        bordered = None if D is None else next(steps)
-        inverse = d = None
-        if bordered is not None:
-            d, W, S = bordered
-            inverse = partial(_bordered_inverse, M, W, S)
-        scored.append((free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, inverse, start,
-                                    d)))
-    return scored
+    tol = cfg.inner_tol
+    full = None
+    changes = iter(changes)
+    while block := list(itertools.islice(changes, _BLOCK)):
+        refits, cols, grads = [], [], []
+        for keep, J in block:
+            free = np.concatenate([P[keep], J])
+            x0 = x[free]
+            value_and_grad = problem.oracle.restricted(free).value_and_grad
+            begin = D = inverse = None
+            if len(J):
+                if full is None:
+                    try:
+                        full = problem.oracle.value_and_grad(x)
+                    except EvaluationError:
+                        full = None, None
+                f, g = full
+                f0, g0 = value_and_grad(x0) if g is None else (f, g[free])
+                grad_inf = float(abs(g0).max())
+                begin = f0, g0, grad_inf
+                if M is not None and len(free) <= _NEWTON_MAX_DIM and grad_inf > tol:
+                    D = _difference_columns(value_and_grad, x0, g0, range(len(P), len(free)))
+                if D is not None:
+                    cols.append(D)
+                    grads.append(g0)
+            elif M is not None and len(free):
+                inverse = _downdate(M, keep)
+            refits.append((free, x0, value_and_grad, inverse, begin, D))
+        steps = iter(_bordered_steps(M, cols, grads) if cols else ())
+        for free, x0, value_and_grad, inverse, begin, D in refits:
+            bordered = None if D is None else next(steps)
+            d = None
+            if bordered is not None:
+                d, W, S = bordered
+                inverse = partial(_bordered_inverse, M, W, S)
+            yield free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, inverse, begin, d)
 
 
 def restricted_minimize(problem, support, init=None, config=None):

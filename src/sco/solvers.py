@@ -24,16 +24,20 @@ refit of its final support and returns the best refit iterate it visited,
 so the reported objective is always attained by the reported parameters.
 
 Every round of forward and foba tries each change of one active set
-(each inactive unit added, or each active unit dropped) from one Hessian
-of the active set, taken once per round, and refits each candidate from
-it with the minimizer of :func:`~sco.problem.restricted_minimize`,
-without that function's checks (see ``_greedy_drop`` and
-``_greedy_add``).  An add round borders the Hessian by each candidate's
-own columns, a block of candidates at a time in one stacked solve.
-Every add candidate is a refit from its bordered H^-1, whose first
-direction is the stacked Newton step; a refit whose first step
-converges ends after that one call.  Both keep the first lowest
-measured objective.
+(each inactive unit added, or each active unit dropped) through one
+engine, ``_round`` in :mod:`sco.problem`, and keeps the first lowest
+measured objective (``_greedy_round``).  The engine refits every
+candidate, a block at a time, with the minimizer of
+:func:`~sco.problem.restricted_minimize`, without that function's
+checks, from one Hessian of the active set at the round's parameters.
+That Hessian is taken once per (active set, parameters): a foba add
+round that follows a rejected drop round starts from that round's
+Hessian.  A drop candidate refits from the inverse of the Hessian's
+block over what it keeps.  An add round takes one full-p gradient and
+borders the Hessian by each candidate's own columns, a block of
+candidates in one stacked solve; every add candidate is a refit whose
+first direction is the stacked Newton step, and a refit whose first
+step converges ends after that one call.
 
 Points known to be sparse are evaluated on their support through the
 oracle's ``restricted`` oracles: line-search trials of iht and htp, and
@@ -59,9 +63,7 @@ from .problem import (
     ScoProblem,
     ScoSolution,
     SolverConfig,
-    _add_scorer,
-    _downdate,
-    _lbfgs,
+    _round,
     _start_hessian,
     hard_threshold,
     project_feasible,
@@ -185,70 +187,28 @@ def _initial_units(run):
     return top_units(view.unit_norms(g), s)
 
 
-def _first_lowest(p, candidates):
-    """The unit and result of the first lowest objective among the
-    ``(unit, coords, result)`` candidates, each result over its coords;
-    the chosen result's params are returned at length p."""
-    best = None
-    for u, coords, res in candidates:
-        if best is None or res.objective < best[2].objective:
-            best = u, coords, res
-    u, coords, res = best
-    params = np.zeros(p)
+def _greedy_round(run, theta, start, units, changes):
+    """One exact greedy round from theta: refit every change, a pair
+    ``(keep, J)`` of ``_round`` in :mod:`sco.problem`, from ``start``, the
+    Hessian of the active set at theta; the unit of ``units`` (one per
+    change) whose refit has the first lowest objective, and that refit
+    with params at length p.  Every change is ranked by an objective it
+    measured, so the choice is the one plain refits make, up to rounding.
+    """
+    refits = _round(run.problem, start, theta, run.cfg, changes)
+    i, (coords, res) = min(enumerate(refits), key=lambda c: c[1][1].objective)
+    params = np.zeros(run.problem.p)
     params[coords] = res.params
-    return int(u), dataclasses.replace(res, params=params)
+    return int(units[i]), dataclasses.replace(res, params=params)
 
 
-def _greedy_drop(run, theta, units):
-    """Exact backward step: refit every active unit's removal from theta;
-    the unit and refit of the first lowest objective.
-
-    The round takes H over the coordinates P of ``units`` plus
-    preselection once at theta, by forward differences of the restricted
-    gradient.  Each removal is refit over the rest of P from the inverse
-    of H's block there, a Schur downdate with no oracle call, and is still
-    a full refit under ``restricted_minimize``'s rules, so the choice is
-    the one plain refits make.  Without H (40 or more coordinates, or no
-    Cholesky factor) the refits run without it.
-    """
-    problem, cfg = run.problem, run.cfg
-    P, M = _start_hessian(problem, units, theta)
-    owner = problem.view.unit_of[P]  # -1 on preselected coordinates
-
-    def candidates():
-        for v in units:
-            keep = owner != v
-            coords = P[keep]
-            inverse = _downdate(M, keep) if M is not None and len(coords) else None
-            value_and_grad = problem.oracle.restricted(coords).value_and_grad
-            yield v, coords, _lbfgs(value_and_grad, theta[coords], cfg.inner_tol,
-                                    cfg.inner_max_iter, inverse)
-
-    return _first_lowest(problem.p, candidates())
-
-
-def _greedy_add(run, theta, active_mask):
-    """Exact forward step: refit every inactive unit's addition from
-    theta; the unit and result of the first lowest objective.
-
-    The round takes H over the coordinates P of the active units plus
-    preselection once at theta, as a drop round does, and one full-p
-    gradient there, which starts every candidate's refit.  A candidate
-    unit J differences only its own columns, and the Newton steps of a
-    block of candidates, H^-1 bordered by their columns, come from one
-    stacked solve.  Every candidate is a refit from its bordered H^-1,
-    whose first direction is the stacked Newton step; a refit whose first
-    step converges ends after that one call (see ``_add_scorer`` in
-    :mod:`sco.problem`).  Every candidate is ranked by an objective it
-    measured, so the choice is the one plain refits make, up to
-    rounding.
-    """
-    problem = run.problem
-    start = _start_hessian(problem, np.flatnonzero(active_mask), theta)
-    units = np.flatnonzero(~active_mask)
-    unit_coords = problem.view.unit_coords
-    scored = _add_scorer(problem, start, theta, run.cfg, (unit_coords(u) for u in units))
-    return _first_lowest(problem.p, ((u, *c) for u, c in zip(units, scored)))
+def _greedy_add(run, theta, active, start):
+    """Exact forward step: every inactive unit's addition to the active
+    units (a mask), from their Hessian ``start`` at theta."""
+    units = np.flatnonzero(~active)
+    keep = np.ones(len(start[0]), dtype=bool)
+    unit_coords = run.problem.view.unit_coords
+    return _greedy_round(run, theta, start, units, [(keep, unit_coords(u)) for u in units])
 
 
 def _forward(run):
@@ -259,7 +219,8 @@ def _forward(run):
     active = np.zeros(problem.view.n_units, dtype=bool)
     rounds = min(problem.s, run.cfg.max_iter)
     for r in range(1, rounds + 1):
-        u, res = _greedy_add(run, theta, active)
+        u, res = _greedy_add(run, theta, active,
+                             _start_hessian(problem, np.flatnonzero(active), theta))
         active[u] = True
         theta = res.params
         run.accept(r, res, np.flatnonzero(active))
@@ -439,10 +400,13 @@ def _foba(run):
     active = np.zeros(problem.view.n_units, dtype=bool)
     run.revisits(_EMPTY)
     delta_last = None
+    start = None  # the Hessian of the active set at theta, while both hold
     rounds = 0
     while int(active.sum()) < problem.s and rounds < run.cfg.max_iter:
         rounds += 1
-        u, res = _greedy_add(run, theta, active)
+        if start is None:
+            start = _start_hessian(problem, np.flatnonzero(active), theta)
+        u, res = _greedy_add(run, theta, active, start)
         active[u] = True
         theta = res.params
         f_new = run.offer(res.objective, theta, np.flatnonzero(active))
@@ -451,9 +415,13 @@ def _foba(run):
         # backward sweep: drop the cheapest active unit while cheap enough
         while active.any():
             units = np.flatnonzero(active)
-            best_u, best_res = _greedy_drop(run, theta, units)
+            start = _start_hessian(problem, units, theta)
+            owner = problem.view.unit_of[start[0]]  # -1 on preselected coordinates
+            best_u, best_res = _greedy_round(run, theta, start, units,
+                                             [(owner != v, _EMPTY) for v in units])
             if best_res.objective - f_cur > _FOBA_BACKWARD_RATIO * delta_last:
-                break
+                break  # the next add round starts from this Hessian
+            start = None
             active[best_u] = False
             theta = best_res.params
             f_cur = run.offer(best_res.objective, theta, np.flatnonzero(active))

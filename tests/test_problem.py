@@ -21,13 +21,13 @@ from sco.problem import (
     GroupView,
     ScoProblem,
     SolverConfig,
-    _add_scorer,
     _bordered_inverse,
     _bordered_steps,
     _difference_columns,
     _downdate,
     _lbfgs,
     _lbfgs_direction,
+    _round,
     _start_hessian,
     hard_threshold,
     project_feasible,
@@ -707,6 +707,12 @@ def _round_start(ds, base):
     return prob, theta, _start_hessian(prob, base, theta)
 
 
+def _adds(start, candidates):
+    # the changes of an add round from start, one per coordinate set J
+    keep = np.ones(len(start[0]), dtype=bool)
+    return [(keep, np.asarray(J, dtype=int)) for J in candidates]
+
+
 def _add_candidate(prob, start, theta, J):
     # an add candidate as a round sets it up: its coordinates P + J, the
     # restricted oracle's value_and_grad over them, its start point and the
@@ -746,7 +752,7 @@ def test_least_squares_add_candidate_takes_one_bordered_newton_step(seed, monkey
     assert np.array_equal(start[0], base) and start[1] is not None
     counted, calls = _counted(prob)
     passes = _stacked_steps(monkeypatch)
-    (free, res), = _add_scorer(counted, start, theta, SolverConfig(), [picked[3:]])
+    (free, res), = _round(counted, start, theta, SolverConfig(), _adds(start, [picked[3:]]))
     assert res.reason == "converged" and res.iterations == 1
     assert len(calls) == 1 + 1
     assert len(passes) == 1 and passes[0][3][0] is not None
@@ -780,7 +786,10 @@ def test_drop_candidate_starts_from_a_block_of_the_round_hessian(monkeypatch):
         objectives.append(res.objective)
     assert built == []  # the removals' Hessians are blocks of the round's
     counted, calls = _counted(prob)
-    u, res = solvers._greedy_drop(solvers._Run(counted, SolverConfig()), theta, base)
+    start = _start_hessian(counted, base, theta)
+    drops = [(P != v, np.array([], dtype=int)) for v in base]
+    u, res = solvers._greedy_round(solvers._Run(counted, SolverConfig()), theta, start, base,
+                                   drops)
     assert u == base[int(np.argmin(objectives))] and res.objective == min(objectives)
     assert len(calls) == len(base) + 1 + 2 * len(base)
 
@@ -914,7 +923,7 @@ def test_stacked_steps_match_an_explicit_inverse(grouped, monkeypatch):
     candidates = [view.coords_of([u]) for u in inactive]
     passes = _stacked_steps(monkeypatch)
     cfg = SolverConfig()
-    scored = list(_add_scorer(prob, start, theta, cfg, candidates))
+    scored = list(_round(prob, start, theta, cfg, _adds(start, candidates)))
     k = len(P)
     H_P = np.linalg.inv(M)
     sizes, differenced = set(), 0
@@ -972,7 +981,7 @@ def test_an_add_candidate_forms_its_inverse_only_when_a_step_reads_it(spec, base
     monkeypatch.setattr(problem_module, "_is_quadratic", recorded_test)
     built = _newton_builds(monkeypatch)
     candidates = [np.array([u]) for u in np.setdiff1d(np.arange(prob.p), base)]
-    scored = list(_add_scorer(prob, start, theta, SolverConfig(), candidates))
+    scored = list(_round(prob, start, theta, SolverConfig(), _adds(start, candidates)))
     went_on = sum(res.iterations >= 2 for _, res in scored)
     assert len(quadratic) == went_on  # one test per first step that does not converge
     assert len(formed) == sum(quadratic) and len({id(W) for W in formed}) == len(formed)
@@ -1009,8 +1018,8 @@ def test_an_add_round_holds_one_block_of_restricted_oracles():
     theta = restricted_minimize(prob, base).params
     start = _start_hessian(prob, base, theta)
     candidates = [np.array([u]) for u in np.setdiff1d(np.arange(prob.p), base)]
-    assert len(candidates) > 2 * problem_module._ADD_BLOCK
-    scored = list(_add_scorer(tracked, start, theta, SolverConfig(), candidates))
+    assert len(candidates) > 2 * problem_module._BLOCK
+    scored = list(_round(tracked, start, theta, SolverConfig(), _adds(start, candidates)))
     assert len(scored) == len(candidates) and all(res.converged for _, res in scored)
     assert len(alive) == len(candidates)
-    assert most[0] == problem_module._ADD_BLOCK
+    assert most[0] == problem_module._BLOCK

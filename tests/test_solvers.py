@@ -207,49 +207,39 @@ def test_bordered_rounds_pick_the_units_plain_refits_pick(model, monkeypatch):
     removal's refit from the block of the round's start Hessian, bit for
     bit.  On grouped problems with permuted group ids and a preselected
     group."""
-    greedy_add, greedy_drop = solvers._greedy_add, solvers._greedy_drop
-    start_hessian = solvers._start_hessian
+    greedy_round = solvers._greedy_round
     picks, starts = [], []
 
-    def recorded_start(*args):
-        starts.append(start_hessian(*args))
-        return starts[-1]
-
-    def plain_choice(run, theta, changes, u, res):
+    def checked_round(run, theta, start, units, changes):
+        u, res = greedy_round(run, theta, start, units, changes)
+        starts.append(start)
+        problem, cfg = run.problem, run.cfg
+        P, M = start
+        active = np.setdiff1d(problem.view.unit_of[P], [-1])  # -1 on preselected coordinates
+        drop = not any(len(J) for _, J in changes)
+        assert np.array_equal(units, active if drop else np.setdiff1d(
+            np.arange(problem.view.n_units), active))
+        sets = [active[active != v] if drop else np.sort(np.append(active, v)) for v in units]
         plain = []
-        for _, units in changes:
-            init, keep = run.problem.mask(theta, units)
-            plain.append(restricted_minimize(run.problem, keep, init, run.cfg))
+        for kept in sets:
+            init, keep = problem.mask(theta, kept)
+            plain.append(restricted_minimize(problem, keep, init, cfg))
         chosen = int(np.argmin([r.objective for r in plain]))
-        assert u == changes[chosen][0]
+        assert u == units[chosen]
         f = plain[chosen].objective
         assert abs(res.objective - f) <= 1e-12 * (1.0 + abs(f))
         picks.append(u)
-        return changes[chosen][1]
-
-    def checked_add(run, theta, active):
-        u, res = greedy_add(run, theta, active)
-        current = np.flatnonzero(active)
-        plain_choice(run, theta, [(v, np.sort(np.append(current, v)))
-                                  for v in np.flatnonzero(~active)], u, res)
+        if drop:
+            keep = np.isin(P, problem.mask(theta, sets[chosen])[1])
+            own = _lbfgs(problem.oracle.restricted(P[keep]).value_and_grad, theta[P[keep]],
+                         cfg.inner_tol, cfg.inner_max_iter, _downdate(M, keep))
+            params = np.zeros(problem.p)
+            params[P[keep]] = own.params
+            assert res.params.tobytes() == params.tobytes()
+            assert res.objective == own.objective
         return u, res
 
-    def checked_drop(run, theta, units):
-        u, res = greedy_drop(run, theta, units)
-        kept = plain_choice(run, theta, [(v, units[units != v]) for v in units], u, res)
-        P, M = starts[-1]
-        keep = np.isin(P, run.problem.mask(theta, kept)[1])
-        own = _lbfgs(run.problem.oracle.restricted(P[keep]).value_and_grad, theta[P[keep]],
-                     run.cfg.inner_tol, run.cfg.inner_max_iter, _downdate(M, keep))
-        params = np.zeros(run.problem.p)
-        params[P[keep]] = own.params
-        assert res.params.tobytes() == params.tobytes()
-        assert res.objective == own.objective
-        return u, res
-
-    monkeypatch.setattr(solvers, "_start_hessian", recorded_start)
-    monkeypatch.setattr(solvers, "_greedy_add", checked_add)
-    monkeypatch.setattr(solvers, "_greedy_drop", checked_drop)
+    monkeypatch.setattr(solvers, "_greedy_round", checked_round)
     for seed in range(6):
         rng = np.random.default_rng(seed)
         groups = rng.permutation(np.repeat(np.arange(6), [1, 2, 3, 2, 1, 3]))
@@ -308,7 +298,8 @@ def _add_round(problem, base, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(problem_module, "_lbfgs", recorded)
         mp.setattr(problem_module, "_bordered_inverse", recorded_inverse)
-        u, res = solvers._greedy_add(solvers._Run(counted, SolverConfig()), theta, active)
+        u, res = solvers._greedy_add(solvers._Run(counted, SolverConfig()), theta, active,
+                                     _start_hessian(counted, base, theta))
     return u, res, counts, refits, formed
 
 
@@ -401,13 +392,14 @@ def test_scored_add_rounds_match_plain_refits(case):
     their refits end there, converged."""
     kind, prob, warm = case
     cfg = SolverConfig(warm_start=warm)
-    greedy_add, add_scorer = solvers._greedy_add, solvers._add_scorer
+    greedy_add, engine = solvers._greedy_add, solvers._round
     scored = []
 
-    def recorded_scorer(problem, start, x, config, candidates):
-        candidates = list(candidates)
-        results = list(add_scorer(problem, start, x, config, candidates))
-        for coords, (free, res) in zip(candidates, results):
+    def recorded_round(problem, start, x, config, changes):
+        results = list(engine(problem, start, x, config, changes))
+        for (_, coords), (free, res) in zip(changes, results):
+            if not len(coords):  # a drop
+                continue
             if res.iterations == 1 and res.converged:  # the Newton step converged
                 scored.append(res)
             plain = restricted_minimize(problem, np.sort(free), x, cfg)
@@ -417,9 +409,10 @@ def test_scored_add_rounds_match_plain_refits(case):
             assert abs(res.objective - own.objective) <= 1e-10 * (1.0 + abs(f))
         return results
 
-    def checked_add(run, theta, active):
-        u, res = greedy_add(run, theta, active)
+    def checked_add(run, theta, active, round_start):
+        u, res = greedy_add(run, theta, active, round_start)
         start = solvers._start_hessian(run.problem, np.flatnonzero(active), theta)
+        assert all(np.array_equal(a, b) for a, b in zip(round_start, start))  # reused or not
         plain, own = {}, {}
         for v in np.flatnonzero(~active):
             init, keep = run.problem.mask(theta, np.append(np.flatnonzero(active), v))
@@ -431,11 +424,59 @@ def test_scored_add_rounds_match_plain_refits(case):
         return u, res
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solvers, "_add_scorer", recorded_scorer)
+        mp.setattr(solvers, "_round", recorded_round)
         mp.setattr(solvers, "_greedy_add", checked_add)
         for solver in (SolverKind.FORWARD, SolverKind.FOBA):
             validate_solution(prob, solve(solver, prob, cfg))
     assert scored or kind == "trend" or prob.groups is not None
+
+
+def test_greedy_rounds_keep_the_first_of_tied_units(monkeypatch):
+    """Two identical columns tie bit for bit: forward's add round and a
+    foba drop round over both units pick the lower unit index."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((50, 8))
+    X[:, 4] = X[:, 1]
+    y = 3.0 * X[:, 1] + X[:, 6] + 0.1 * rng.standard_normal(50)
+    prob = _ols_problem(X, y, 1)
+    engine, objectives = solvers._round, {}
+
+    def recorded(*args):
+        for coords, res in engine(*args):
+            objectives[int(coords[-1])] = res.objective  # the unit added, or the one kept
+            yield coords, res
+
+    monkeypatch.setattr(solvers, "_round", recorded)
+    assert np.array_equal(solve(SolverKind.FORWARD, prob).support, [1])
+    assert len(objectives) == 8 and objectives[1] == objectives[4]
+    # the drop round at a point that splits the coefficient evenly, from a
+    # start without a Hessian (as a singular H gives)
+    objectives.clear()
+    units = np.array([1, 4])
+    theta = np.zeros(8)
+    theta[units] = 1.5
+    drops = [(units != v, np.array([], dtype=int)) for v in units]
+    u, res = solvers._greedy_round(solvers._Run(prob, SolverConfig()), theta, (units, None),
+                                   units, drops)
+    assert objectives[1] == objectives[4]
+    assert u == 1 and res.params[1] == 0.0 and res.params[4] != 0.0
+
+
+def test_foba_takes_one_hessian_per_active_set_and_point(monkeypatch):
+    """No foba round retakes the Hessian of the round before it at the
+    same active set and point: an add round after a rejected drop round
+    starts from that round's Hessian."""
+    start_hessian, calls = solvers._start_hessian, []
+
+    def recorded(problem, units, x):
+        calls.append((np.asarray(units).tobytes(), x.tobytes()))
+        return start_hessian(problem, units, x)
+
+    monkeypatch.setattr(solvers, "_start_hessian", recorded)
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
+    solve(SolverKind.FOBA, models.build_problem(ds))
+    assert len(calls) >= 4  # one active set per add round at least
+    assert all(a != b for a, b in zip(calls, calls[1:]))
 
 
 def test_scope_and_foba_match_exhaustive_smoke():

@@ -18,7 +18,7 @@ def _load(name):
 
 def test_solve_digest_runs_on_a_tiny_zoo_and_repeats():
     """The digest covers every solver on every dataset, every refit and
-    the calls of each kind, and two runs agree to the byte."""
+    the calls of each kind per solver, and two runs agree to the byte."""
     solve_digest = _load("solve_digest")
     cases = {"linear": (("linear", 30, 8, 2, 5.0), range(2)),
              "logistic": (("logistic", 60, 6, 2, 1.0), range(1))}
@@ -27,4 +27,6 @@ def test_solve_digest_runs_on_a_tiny_zoo_and_repeats():
     out = json.loads(first)
     assert len(out["solves"]) == 3 * len(SolverKind) and len(out["refits"]) == 3 * 2
     assert set(out["calls"]) == set(cases)
-    assert all(calls["restricted.value_and_grad"] > 0 for calls in out["calls"].values())
+    for calls in out["calls"].values():  # per solver, and for the plain refits
+        assert set(calls) == {kind.value for kind in SolverKind} | {"refits"}
+        assert all(c["restricted.value_and_grad"] > 0 for c in calls.values())

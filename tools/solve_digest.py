@@ -9,7 +9,8 @@ iterations and ``converged``.  Every dataset also has ``REFITS`` plain
 ``restricted_minimize`` refits of random supports from zero, which
 record the same plus ``grad_inf`` and ``reason``.  Per problem kind, the
 digest counts the full-p and restricted ``value`` and ``value_and_grad``
-calls of all its solves and refits.
+calls of each solver's solves and of the plain refits, so that a count
+that moves can be traced to one solver.
 
 Run it from a checkout's root; it imports ``sco`` from that checkout's
 ``src``::
@@ -85,15 +86,16 @@ def digest(cases=CASES, refits=REFITS):
     """The digest of ``cases`` (``CASES``' form) as a JSON-ready dict."""
     out = {"solves": {}, "refits": {}, "calls": {}}
     for name, ((kind, n, p, s, signal), seeds) in cases.items():
-        counts = dict.fromkeys(CALLS, 0)
+        counts = {key: dict.fromkeys(CALLS, 0) for key in [*(k.value for k in SolverKind), "refits"]}
         for seed in seeds:
             ds = models.generate(models.ModelSpec(kind, n, p, s, signal, seed))
-            problem = _counted(models.build_problem(ds, s=s), counts)
+            built = models.build_problem(ds, s=s)
             for solver in SolverKind:
-                sol = solve(solver, problem)
+                sol = solve(solver, _counted(built, counts[solver.value]))
                 out["solves"][f"{name}/{seed}/{solver.value}"] = {
                     "support": _sha(sol.support),
                     **_entry(sol.params, sol.objective, sol.iterations, sol.converged)}
+            problem = _counted(built, counts["refits"])
             rng = np.random.default_rng(seed)
             for size in range(1, min(refits, p) + 1):
                 support = np.sort(rng.choice(p, size=size, replace=False))
