@@ -73,6 +73,9 @@ class EvaluationError(ArithmeticError):
     silently propagating nan/inf.  ``node`` is the index of the offending
     node of the program's recording when the failure happened on a tape:
     the same for a restricted oracle as for the oracle it derives from.
+    ``op`` names the failing operation ("log", "div", "exp", ...).  An
+    overflow or invalid value inside an operation is named by op and node
+    as a domain error of that operation is.
     """
 
     def __init__(self, message, op=None, node=None):
@@ -91,10 +94,16 @@ def _domain(ok, message, op):
         raise EvaluationError(message, op=op)
 
 
-def _blame(error, i, j, offset=0):
-    # a rule checks its last variable operand: the divisor, or its one operand,
-    # named as the program's own node
+def _blame(error, rule, i, j, offset=0):
+    # the EvaluationError of rule over nodes i and j, for a domain error or a
+    # floating-point fault, the latter named by the rule's operation (_exp is
+    # "exp", _rdiv_const "div").  A rule checks its last variable operand: the
+    # divisor, or its one operand, named as the program's own node
+    if not isinstance(error, EvaluationError):
+        op = rule.__name__[1:].removesuffix("_const").removeprefix("r")
+        error = EvaluationError(f"non-finite value during evaluation: {error}", op=op)
     error.node = max((j if j >= 0 else i) - offset, 0)
+    return error
 
 
 def _const(x):
@@ -358,9 +367,8 @@ class Tape:
         j = -1 if y is None else y.idx
         try:
             value, pa, pb = rule(x.val, None if y is None else y.val, c)
-        except EvaluationError as e:
-            _blame(e, i, j)
-            raise
+        except (EvaluationError, FloatingPointError) as e:
+            raise _blame(e, rule, i, j)
         shape = getattr(value, "shape", ())
         if not shape:
             value = float(value)
@@ -653,10 +661,8 @@ def _plan(tape, root):
                 back = partial(_gather_adjoint, c, shape)
             elif kind == "mv":
                 back = _mv_adjoint
-            elif kind == "cumsum":
+            else:  # cumsum: only a placed recording has scatter nodes
                 back = _cumsum_adjoint
-            else:
-                back = _scatter_adjoint
             steps.append((k, t, back, fix))
     return steps
 
@@ -737,9 +743,8 @@ class _Recording:
             try:
                 # values[j] with j = -1 is a stand-in that one-operand rules ignore
                 value, pa, pb = rule(values[i], values[j], c)
-            except EvaluationError as e:
-                _blame(e, i, j, self.offset)
-                raise
+            except (EvaluationError, FloatingPointError) as e:
+                raise _blame(e, rule, i, j, self.offset)
             keep_value(value if shape else float(value))
             keep_partials((pa, pb))
         return values, partials

@@ -9,10 +9,11 @@ change of the round's active set, a unit added or dropped, is refit by
 the same minimizer from the round's one Hessian and, for additions, its
 one full gradient, in blocks of fixed size.  A drop refits from the
 inverse of the Hessian's block over what it keeps.  An add borders the
-Hessian by its own columns, for a whole block in one stacked solve, and
-is a refit from its bordered H^-1 whose first direction is the stacked
-Newton step; a refit whose first step converges ends after that one
-call.
+Hessian by its own columns, for a whole block in one stacked solve that
+factors each Schur complement once, and is a refit from its bordered
+H^-1 whose first direction is the stacked Newton step; a refit whose
+first step converges ends after that one call.  One rule decides
+whether a Hessian block is positive definite: it has a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -325,21 +326,23 @@ def _is_quadratic(f, df, gs, sy):
 
 
 def _spd_inverse(H):
-    # H^-1 through its Cholesky factor L, as (L^-1)' L^-1; None when H is not
-    # finite or has no factor.  A 1x1 H takes the same arithmetic in scalars
-    if H.shape == (1, 1):
-        a = float(H[0, 0])
-        if not 0.0 < a < math.inf:
-            return None
-        r = 1.0 / math.sqrt(a)
-        return np.array([[r * r]])
-    if not np.isfinite(H).all():
-        return None
+    # for a stack H of m x m matrices: which of them are finite with a
+    # Cholesky factor L, and, in order, the inverses (L^-1)' L^-1 of those.
+    # 1 x 1 matrices take the scalar arithmetic (1 / sqrt a)^2; a stack in
+    # which some matrix has no factor is decided matrix by matrix
+    if H.shape[1] == 1:
+        ok = (H[:, 0, 0] > 0.0) & (H[:, 0, 0] < math.inf)
+        r = 1.0 / np.sqrt(H[ok])
+        return ok, r * r
+    ok = np.isfinite(H).all(axis=(1, 2))
     try:
-        L_inv = np.linalg.inv(np.linalg.cholesky(H))
+        L_inv = np.linalg.inv(np.linalg.cholesky(H[ok]))
     except np.linalg.LinAlgError:
-        return None
-    return L_inv.T @ L_inv
+        if len(H) == 1:
+            return np.zeros(1, dtype=bool), H[:0]
+        ok, inverses = zip(*(_spd_inverse(h[None]) for h in H))
+        return np.concatenate(ok), np.concatenate(inverses)
+    return ok, L_inv.transpose(0, 2, 1) @ L_inv
 
 
 def _difference_columns(value_and_grad, x, g, cols):
@@ -363,7 +366,10 @@ def _difference_newton(value_and_grad, x, g):
     # when a difference leaves the domain or H is not finite and positive
     # definite
     D = _difference_columns(value_and_grad, x, g, range(len(x)))
-    return None if D is None else _spd_inverse(0.5 * (D + D.T))
+    if D is None:
+        return None
+    ok, inverse = _spd_inverse(0.5 * (D + D.T)[None])
+    return inverse[0] if ok[0] else None
 
 
 def _downdate(M, keep):
@@ -372,11 +378,11 @@ def _downdate(M, keep):
     # has no Cholesky factor
     drop = ~keep
     M_K = M[keep]
-    M_DD_inv = _spd_inverse(M[drop][:, drop])
-    if M_DD_inv is None:
+    ok, M_DD_inv = _spd_inverse(M[drop][:, drop][None])
+    if not ok[0]:
         return None
     M_KD = M_K[:, drop]
-    return M_K[:, keep] - M_KD @ M_DD_inv @ M_KD.T
+    return M_K[:, keep] - M_KD @ M_DD_inv[0] @ M_KD.T
 
 
 def _lbfgs(value_and_grad, x0, tol, max_iter, inverse=None, start=None, first=None):
@@ -521,25 +527,6 @@ def _start_hessian(problem, units, x):
     return coords, None if M is None else 0.5 * (M + M.T)
 
 
-def _spd_solve(S, r):
-    # for a stack S of m x m matrices and r of m x 1 columns: which S are
-    # finite with a Cholesky factor (_spd_inverse's rule), and S^-1 r for
-    # those (zero for the others)
-    if S.shape[1] == 1:
-        s = S[:, 0]
-        ok = (s > 0.0) & (s < math.inf)
-        return ok[:, 0], np.divide(r, s[:, :, None], out=np.zeros_like(r), where=ok[:, :, None])
-    ok = np.isfinite(S).all(axis=(1, 2))
-    try:
-        np.linalg.cholesky(S[ok])
-    except np.linalg.LinAlgError:
-        ok[ok] = [_spd_inverse(s) is not None for s in S[ok]]
-    v = np.zeros_like(r)
-    if ok.any():
-        v[ok] = np.linalg.solve(S[ok], r[ok])
-    return ok, v
-
-
 def _bordered_steps(M, cols, grads):
     # the bordered Newton steps of add candidates, in one stacked pass per
     # unit size.  A candidate adds m coordinates J to the k of P: its
@@ -548,30 +535,34 @@ def _bordered_steps(M, cols, grads):
     # rows P of D) it is positive definite exactly when the Schur
     # complement S = sym(D_J) - D_P' W has a Cholesky factor; then
     # -H^-1 g = (-M g_P - W v, v) with v = S^-1 (W' g_P - g_J) (block
-    # elimination).  Returns per candidate (d, W, S), or None without a factor
+    # elimination).  Returns per candidate the pair of that step and H^-1
+    # as a function of no arguments (_bordered_inverse), or (None, None)
+    # without a factor
     k = len(M)
-    out = [None] * len(cols)
+    out = [(None, None)] * len(cols)
     sizes = [D.shape[1] for D in cols]
     for m in set(sizes):
         idx = [c for c, size in enumerate(sizes) if size == m]
         D = np.array([cols[c] for c in idx])
         G = np.array([grads[c] for c in idx])[:, :, None]
-        D_P, D_J, g_P = D[:, :k], D[:, k:], G[:, :k]
+        D_P, D_J = D[:, :k], D[:, k:]
         W = M @ D_P
-        S = 0.5 * (D_J + D_J.transpose(0, 2, 1)) - D_P.transpose(0, 2, 1) @ W
-        ok, v = _spd_solve(S, W.transpose(0, 2, 1) @ g_P - G[:, k:])
-        d = np.concatenate([-(M @ g_P) - W @ v, v], axis=1)[:, :, 0]
-        for b in np.flatnonzero(ok):
-            out[idx[b]] = d[b], W[b], S[b]
+        ok, S_inv = _spd_inverse(0.5 * (D_J + D_J.transpose(0, 2, 1))
+                                 - D_P.transpose(0, 2, 1) @ W)
+        W, G = W[ok], G[ok]
+        v = S_inv @ (W.transpose(0, 2, 1) @ G[:, :k] - G[:, k:])
+        d = np.concatenate([-(M @ G[:, :k]) - W @ v, v], axis=1)[:, :, 0]
+        for b, c in enumerate(np.flatnonzero(ok)):
+            out[idx[c]] = d[b], partial(_bordered_inverse, M, W[b], S_inv[b])
     return out
 
 
-def _bordered_inverse(M, W, S):
+def _bordered_inverse(M, W, S_inv):
     # H^-1 of _bordered_steps' H: E + Z S^-1 Z' with E holding M in the
     # block P and Z = (W, -I)
     k, m = W.shape
     Z = np.vstack([W, -np.eye(m)])
-    inverse = Z @ _spd_inverse(S) @ Z.T
+    inverse = Z @ S_inv @ Z.T
     inverse[:k, :k] += M
     return inverse
 
@@ -595,16 +586,16 @@ def _round(problem, start, x, cfg, changes):
     # A drop makes its own start call and refits from _downdate(M, keep),
     # the inverse of H's block over what it keeps, with no difference call.
     # An add starts from the round's one full-p call at x, which gives f and
-    # every gradient (where it raises EvaluationError, each add takes its
-    # own start call), and, where its gradient is above inner_tol,
+    # every gradient, and, where its gradient is above inner_tol,
     # differences its |J| columns at x; one stacked pass per block borders
-    # M by them (_bordered_steps).  The add is a refit from its bordered
-    # H^-1, whose first direction is the stacked Newton step: a refit whose
-    # first step converges ends after that one call, and H^-1 is formed
-    # only for the test that keeps H after a quadratic first step that does
-    # not converge.  Without M, beyond _NEWTON_MAX_DIM coordinates, without
-    # a factor for the bordered H or where a difference leaves the domain,
-    # a change is refit without a Hessian
+    # M by them, factoring each Schur complement once (_bordered_steps).
+    # The add is a refit from its bordered H^-1, whose first direction is
+    # the stacked Newton step: a refit whose first step converges ends
+    # after that one call, and H^-1 is formed only for the test that keeps
+    # H after a quadratic first step that does not converge.  Without M,
+    # beyond _NEWTON_MAX_DIM coordinates, without a factor for the bordered
+    # H or where a difference leaves the domain, a change is refit without
+    # a Hessian
     P, M = start
     tol = cfg.inner_tol
     full = None
@@ -618,14 +609,10 @@ def _round(problem, start, x, cfg, changes):
             begin = D = inverse = None
             if len(J):
                 if full is None:
-                    try:
-                        full = problem.oracle.value_and_grad(x)
-                    except EvaluationError:
-                        full = None, None
-                f, g = full
-                f0, g0 = value_and_grad(x0) if g is None else (f, g[free])
+                    full = problem.oracle.value_and_grad(x)
+                g0 = full[1][free]
                 grad_inf = float(abs(g0).max())
-                begin = f0, g0, grad_inf
+                begin = full[0], g0, grad_inf
                 if M is not None and len(free) <= _NEWTON_MAX_DIM and grad_inf > tol:
                     D = _difference_columns(value_and_grad, x0, g0, range(len(P), len(free)))
                 if D is not None:
@@ -636,11 +623,9 @@ def _round(problem, start, x, cfg, changes):
             refits.append((free, x0, value_and_grad, inverse, begin, D))
         steps = iter(_bordered_steps(M, cols, grads) if cols else ())
         for free, x0, value_and_grad, inverse, begin, D in refits:
-            bordered = None if D is None else next(steps)
             d = None
-            if bordered is not None:
-                d, W, S = bordered
-                inverse = partial(_bordered_inverse, M, W, S)
+            if D is not None:
+                d, inverse = next(steps)
             yield free, _lbfgs(value_and_grad, x0, tol, cfg.inner_max_iter, inverse, begin, d)
 
 

@@ -794,6 +794,43 @@ def test_restricted_errors_name_the_programs_node(program, valid, invalid):
                     assert _outcome(getattr(sub, method), invalid[pick]) == expected
 
 
+@pytest.mark.parametrize("probe", [False, True])
+def test_floating_point_faults_name_the_rules_node(probe):
+    """An overflow inside a rule is blamed where the rule runs, as a domain
+    error of that rule is: the op and its operand's node, the same on the
+    full oracle and a restricted one, recording or replaying."""
+    oracle = build_objective(lambda t: sco.vsum(sco.exp(t * 1000.0)), 3, probe=probe)
+    domain = build_objective(lambda t: sco.vsum(sco.log(t * -1000.0)), 3, probe=probe)
+    for sub, x in ((lambda o: o, np.ones(3)), (lambda o: o.restricted([0, 2]), np.ones(2))):
+        for method in ("value", "value_and_grad"):
+            with pytest.raises(EvaluationError, match="overflow encountered in exp") as err:
+                getattr(sub(oracle), method)(x)
+            assert (err.value.op, err.value.node) == ("exp", 1)
+            with pytest.raises(EvaluationError) as err:
+                getattr(sub(domain), method)(x)
+            assert (err.value.op, err.value.node) == ("log", 1)
+
+
+def test_non_finite_results_raise_naming_the_root(monkeypatch):
+    """A value that comes out non-finite without a floating-point fault, as
+    an infinite constant makes it, raises EvaluationError naming the root,
+    on the full oracle and a restricted one.  A gradient that does is
+    refused the same way; no program found reaches that without a fault,
+    so the sweep's result is replaced to show it."""
+    oracle = build_objective(lambda t: sco.vsum(t) + np.inf, 3, probe=False)
+    for sub, x in ((oracle, np.ones(3)), (oracle.restricted([0, 2]), np.ones(2))):
+        for method in ("value", "value_and_grad"):
+            with pytest.raises(EvaluationError, match="non-finite objective value") as err:
+                getattr(sub, method)(x)
+            assert (err.value.op, err.value.node) == (None, 2)
+    oracle = build_objective(sco.sqnorm, 3)
+    monkeypatch.setattr(autodiff, "_sweep", lambda *args: np.array([0.0, np.inf, 0.0]))
+    assert oracle.value(np.ones(3)) == 3.0
+    with pytest.raises(EvaluationError, match="non-finite gradient") as err:
+        oracle.value_and_grad(np.ones(3))
+    assert (err.value.op, err.value.node) == (None, 1)
+
+
 def test_failed_first_call_keeps_no_recording():
     calls = []
     oracle = build_objective(_counting(lambda th: sco.log(th[0]) + sco.sqnorm(th), calls), 2,

@@ -28,6 +28,7 @@ from sco.problem import (
     _lbfgs,
     _lbfgs_direction,
     _round,
+    _spd_inverse,
     _start_hessian,
     hard_threshold,
     project_feasible,
@@ -352,6 +353,50 @@ def test_line_search_interpolates_after_an_overshooting_first_trial():
     assert trials[:2] == [0.0, 1.0]
     rejected = len(trials) - 2  # less the start and the accepted trial
     assert rejected <= 2, trials
+
+
+def test_a_start_inverse_that_points_uphill_gives_a_steepest_descent_step():
+    # f = |x - b|^2 / 2 from 0 with H^-1 = -I: -H^-1 g = g climbs, so the
+    # first direction falls back to -g, which lands on b at step 1
+    b = np.array([1.0, -2.0, 0.5])
+    trials = []
+
+    def value_and_grad(x):
+        trials.append(x.copy())
+        return 0.5 * float((x - b) @ (x - b)), x - b
+
+    res = _lbfgs(value_and_grad, np.zeros(3), 1e-8, 100, -np.eye(3))
+    assert res.converged and res.iterations == 1
+    assert len(trials) == 2 and np.array_equal(trials[1], b)
+
+
+@pytest.mark.parametrize("tol, reason", [(1e-12, "max_iter"), (0.6e-7, "floor")])
+def test_a_search_that_ends_above_its_start_returns_the_start(tol, reason):
+    # the one step lands within the floor of f but above it, with a smaller
+    # gradient, so it is kept; the search then ends, by max_iter or because
+    # that gradient meets tol, and returns its start, unconverged
+    eps = np.finfo(float).eps
+
+    def value_and_grad(x):
+        return (1.0, np.array([1e-7])) if x[0] == 0.0 else (1.0 + 2.0 * eps, np.array([0.5e-7]))
+
+    x0 = np.zeros(1)
+    res = _lbfgs(value_and_grad, x0, tol, 1)
+    assert (res.objective, res.grad_inf, res.iterations) == (1.0, 1e-7, 1)
+    assert res.params is x0 and not res.converged and res.reason == reason
+
+
+def test_a_round_start_without_a_hessian():
+    """_start_hessian takes no Hessian over 40 or more coordinates, nor
+    where the gradient at the round's point raises EvaluationError."""
+    ds = models.generate(models.ModelSpec("linear", 100, 60, 4, 5.0, seed=0))
+    prob = models.build_problem(ds)
+    coords, M = _start_hessian(prob, np.arange(40), np.zeros(prob.p))
+    assert np.array_equal(coords, np.arange(40)) and M is None
+    assert _start_hessian(prob, np.arange(39), np.zeros(prob.p))[1] is not None
+    walled = ScoProblem(p=3, s=2, oracle=build_objective(lambda t: sco.vsum(sco.log(t)), 3))
+    coords, M = _start_hessian(walled, [0, 2], np.array([1.0, 0.0, -1.0]))
+    assert np.array_equal(coords, [0, 2]) and M is None
 
 
 def test_group_and_preselect_validation():
@@ -723,8 +768,8 @@ def _add_candidate(prob, start, theta, J):
     x0 = theta[free]
     g0 = value_and_grad(x0)[1]
     D = _difference_columns(value_and_grad, x0, g0, range(len(P), len(free)))
-    (_, W, S), = _bordered_steps(M, [D], [g0])
-    return free, value_and_grad, x0, _bordered_inverse(M, W, S)
+    (_, inverse), = _bordered_steps(M, [D], [g0])
+    return free, value_and_grad, x0, inverse()
 
 
 def _stacked_steps(monkeypatch):
@@ -755,7 +800,7 @@ def test_least_squares_add_candidate_takes_one_bordered_newton_step(seed, monkey
     (free, res), = _round(counted, start, theta, SolverConfig(), _adds(start, [picked[3:]]))
     assert res.reason == "converged" and res.iterations == 1
     assert len(calls) == 1 + 1
-    assert len(passes) == 1 and passes[0][3][0] is not None
+    assert len(passes) == 1 and passes[0][3][0][0] is not None
     ref = np.linalg.lstsq(ds.X[:, free], ds.y, rcond=None)[0]
     assert np.max(np.abs(res.params - ref) / (1.0 + np.abs(ref))) <= 1e-8
 
@@ -933,7 +978,7 @@ def test_stacked_steps_match_an_explicit_inverse(grouped, monkeypatch):
             differenced += 1
             D_J = D[k:]
             if not D_J.any():  # the zero column
-                assert step is None
+                assert step == (None, None)
                 continue
             H = np.block([[H_P, D[:k]], [D[:k].T, 0.5 * (D_J + D_J.T)]])
             ref = -np.linalg.inv(H) @ g0
@@ -947,6 +992,51 @@ def test_stacked_steps_match_an_explicit_inverse(grouped, monkeypatch):
         plain = _lbfgs(prob.oracle.restricted(free).value_and_grad, theta[free], cfg.inner_tol,
                        cfg.inner_max_iter, start=(f, g[free], float(abs(g[free]).max())))
         _same_refit(res, plain)
+
+
+def test_the_stacked_rule_refuses_non_finite_and_indefinite_matrices(monkeypatch):
+    """_spd_inverse keeps, in order, the inverses of the finite matrices of
+    a stack that have a Cholesky factor; a stack with one that has none is
+    decided again matrix by matrix, a lone matrix is not.  1 x 1 matrices
+    take (1 / sqrt a)^2."""
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counted(H):
+        if len(H):
+            factored.append(len(H))  # matrices factored by one call
+        return cholesky(H)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    stack = np.array([A, np.full((2, 2), np.nan), -A, 3.0 * A])
+    ok, inverses = _spd_inverse(stack)
+    assert ok.tolist() == [True, False, False, True] and factored == [3, 1, 1, 1]
+    assert np.allclose(inverses, np.linalg.inv(stack[ok]), rtol=1e-14, atol=0.0)
+    for H, fits in ((A, True), (-A, False)):
+        factored.clear()
+        ok, inverse = _spd_inverse(H[None])
+        assert ok.tolist() == [fits] and len(inverse) == fits and factored == [1]
+    ok, inverses = _spd_inverse(np.array([4.0, 0.0, -1.0, np.inf, np.nan, 0.5])[:, None, None])
+    assert ok.tolist() == [True, False, False, False, False, True]
+    assert inverses[:, 0, 0].tolist() == [(1.0 / math.sqrt(a)) ** 2 for a in (4.0, 0.5)]
+
+
+def test_a_candidate_whose_schur_complement_is_not_finite_or_indefinite_has_no_step():
+    # three candidates of two coordinates over P of one: S = sym(D_J) - D_P' W
+    # is positive definite, holds a NaN, or is negative definite
+    M = np.array([[0.5]])
+    good = np.array([[0.2, 0.1], [3.0, 0.5], [0.5, 2.0]])
+    nan = good.copy()
+    nan[1, 1] = np.nan
+    indefinite = np.array([[0.0, 0.0], [-1.0, 0.0], [0.0, -1.0]])
+    g = np.array([0.3, -1.0, 2.0])
+    steps = _bordered_steps(M, [good, nan, indefinite], [g, g, g])
+    assert steps[1] == steps[2] == (None, None)
+    d, inverse = steps[0]
+    H = np.block([[np.linalg.inv(M), good[:1]], [good[:1].T, good[1:]]])
+    assert np.allclose(d, -np.linalg.solve(H, g), rtol=1e-13, atol=0.0)
+    assert np.allclose(inverse(), np.linalg.inv(H), rtol=1e-13, atol=1e-15)
 
 
 @pytest.mark.parametrize("spec, base", [
@@ -969,9 +1059,9 @@ def test_an_add_candidate_forms_its_inverse_only_when_a_step_reads_it(spec, base
     formed, quadratic = [], []
     is_quadratic = problem_module._is_quadratic
 
-    def recorded_inverse(M, W, S):
+    def recorded_inverse(M, W, S_inv):
         formed.append(W)
-        return _bordered_inverse(M, W, S)
+        return _bordered_inverse(M, W, S_inv)
 
     def recorded_test(*args):
         quadratic.append(is_quadratic(*args))

@@ -5,7 +5,6 @@ invariants, warm starts, and permutation equivariance."""
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,8 +14,8 @@ from hypothesis import strategies as st
 import sco
 from sco import models, solvers
 from sco import problem as problem_module
-from sco.autodiff import ObjectiveOracle, build_objective
-from sco.problem import (ScoProblem, SolverConfig, _bordered_inverse, _bordered_steps,
+from sco.autodiff import EvaluationError, ObjectiveOracle, build_objective
+from sco.problem import (ScoProblem, SolverConfig, _bordered_steps,
                          _difference_columns, _downdate, _lbfgs, _start_hessian,
                          restricted_minimize, validate_solution)
 from sco.solvers import SolverKind, solve
@@ -191,10 +190,8 @@ def _refit_from_round_hessian(problem, start, theta, J, cfg):
     inverse = d = None
     if M is not None and grad_inf > cfg.inner_tol:
         D = _difference_columns(value_and_grad, x0, g0, range(len(P), len(free)))
-        bordered = None if D is None else _bordered_steps(M, [D], [g0])[0]
-        if bordered is not None:
-            d, W, S = bordered
-            inverse = partial(_bordered_inverse, M, W, S)
+        if D is not None:
+            (d, inverse), = _bordered_steps(M, [D], [g0])
     return _lbfgs(value_and_grad, x0, cfg.inner_tol, cfg.inner_max_iter, inverse,
                   (f0, g0, grad_inf), d)
 
@@ -477,6 +474,24 @@ def test_foba_takes_one_hessian_per_active_set_and_point(monkeypatch):
     solve(SolverKind.FOBA, models.build_problem(ds))
     assert len(calls) >= 4  # one active set per add round at least
     assert all(a != b for a, b in zip(calls, calls[1:]))
+
+
+@pytest.mark.parametrize("kind", [SolverKind.FORWARD, SolverKind.FOBA])
+def test_a_greedy_round_whose_gradient_overflows_raises(kind):
+    """An add round whose full-p gradient overflows at a column off the
+    support raises EvaluationError: the restricted start of the candidate
+    over that column would overflow too, so no round could finish."""
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((30, 6))
+    X[:, 5] *= 1e307
+    y = rng.standard_normal(30) + 10.0
+    oracle = build_objective(lambda th: 0.5 * sco.sqnorm(y - X @ th), 6)
+    with pytest.raises(EvaluationError):
+        oracle.gradient(np.zeros(6))
+    with pytest.raises(EvaluationError):
+        oracle.restricted([5]).value_and_grad(np.zeros(1))
+    with pytest.raises(EvaluationError):
+        solve(kind, ScoProblem(p=6, s=2, oracle=oracle))
 
 
 def test_scope_and_foba_match_exhaustive_smoke():

@@ -30,3 +30,40 @@ def test_solve_digest_runs_on_a_tiny_zoo_and_repeats():
     for calls in out["calls"].values():  # per solver, and for the plain refits
         assert set(calls) == {kind.value for kind in SolverKind} | {"refits"}
         assert all(c["restricted.value_and_grad"] > 0 for c in calls.values())
+
+
+def test_digest_diff_lists_every_change_of_a_perturbed_digest(tmp_path, capsys):
+    """digest_diff names each solve or refit whose structure changed, counts
+    the changed values per case and solver with the largest relative
+    objective change, lists every moved call count, and exits 0 only on
+    identical digests."""
+    solve_digest, digest_diff = _load("solve_digest"), _load("digest_diff")
+    old = solve_digest.digest({"linear": (("linear", 30, 8, 2, 5.0), range(2))}, refits=2)
+    new = json.loads(json.dumps(old))
+    forward = new["solves"]["linear/0/forward"]
+    forward["objective"] = repr(float(forward["objective"]) * (1.0 + 4e-16))
+    forward["params"] = "0" * 64
+    new["solves"]["linear/1/foba"]["iterations"] += 1
+    new["refits"]["linear/0/2"]["reason"] = "floor"
+    new["refits"]["linear/1/1"]["grad_inf"] = "0.5"
+    new["calls"]["linear"]["omp"]["full.value"] += 3
+    del new["solves"]["linear/1/iht"]
+    assert digest_diff.compare(old, old) == []
+    lines = digest_diff.compare(old, new)
+    foba = old["solves"]["linear/1/foba"]["iterations"]
+    omp = old["calls"]["linear"]["omp"]["full.value"]
+    assert lines[:3] == ["linear/1/foba: iterations %d -> %d" % (foba, foba + 1),
+                         "linear/1/iht: only in old",
+                         "linear/0/2: reason %s -> floor" % old["refits"]["linear/0/2"]["reason"]]
+    assert lines[3].startswith("linear/forward: changed 1 objective, 1 params; largest relative "
+                               "objective change 4")
+    assert lines[4:] == ["linear/refits: changed 1 grad_inf; largest relative objective change 0",
+                         "calls linear/omp full.value: %d -> %d" % (omp, omp + 3)]
+    paths = []
+    for name, digest in (("old", old), ("new", new)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(digest))
+    assert digest_diff.main([str(paths[0]), str(paths[0])]) == 0
+    assert capsys.readouterr().out == "identical\n"
+    assert digest_diff.main([str(p) for p in paths]) == 1
+    assert capsys.readouterr().out.splitlines() == lines

@@ -17,8 +17,9 @@ Run it from a checkout's root; it imports ``sco`` from that checkout's
 
     python tools/solve_digest.py > digest.json
 
-Run it in two checkouts and ``diff`` the two outputs: no difference
-means no result and no oracle call count moved.
+Run it in two checkouts and compare the two outputs with
+``tools/digest_diff.py`` (or ``diff``): no difference means no result
+and no oracle call count moved.
 """
 
 from __future__ import annotations
