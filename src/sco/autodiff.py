@@ -75,7 +75,8 @@ class EvaluationError(ArithmeticError):
     the same for a restricted oracle as for the oracle it derives from.
     ``op`` names the failing operation ("log", "div", "exp", ...).  An
     overflow or invalid value inside an operation is named by op and node
-    as a domain error of that operation is.
+    as a domain error of that operation is, and so is one in the
+    operation's step of the gradient's reverse sweep.
     """
 
     def __init__(self, message, op=None, node=None):
@@ -667,14 +668,18 @@ def _plan(tape, root):
     return steps
 
 
-def _sweep(steps, partials, root, dim):
-    adj = [None] * (root + 1)
-    adj[root] = 1.0
-    for k, t, back, fix in steps:
-        c = back(adj[k], partials[k])
-        if fix is not None:
-            c = fix(c)
-        adj[t] = c if adj[t] is None else adj[t] + c
+def _sweep(recording, partials, dim):
+    # the gradient of a replayed or recorded evaluation; a fault in node k's
+    # steps is blamed on node k's rule, as replay blames one in its forward pass
+    adj = [None] * recording.root + [1.0]
+    try:
+        for k, t, back, fix in recording.steps:
+            c = back(adj[k], partials[k])
+            if fix is not None:
+                c = fix(c)
+            adj[t] = c if adj[t] is None else adj[t] + c
+    except FloatingPointError as e:
+        raise _blame(e, *recording.ops[k - 1][:3], recording.offset)
     return np.zeros(dim) if adj[0] is None else adj[0]
 
 
@@ -756,10 +761,10 @@ _ERRSTATE = {"divide": "raise", "invalid": "raise", "over": "raise"}
 class _Evaluator:
     """A program over R^dim and, once an evaluation of it has succeeded, its
     recording.  :meth:`evaluate` is the one evaluation entry point of
-    program oracles.  The recording is never changed after it is made, and
-    each evaluation fills lists of its own, so concurrent evaluations need no
-    lock; racing first calls each record, and one of their identical
-    recordings is kept.  ``template`` caches the recording's
+    program oracles, bound as their ``value_and_grad``.  The recording is
+    never changed after it is made, and each evaluation fills lists of its
+    own, so concurrent evaluations need no lock; racing first calls each
+    record, and one of their identical recordings is kept.  ``template`` caches the recording's
     :meth:`_Recording.placed` once a restricted oracle needs it."""
 
     __slots__ = ("program", "dim", "recording", "template")
@@ -773,49 +778,53 @@ class _Evaluator:
     def value(self, theta):
         return self.evaluate(theta, False)
 
-    def value_and_grad(self, theta):
-        return self.evaluate(theta, True)
-
-    def evaluate(self, theta, grad):
+    def evaluate(self, theta, grad=True):
         """The value, and with ``grad`` the gradient, at ``theta``: the
-        recording replayed, or recorded when there is none.  Floating-point
-        faults surface as EvaluationError, type faults as ProgramError, and
-        an evaluation that raises keeps no recording."""
-        try:
-            with np.errstate(**_ERRSTATE):
-                recording = self.recording
+        recording replayed, or recorded when there is none.  A floating-point
+        fault surfaces as EvaluationError, named by the rule it faults in
+        when it faults in one (recording, replay or the sweep), and a type
+        fault of the program as ProgramError; an evaluation that raises keeps
+        no recording."""
+        with np.errstate(**_ERRSTATE):
+            recording = self.recording
+            if recording is None:
+                recording, values, partials = self._record(theta)
                 if recording is None:
-                    recording, values, partials = self._record(theta)
-                    if recording is None:
-                        # program ignored its argument: constant objective, zero gradient
-                        return (values, np.zeros(self.dim)) if grad else values
-                else:
-                    values, partials = recording.replay(theta)
-                root = recording.root
-                value = values[root]
-                if not math.isfinite(value):
-                    raise EvaluationError("non-finite objective value",
-                                          node=root - recording.offset)
-                if grad:
-                    g = _sweep(recording.steps, partials, root, self.dim)
-                    if not np.isfinite(g).all():
-                        raise EvaluationError("non-finite gradient", node=root - recording.offset)
-                    value = value, g
-        except FloatingPointError as e:
-            raise EvaluationError(f"non-finite value during evaluation: {e}") from e
-        except ProgramError:
-            raise
-        except (TypeError, AttributeError) as e:
-            raise ProgramError(f"unsupported operation in objective program: {e}") from e
+                    # program ignored its argument: constant objective, zero gradient
+                    return (values, np.zeros(self.dim)) if grad else values
+            else:
+                values, partials = recording.replay(theta)
+            root = recording.root
+            value = values[root]
+            if not math.isfinite(value):
+                raise EvaluationError("non-finite objective value", node=root - recording.offset)
+            if grad:
+                g = _sweep(recording, partials, self.dim)
+                # no known program reaches this: every route from finite
+                # values to a non-finite adjoint (overflow, 0 * inf,
+                # inf - inf, division by zero) raises a named fault first;
+                # it stays so that no non-finite gradient is ever returned
+                if not np.isfinite(g).all():
+                    raise EvaluationError("non-finite gradient", node=root - recording.offset)
+                value = value, g
         if self.recording is None:
             self.recording = recording
         return value
 
     def _record(self, theta):
         # the program recorded at theta, with the values and partials of its
-        # nodes; a constant program gives no recording and its value
+        # nodes; a constant program gives no recording and its value.  The
+        # program's own call is the one place raw errors are mapped: a
+        # floating-point fault outside every rule names no node
         tape = Tape()
-        out = self.program(tape.input(theta))
+        try:
+            out = self.program(tape.input(theta))
+        except FloatingPointError as e:
+            raise EvaluationError(f"non-finite value during evaluation: {e}") from e
+        except ProgramError:
+            raise
+        except (TypeError, AttributeError) as e:
+            raise ProgramError(f"unsupported operation in objective program: {e}") from e
         if not isinstance(out, Var):
             if isinstance(out, numbers.Real):
                 return None, float(out), None
@@ -858,7 +867,7 @@ class _PlacedEvaluator(_Evaluator):
 def _derived(parent, scale, coords):
     # the derived restricted oracle of a program oracle's evaluator
     evaluator = _PlacedEvaluator(parent, coords)
-    return ObjectiveOracle(len(coords), evaluator.value, evaluator.value_and_grad, scale=scale,
+    return ObjectiveOracle(len(coords), evaluator.value, evaluator.evaluate, scale=scale,
                            restrict=partial(_derived, evaluator, scale))
 
 
@@ -969,7 +978,10 @@ def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
     ``value`` skips the backward sweep.  So ``value`` raises
     :class:`EvaluationError` exactly where ``value_and_grad`` would,
     including where only the gradient is undefined (``sqrt`` at 0), on the
-    full oracle and on every restricted one alike.  An evaluation that
+    full oracle and on every restricted one alike.  A floating-point fault
+    in the gradient's reverse sweep raises the EvaluationError of the
+    operation whose backward step faulted, naming its op and node as a
+    fault in that operation's forward pass would.  An evaluation that
     raises keeps no recording.  An analytic gradient is supplied by building
     ``ObjectiveOracle(dim, f, lambda th: (f(th), g(th)))`` directly.
 
@@ -1006,7 +1018,7 @@ def build_objective(program, dim, *, scale=None, restrict=None, probe=True):
     evaluator = _Evaluator(program, dim)
     if restrict is None:
         restrict = partial(_derived, evaluator, scale)
-    oracle = ObjectiveOracle(dim, evaluator.value, evaluator.value_and_grad, scale=scale,
+    oracle = ObjectiveOracle(dim, evaluator.value, evaluator.evaluate, scale=scale,
                              restrict=restrict)
     if probe:
         try:

@@ -690,6 +690,15 @@ def _outcome(evaluate, theta):
         return ("EvaluationError", str(e), e.op, e.node)
 
 
+def _gradient_faults_are_named(value, value_and_grad):
+    # a fault that only the gradient meets is raised in the reverse sweep,
+    # which names its op and node as replay does; only the final check of a
+    # non-finite gradient names no op
+    if isinstance(value, float) and value_and_grad[0] == "EvaluationError":
+        message, op, node = value_and_grad[1:]
+        assert message == "non-finite gradient" or (op is not None and node is not None)
+
+
 def _same_outcome(replayed, fresh):
     if isinstance(fresh, tuple) and isinstance(fresh[1], np.ndarray):
         assert replayed[0] == fresh[0]
@@ -723,17 +732,23 @@ def test_replay_matches_a_fresh_recording_on_random_programs(project, data):
                 (oracle, lambda probe: build_objective(program, p, probe=probe), point),
                 (sub, lambda probe: build_objective(program, p, probe=probe).restricted(coords),
                  point[coords])):
+            replayed = {}
             for method in ("value", "value_and_grad"):
                 for probe in (True, False):
                     fresh = _outcome(getattr(fresh_oracle(probe), method), x)
-                    _same_outcome(_outcome(getattr(replaying, method), x), fresh)
+                    replayed[method] = _outcome(getattr(replaying, method), x)
+                    _same_outcome(replayed[method], fresh)
+            _gradient_faults_are_named(**replayed)
 
     def check(rebound, fresh_oracle, pick):
         for point in points:
+            replayed = {}
             for method in ("value", "value_and_grad"):
                 for probe in (True, False):
-                    _same_outcome(_outcome(getattr(rebound, method), point[pick]),
+                    replayed[method] = _outcome(getattr(rebound, method), point[pick])
+                    _same_outcome(replayed[method],
                                   _outcome(getattr(fresh_oracle(probe), method), point[pick]))
+            _gradient_faults_are_named(**replayed)
 
     for other in others:
         check(oracle.restricted(other),
@@ -809,6 +824,38 @@ def test_floating_point_faults_name_the_rules_node(probe):
             with pytest.raises(EvaluationError) as err:
                 getattr(sub(domain), method)(x)
             assert (err.value.op, err.value.node) == ("log", 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_gradient_faults_name_the_product_on_random_programs(data):
+    """A product whose column nears the float maximum at a zero coordinate
+    gives a finite value whose gradient may overflow only in the product's
+    backward step.  Where it does, the error names the product and its
+    operand as a forward overflow of the product would, on the full oracle
+    and on restricted ones at any depth."""
+    n, p = data.draw(st.integers(1, 30)), data.draw(st.integers(1, 5))
+    X = data.draw(hnp.arrays(float, (n, p), elements=st.floats(-1.0, 1.0)))
+    y = data.draw(hnp.arrays(float, (n,), elements=st.floats(-10.0, 10.0)))
+    j = data.draw(st.integers(0, p - 1))
+    X[:, j] *= 10.0 ** data.draw(st.floats(305.0, 308.0))
+    theta = data.draw(hnp.arrays(float, (p,), elements=st.floats(-1.0, 1.0)))
+    theta[j] = 0.0
+    losses = {"rss": lambda th: 0.5 * sco.sqnorm(y - X @ th),
+              "logistic": lambda th: sco.vsum(sco.log1pexp(X @ th) - y * (X @ th))}
+    oracle = build_objective(losses[data.draw(st.sampled_from(sorted(losses)))], p,
+                             probe=data.draw(st.booleans()))
+    coords = np.array(data.draw(st.permutations(range(p)))[:data.draw(st.integers(1, p))])
+    inner = np.arange(len(coords))[::-1]
+    for sub, x in ((oracle, theta), (oracle.restricted(coords), theta[coords]),
+                   (oracle.restricted(coords).restricted(inner), theta[coords[inner]])):
+        value, value_and_grad = _outcome(sub.value, x), _outcome(sub.value_and_grad, x)
+        assert isinstance(value, float)
+        if value_and_grad[0] == "EvaluationError":
+            assert value_and_grad[1].startswith("non-finite value during evaluation: overflow")
+            assert value_and_grad[2:] == ("matvec", 0)
+        else:
+            assert value_and_grad[0] == value and np.isfinite(value_and_grad[1]).all()
 
 
 def test_non_finite_results_raise_naming_the_root(monkeypatch):

@@ -480,16 +480,21 @@ def test_foba_takes_one_hessian_per_active_set_and_point(monkeypatch):
 def test_a_greedy_round_whose_gradient_overflows_raises(kind):
     """An add round whose full-p gradient overflows at a column off the
     support raises EvaluationError: the restricted start of the candidate
-    over that column would overflow too, so no round could finish."""
+    over that column would overflow too, so no round could finish.  The
+    overflow, in the product's reverse step, names the product and its
+    operand as a forward overflow of the product does, on the full oracle
+    and the restricted one alike."""
     rng = np.random.default_rng(0)
     X = rng.standard_normal((30, 6))
     X[:, 5] *= 1e307
     y = rng.standard_normal(30) + 10.0
     oracle = build_objective(lambda th: 0.5 * sco.sqnorm(y - X @ th), 6)
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as full:
         oracle.gradient(np.zeros(6))
-    with pytest.raises(EvaluationError):
+    with pytest.raises(EvaluationError) as restricted:
         oracle.restricted([5]).value_and_grad(np.zeros(1))
+    for err in (full, restricted):
+        assert (err.value.op, err.value.node) == ("matvec", 0)
     with pytest.raises(EvaluationError):
         solve(kind, ScoProblem(p=6, s=2, oracle=oracle))
 

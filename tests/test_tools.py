@@ -4,7 +4,11 @@ import importlib.util
 import json
 from pathlib import Path
 
-from sco.solvers import SolverKind
+import numpy as np
+
+from sco import models
+from sco.problem import validate_solution
+from sco.solvers import SolverKind, solve
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -18,18 +22,33 @@ def _load(name):
 
 def test_solve_digest_runs_on_a_tiny_zoo_and_repeats():
     """The digest covers every solver on every dataset, every refit and
-    the calls of each kind per solver, and two runs agree to the byte."""
+    the calls of each kind per solver, and two runs agree to the byte.  A
+    case with group sizes solves over those groups, their ids permuted by
+    the seed, with the seed's group preselected."""
     solve_digest = _load("solve_digest")
+    grouped = ("linear", 30, 6, 2, 5.0)
     cases = {"linear": (("linear", 30, 8, 2, 5.0), range(2)),
-             "logistic": (("logistic", 60, 6, 2, 1.0), range(1))}
+             "logistic": (("logistic", 60, 6, 2, 1.0), range(1)),
+             "grouped": (grouped, range(2), (1, 2, 3))}
     first = json.dumps(solve_digest.digest(cases, refits=2), sort_keys=True)
     assert json.dumps(solve_digest.digest(cases, refits=2), sort_keys=True) == first
     out = json.loads(first)
-    assert len(out["solves"]) == 3 * len(SolverKind) and len(out["refits"]) == 3 * 2
+    assert len(out["solves"]) == 5 * len(SolverKind) and len(out["refits"]) == 5 * 2
     assert set(out["calls"]) == set(cases)
     for calls in out["calls"].values():  # per solver, and for the plain refits
         assert set(calls) == {kind.value for kind in SolverKind} | {"refits"}
         assert all(c["restricted.value_and_grad"] > 0 for c in calls.values())
+    for seed in range(2):
+        groups = np.random.default_rng(seed).permutation(np.repeat(np.arange(3), [1, 2, 3]))
+        preselect = np.flatnonzero(groups == seed)
+        problem = models.build_problem(models.generate(models.ModelSpec(*grouped, seed)), s=2,
+                                       groups=groups, preselect=preselect)
+        for kind in (SolverKind.FORWARD, SolverKind.IHT):
+            sol = solve(kind, problem)
+            validate_solution(problem, sol)  # whole groups, preselected ones unlisted
+            assert out["solves"][f"grouped/{seed}/{kind.value}"] == {
+                "support": solve_digest._sha(sol.support),
+                **solve_digest._entry(sol.params, sol.objective, sol.iterations, sol.converged)}
 
 
 def test_digest_diff_lists_every_change_of_a_perturbed_digest(tmp_path, capsys):

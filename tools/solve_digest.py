@@ -3,7 +3,10 @@
 The digest pins what a change that claims bit-identical results must
 keep.  Every solver runs on every dataset of the zoo below and on the
 100 small least-squares problems of acceptance criterion 3
-(``tests/test_acceptance.py``); each solve records the sha256 of its
+(``tests/test_acceptance.py``); the grouped case solves over groups of
+several sizes with one group preselected, so greedy rounds stack bordered
+systems of several sizes and every refit frees the preselected
+coordinates too.  Each solve records the sha256 of its
 support's and its params' bytes, its objective's ``repr``, its
 iterations and ``converged``.  Every dataset also has ``REFITS`` plain
 ``restricted_minimize`` refits of random supports from zero, which
@@ -39,8 +42,11 @@ from sco.autodiff import ObjectiveOracle  # noqa: E402
 from sco.problem import restricted_minimize  # noqa: E402
 from sco.solvers import SolverKind, solve  # noqa: E402
 
-# name: ((kind, n, p, s, signal), seeds); s is both the planted sparsity
-# and the budget
+# name: ((kind, n, p, s, signal), seeds[, sizes]); s is both the planted
+# sparsity and the budget.  With group sizes, seed's problem has groups of
+# those sizes, their ids permuted by default_rng(seed), and preselects group
+# seed % len(sizes), as test_bordered_rounds_pick_the_units_plain_refits_pick
+# builds them
 CASES = {
     "linear": (("linear", 100, 60, 5, 5.0), range(15)),
     "logistic": (("logistic", 200, 40, 5, 1.0), range(15)),
@@ -48,6 +54,7 @@ CASES = {
     "trend-120": (("trend", 120, 120, 5, 10.0), range(15)),
     "ising": (("ising", 200, 45, 5, 1.0), range(15)),
     "criterion-3": (("linear", 40, 10, 3, 5.0), range(100)),
+    "grouped-linear": (("linear", 60, 12, 3, 5.0), range(15), (1, 2, 3, 2, 1, 3)),
 }
 REFITS = 9  # plain refits per dataset, of random supports of 1..REFITS coordinates
 CALLS = ("full.value", "full.value_and_grad", "restricted.value", "restricted.value_and_grad")
@@ -74,6 +81,14 @@ def _counted(problem, counts):
         restrict=restrict))
 
 
+def _grouping(seed, sizes=None):
+    # build_problem's groups and preselect for a case's group sizes
+    if sizes is None:
+        return {}
+    groups = np.random.default_rng(seed).permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return {"groups": groups, "preselect": np.flatnonzero(groups == seed % len(sizes))}
+
+
 def _sha(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
@@ -86,11 +101,11 @@ def _entry(params, objective, iterations, converged):
 def digest(cases=CASES, refits=REFITS):
     """The digest of ``cases`` (``CASES``' form) as a JSON-ready dict."""
     out = {"solves": {}, "refits": {}, "calls": {}}
-    for name, ((kind, n, p, s, signal), seeds) in cases.items():
+    for name, ((kind, n, p, s, signal), seeds, *sizes) in cases.items():
         counts = {key: dict.fromkeys(CALLS, 0) for key in [*(k.value for k in SolverKind), "refits"]}
         for seed in seeds:
             ds = models.generate(models.ModelSpec(kind, n, p, s, signal, seed))
-            built = models.build_problem(ds, s=s)
+            built = models.build_problem(ds, s=s, **_grouping(seed, *sizes))
             for solver in SolverKind:
                 sol = solve(solver, _counted(built, counts[solver.value]))
                 out["solves"][f"{name}/{seed}/{solver.value}"] = {
